@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"optimus/internal/parallel"
 )
 
 // tinyRunner returns a runner at miniature scale with verification on, so
@@ -22,7 +24,7 @@ func tinyRunner(buf *bytes.Buffer, models ...string) *Runner {
 
 func TestDefaultsApplied(t *testing.T) {
 	r := New(Options{})
-	if r.opt.Scale != 0.25 || r.opt.Threads != 1 || len(r.opt.Ks) != 4 || r.opt.Repeats != 4 {
+	if r.opt.Scale != 0.25 || r.opt.Threads != parallel.Resolve(0) || len(r.opt.Ks) != 4 || r.opt.Repeats != 4 {
 		t.Fatalf("defaults not applied: %+v", r.opt)
 	}
 }

@@ -1,9 +1,10 @@
 // Package blas provides the hardware-efficient linear-algebra kernels that
-// the paper obtains from Intel MKL / OpenBLAS. Everything here is pure Go,
-// but the kernels apply the same structural optimizations the paper credits
-// for BMM's surprising speed (§II-B): register blocking (several output
-// values accumulated per pass over a row), cache tiling (operands revisited
-// while hot), and batch-level parallelism.
+// the paper obtains from Intel MKL / OpenBLAS, applying the structural
+// optimizations the paper credits for BMM's surprising speed (§II-B):
+// register blocking (several output values accumulated per pass over a row),
+// cache tiling (operands revisited while hot), SIMD (an AVX2 micro-kernel on
+// amd64, with the pure-Go tile as oracle and fallback), and batch-level
+// parallelism.
 //
 // All matrices are row-major. The workhorse is GemmNT, which computes
 // C = A · Bᵀ — exactly the "users × itemsᵀ" product at the heart of batch
@@ -17,27 +18,19 @@ import (
 	"optimus/internal/parallel"
 )
 
-// Tiling parameters. aRowTile × f float64s of A and bRowTile × f of B are
-// revisited while resident in cache; the defaults keep the working set of the
-// inner two loops near 256 KiB for f ≈ 100, matching the L2-sizing argument
-// in §IV-A of the paper. They are variables (not constants) so the tuning
-// benchmark can sweep them.
-var (
+// Cache-tile sizes: aRowTile × f float64s of A and bRowTile × f of B are
+// revisited while resident in cache, which keeps the working set of the inner
+// two loops near 256 KiB for f ≈ 100 — the L2-sizing argument of §IV-A.
+// aRowTile is also the parallel grain. The micro-kernel's register tile is
+// kernelRows rows of A against one kernelCols-row panel of B; both divide
+// their cache tile.
+const (
 	aRowTile = 128
 	bRowTile = 64
+
+	kernelRows = 4
+	kernelCols = 8
 )
-
-// SetTiles overrides the cache-tile sizes. Intended for benchmarks and tests;
-// panics if either value is not positive.
-func SetTiles(aTile, bTile int) {
-	if aTile <= 0 || bTile <= 0 {
-		panic(fmt.Sprintf("blas: non-positive tile sizes %d, %d", aTile, bTile))
-	}
-	aRowTile, bRowTile = aTile, bTile
-}
-
-// Tiles returns the current cache-tile sizes (A-row tile, B-row tile).
-func Tiles() (int, int) { return aRowTile, bRowTile }
 
 // Dot returns the inner product of a and b using four independent
 // accumulators so the additions pipeline. Panics if lengths differ.
@@ -89,12 +82,13 @@ func GemvNT(a *mat.Matrix, x []float64, out []float64) {
 
 // GemmNT computes C = A · Bᵀ where A is m×f, B is n×f, and C is m×n.
 // C's contents are overwritten. This is the blocked matrix multiply (BMM)
-// kernel: output rows are produced in aRowTile × bRowTile tiles, and within
-// a tile the micro-kernel scores one A row against four B rows per pass,
-// quadrupling reuse of the A row while it sits in registers/L1.
+// kernel: output rows are produced in aRowTile × bRowTile tiles; within a
+// tile the AVX2 micro-kernel (kernel_amd64.s) fills 4×8 register tiles from
+// a packed copy of B, and the scalar gemmTile covers the edges — and whole
+// products where the kernel is not available. Both accumulate every element
+// in the same order, so the result does not depend on which one ran.
 func GemmNT(a, b, c *mat.Matrix) {
-	checkGemmShapes(a, b, c)
-	gemmRange(a, b, c, 0, a.Rows())
+	GemmNTParallel(a, b, c, 1)
 }
 
 // GemmNTParallel is GemmNT with the A rows sharded across the parallel
@@ -105,9 +99,15 @@ func GemmNT(a, b, c *mat.Matrix) {
 // any thread count, so results are bit-identical to serial GemmNT.
 // threads <= 0 defers to the package-wide parallel.Threads() default.
 func GemmNTParallel(a, b, c *mat.Matrix, threads int) {
-	checkGemmShapes(a, b, c)
+	GemmNTPacked(a, Pack(b, a.Rows()), c, threads)
+}
+
+// GemmNTPacked is GemmNTParallel against a B that was packed ahead of time,
+// for callers multiplying several A slabs by the same B.
+func GemmNTPacked(a *mat.Matrix, p *Packed, c *mat.Matrix, threads int) {
+	checkGemmShapes(a, p.b, c)
 	parallel.ForThreads(threads, a.Rows(), aRowTile, func(lo, hi int) {
-		gemmRange(a, b, c, lo, hi)
+		gemmRange(a, p, c, lo, hi)
 	})
 }
 
@@ -121,21 +121,69 @@ func checkGemmShapes(a, b, c *mat.Matrix) {
 	}
 }
 
-// gemmRange computes C rows [rowLo, rowHi) of A·Bᵀ.
-func gemmRange(a, b, c *mat.Matrix, rowLo, rowHi int) {
-	n := b.Rows()
-	for ib := rowLo; ib < rowHi; ib += aRowTile {
-		iEnd := ib + aRowTile
-		if iEnd > rowHi {
-			iEnd = rowHi
-		}
-		for jb := 0; jb < n; jb += bRowTile {
-			jEnd := jb + bRowTile
-			if jEnd > n {
-				jEnd = n
+// Packed is the B operand of GemmNT, with the rows the micro-kernel will
+// read re-laid as 8-row, k-major panels: panel p holds B rows [8p, 8p+8) as
+// panels[(p*f+k)*8+lane] = B[8p+lane][k], so one 32-byte load yields the k-th
+// factor of four adjacent output columns. The n%8 trailing rows stay
+// unpacked; the scalar tile reads them from b.
+type Packed struct {
+	b      *mat.Matrix
+	panels []float64 // nil: no kernel in this build / on this CPU, or nothing to pack
+}
+
+// Pack prepares b for GemmNTPacked calls whose A operands total aRows rows.
+// Fewer than kernelRows of them would never reach the kernel, so nothing is
+// copied then. The result aliases b and is only valid while b is unchanged.
+func Pack(b *mat.Matrix, aRows int) *Packed {
+	p := &Packed{b: b}
+	n8, f := b.Rows()&^(kernelCols-1), b.Cols()
+	if !useKernel || aRows < kernelRows || n8 == 0 || f == 0 {
+		return p
+	}
+	p.panels = make([]float64, n8*f)
+	for j0 := 0; j0 < n8; j0 += kernelCols {
+		panel := p.panels[j0*f : (j0+kernelCols)*f]
+		for lane := 0; lane < kernelCols; lane++ {
+			for k, v := range b.Row(j0 + lane) {
+				panel[k*kernelCols+lane] = v
 			}
-			gemmTile(a, b, c, ib, iEnd, jb, jEnd)
 		}
+	}
+	return p
+}
+
+// gemmRange computes C rows [rowLo, rowHi) of A·Bᵀ — one aRowTile-high chunk
+// of the parallel loop. It is the one place that chooses between the
+// micro-kernel and the scalar tile: full 4×8 tiles over the packed columns go
+// to the kernel, the m%4 trailing rows and the n%8 trailing columns to
+// gemmTile.
+func gemmRange(a *mat.Matrix, p *Packed, c *mat.Matrix, rowLo, rowHi int) {
+	b, n, f := p.b, p.b.Rows(), p.b.Cols()
+	rows4, n8 := rowLo, 0
+	if p.panels != nil {
+		rows4 = rowLo + (rowHi-rowLo)&^(kernelRows-1)
+		n8 = len(p.panels) / f
+	}
+	if rows4 > rowLo {
+		ad, cd := a.Data(), c.Data()
+		for jb := 0; jb < n8; jb += bRowTile {
+			npanels := (min(jb+bRowTile, n8) - jb) / kernelCols
+			for i := rowLo; i < rows4; i += kernelRows {
+				kernel4x8(&ad[i*f], &p.panels[jb*f], &cd[i*n+jb], f, n, npanels)
+			}
+		}
+		gemmScalar(a, b, c, rowLo, rows4, n8, n)
+	}
+	gemmScalar(a, b, c, rows4, rowHi, 0, n)
+}
+
+// gemmScalar fills C[i][j] for i in [iLo,iHi), j in [jLo,jHi) with the scalar
+// tile, bRowTile columns at a time. jLo must be a multiple of 4 so the
+// four-column groups — and with them which columns fall to Dot — land where
+// a whole-matrix scalar pass puts them.
+func gemmScalar(a, b, c *mat.Matrix, iLo, iHi, jLo, jHi int) {
+	for jb := jLo; jb < jHi; jb += bRowTile {
+		gemmTile(a, b, c, iLo, iHi, jb, min(jb+bRowTile, jHi))
 	}
 }
 
@@ -171,7 +219,8 @@ func gemmTile(a, b, c *mat.Matrix, iLo, iHi, jLo, jHi int) {
 // NaiveGemmNT is the textbook triple loop with no blocking, kept as the
 // correctness oracle for tests and as the "naïve inner products" baseline the
 // paper contrasts BMM against (§II-B reports BLAS beating it by ~40×; our
-// pure-Go gap is smaller but the direction is property-tested).
+// gap is smaller — BenchmarkGemmBlockedVsNaive prints it — but the direction
+// is the same).
 func NaiveGemmNT(a, b, c *mat.Matrix) {
 	checkGemmShapes(a, b, c)
 	for i := 0; i < a.Rows(); i++ {

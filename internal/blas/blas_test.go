@@ -124,15 +124,19 @@ func TestGemmNTMatchesNaive(t *testing.T) {
 }
 
 func TestGemmNTCrossesTileBoundaries(t *testing.T) {
-	// Shapes straddling the tile sizes hit the partial-tile code paths.
-	aTile, bTile := Tiles()
+	// Shapes straddling the cache tiles and the kernel's 4-row / 8-column
+	// register tile hit every partial-tile path.
 	shapes := [][3]int{
-		{aTile - 1, bTile - 1, 10},
-		{aTile, bTile, 10},
-		{aTile + 1, bTile + 1, 10},
-		{2*aTile + 3, 2*bTile + 3, 7},
+		{aRowTile - 1, bRowTile - 1, 10},
+		{aRowTile, bRowTile, 10},
+		{aRowTile + 1, bRowTile + 1, 10},
+		{2*aRowTile + 3, 2*bRowTile + 3, 7},
 		{1, 1, 1},
-		{3, 4*bTile + 2, 5},
+		{3, 4*bRowTile + 2, 5},
+		{kernelRows - 1, kernelCols - 1, 9},
+		{kernelRows, kernelCols, 9},
+		{kernelRows + 1, kernelCols + 1, 9},
+		{aRowTile + kernelRows + 1, bRowTile + kernelCols + 5, 3},
 	}
 	rng := rand.New(rand.NewSource(11))
 	for _, s := range shapes {
@@ -144,6 +148,89 @@ func TestGemmNTCrossesTileBoundaries(t *testing.T) {
 		NaiveGemmNT(a, b, want)
 		if !got.Equal(want, 1e-9) {
 			t.Fatalf("shape %v mismatch", s)
+		}
+	}
+}
+
+// scalarGemmNT is the oracle of the kernel tests: the whole product through
+// the scalar tile, the way a build without the kernel computes it.
+func scalarGemmNT(a, b, c *mat.Matrix) {
+	gemmScalar(a, b, c, 0, a.Rows(), 0, b.Rows())
+}
+
+// TestKernelBitIdenticalToScalarTile is the kernel's contract: every entry
+// point returns exactly the floats the scalar tile returns, at every edge of
+// the register tile, on row views, and at any thread count.
+func TestKernelBitIdenticalToScalarTile(t *testing.T) {
+	if !useKernel {
+		t.Log("no kernel in this build or on this CPU: the scalar tile is compared with itself")
+	}
+	ms := []int{0, 1, 3, 4, 5, 8, 131}
+	ns := []int{0, 1, 7, 8, 9, 15, 16, 17, 64, 73}
+	fs := []int{0, 1, 2, 50, 64}
+	threads := []int{1, 2, 3, 8, 1000}
+	rng := rand.New(rand.NewSource(22))
+	check := func(m, n, f, th int) {
+		t.Helper()
+		// A is a row view into a larger matrix, as BMM's slabs are.
+		off := rng.Intn(3)
+		a := randomMatrix(rng, m+off+1, f).RowSlice(off, off+m)
+		b := randomMatrix(rng, n, f)
+		want := mat.New(m, n)
+		scalarGemmNT(a, b, want)
+		got := mat.New(m, n)
+		for i := range got.Data() {
+			got.Data()[i] = 999
+		}
+		if th == 1 {
+			GemmNT(a, b, got)
+		} else {
+			GemmNTParallel(a, b, got, th)
+		}
+		packed := mat.New(m, n)
+		GemmNTPacked(a, Pack(b, m), packed, th)
+		if !got.Equal(want, 0) || !packed.Equal(want, 0) {
+			t.Fatalf("m=%d n=%d f=%d threads=%d: Equal(want, 0) is false", m, n, f, th)
+		}
+		for i, w := range want.Data() {
+			if got.Data()[i] != w || packed.Data()[i] != w {
+				t.Fatalf("m=%d n=%d f=%d threads=%d: element %d = %v / %v, want %v",
+					m, n, f, th, i, got.Data()[i], packed.Data()[i], w)
+			}
+		}
+	}
+	for _, m := range ms {
+		for _, n := range ns {
+			for _, f := range fs {
+				check(m, n, f, threads[rng.Intn(len(threads))])
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		check(rng.Intn(300), rng.Intn(150), rng.Intn(70), threads[rng.Intn(len(threads))])
+	}
+}
+
+// TestPackSkipsWhatTheKernelCannotUse pins the conditions under which Pack
+// copies nothing, so a one-user query never pays for panels it cannot read.
+func TestPackSkipsWhatTheKernelCannotUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, tc := range []struct {
+		n, f, aRows int
+		packed      bool
+	}{
+		{64, 10, kernelRows, true},
+		{64, 10, kernelRows - 1, false},
+		{kernelCols - 1, 10, 100, false},
+		{64, 0, 100, false},
+		{kernelCols + 3, 10, 100, true},
+	} {
+		p := Pack(randomMatrix(rng, tc.n, tc.f), tc.aRows)
+		if want := tc.packed && useKernel; (p.panels != nil) != want {
+			t.Errorf("Pack(%dx%d, %d rows): packed = %v, want %v", tc.n, tc.f, tc.aRows, p.panels != nil, want)
+		}
+		if p.panels != nil && len(p.panels) != tc.n&^(kernelCols-1)*tc.f {
+			t.Errorf("Pack(%dx%d): %d packed values", tc.n, tc.f, len(p.panels))
 		}
 	}
 }
@@ -204,28 +291,6 @@ func TestGemmShapePanics(t *testing.T) {
 	}
 }
 
-func TestSetTiles(t *testing.T) {
-	origA, origB := Tiles()
-	defer SetTiles(origA, origB)
-	SetTiles(8, 8)
-	rng := rand.New(rand.NewSource(9))
-	a := randomMatrix(rng, 20, 6)
-	b := randomMatrix(rng, 19, 6)
-	got := mat.New(20, 19)
-	want := mat.New(20, 19)
-	GemmNT(a, b, got)
-	NaiveGemmNT(a, b, want)
-	if !got.Equal(want, 1e-9) {
-		t.Fatal("GemmNT incorrect with tiny tiles")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive tiles")
-		}
-	}()
-	SetTiles(0, 1)
-}
-
 func TestGemmEmptyOperands(t *testing.T) {
 	a := mat.New(0, 5)
 	b := mat.New(3, 5)
@@ -250,7 +315,7 @@ func BenchmarkDot(b *testing.B) {
 	_ = s
 }
 
-func benchGemm(b *testing.B, m, n, k, threads int, kernel func(a, bb, c *mat.Matrix)) {
+func benchGemm(b *testing.B, m, n, k int, kernel func(a, bb, c *mat.Matrix)) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomMatrix(rng, m, k)
 	bb := randomMatrix(rng, n, k)
@@ -262,16 +327,18 @@ func benchGemm(b *testing.B, m, n, k, threads int, kernel func(a, bb, c *mat.Mat
 	}
 	flops := 2 * float64(m) * float64(n) * float64(k) * float64(b.N)
 	b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOPS")
-	_ = threads
 }
 
 // BenchmarkGemmBlockedVsNaive quantifies the "constant factor" §II-B builds
-// its whole argument on: blocked beats naive on the same FLOP count.
+// its whole argument on: blocked beats naive on the same FLOP count, and the
+// SIMD kernel ("blocked"; equal to "scalar" where it is not available) beats
+// the scalar tile.
 func BenchmarkGemmBlockedVsNaive(b *testing.B) {
-	b.Run("blocked", func(b *testing.B) { benchGemm(b, 512, 512, 64, 1, GemmNT) })
-	b.Run("naive", func(b *testing.B) { benchGemm(b, 512, 512, 64, 1, NaiveGemmNT) })
+	b.Run("blocked", func(b *testing.B) { benchGemm(b, 512, 512, 64, GemmNT) })
+	b.Run("scalar", func(b *testing.B) { benchGemm(b, 512, 512, 64, scalarGemmNT) })
+	b.Run("naive", func(b *testing.B) { benchGemm(b, 512, 512, 64, NaiveGemmNT) })
 	b.Run("parallel", func(b *testing.B) {
-		benchGemm(b, 512, 512, 64, 0, func(a, bb, c *mat.Matrix) {
+		benchGemm(b, 512, 512, 64, func(a, bb, c *mat.Matrix) {
 			GemmNTParallel(a, bb, c, runtime.GOMAXPROCS(0))
 		})
 	})

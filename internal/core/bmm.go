@@ -253,6 +253,9 @@ func (b *BMM) process(ctx context.Context, queries *mat.Matrix, out [][]topk.Ent
 		slabRows = m
 	}
 	scores := mat.New(slabRows, n)
+	// Packed once for every slab of the query and dropped on return: the
+	// solver retains no copy of the items.
+	items := blas.Pack(b.items, m)
 	for lo := 0; lo < m; lo += slabRows {
 		// Slab boundary: one GEMM + one harvest is the natural cancellation
 		// unit for a monolithic multiply.
@@ -265,7 +268,7 @@ func (b *BMM) process(ctx context.Context, queries *mat.Matrix, out [][]topk.Ent
 		}
 		slab := scores.RowSlice(0, hi-lo)
 		t0 := time.Now()
-		blas.GemmNTParallel(queries.RowSlice(lo, hi), b.items, slab, b.cfg.Threads)
+		blas.GemmNTPacked(queries.RowSlice(lo, hi), items, slab, b.cfg.Threads)
 		t1 := time.Now()
 		st.GemmTime += t1.Sub(t0)
 		var slabFloors []float64

@@ -41,14 +41,12 @@ func TestCalibrateAndPredict(t *testing.T) {
 
 // TestModelAccuracyOnGemm reproduces the §IV-A claim at repo scale: the
 // FLOP model predicts a same-regime GEMM within a modest relative error.
-// The paper reports 5% on MKL; a pure-Go kernel on a shared machine is
-// noisier, so the assertion is loose (50%) — the ablation-costmodel
-// experiment reports the actual figure.
+// The paper reports 5% on MKL; a shared machine is noisier, so the assertion
+// is loose (50%) — the ablation-costmodel experiment reports the actual
+// figure. A probe lasts about a millisecond and the machine's slow spells
+// tens of them, so calibrations and measurements alternate and each side
+// keeps its fastest reading: a spell then slows both sides or neither.
 func TestModelAccuracyOnGemm(t *testing.T) {
-	model, err := Calibrate(512, 512, 64, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Target workload of a similar regime.
 	a := mat.New(768, 64)
 	b := mat.New(384, 64)
@@ -60,12 +58,20 @@ func TestModelAccuracyOnGemm(t *testing.T) {
 	}
 	c := mat.New(768, 384)
 	blas.GemmNT(a, b, c) // warm
+	var model *Model
 	best := time.Duration(1 << 62)
-	for i := 0; i < 3; i++ {
-		t0 := time.Now()
-		blas.GemmNT(a, b, c)
-		if d := time.Since(t0); d < best {
-			best = d
+	for round := 0; round < 6; round++ {
+		m, err := Calibrate(512, 512, 64, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if model == nil || m.FlopsPerSecond > model.FlopsPerSecond {
+			model = m
+		}
+		for i := 0; i < 2; i++ {
+			t0 := time.Now()
+			blas.GemmNT(a, b, c)
+			best = min(best, time.Since(t0))
 		}
 	}
 	pred := model.PredictGemm(768, 384, 64)

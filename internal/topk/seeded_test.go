@@ -194,3 +194,65 @@ func TestSelectRowIntoFloorAware(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
 }
+
+// TestSelectRowThresholdFirstMatchesPushLoop pins the threshold-first harvest
+// to its definition: SelectRowInto and SelectRow return, entry for entry and
+// score bit for score bit, what offering every score to Push returns — under
+// heavy ties, seeded floors (one so high the heap never fills), ±Inf, NaN
+// anywhere in the row, and k = len(scores).
+func TestSelectRowThresholdFirstMatchesPushLoop(t *testing.T) {
+	pushLoop := func(scores []float64, itemBase, k int, floor float64) []Entry {
+		h := NewSeeded(k, floor)
+		for j, s := range scores {
+			h.Push(itemBase+j, s)
+		}
+		return h.Sorted()
+	}
+	same := func(a, b []Entry) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].Item != b[i].Item || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+				return false
+			}
+		}
+		return true
+	}
+	specials := []float64{math.Inf(-1), math.Inf(1), math.NaN(), math.Copysign(0, -1), 0}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(60)
+		scores := make([]float64, n)
+		for i := range scores {
+			switch rng.Intn(8) {
+			case 0:
+				scores[i] = specials[rng.Intn(len(specials))]
+			case 1:
+				scores[i] = rng.NormFloat64()
+			default:
+				scores[i] = float64(rng.Intn(6)) // duplicates
+			}
+		}
+		k := 1 + rng.Intn(12)
+		if n > 0 && trial%5 == 0 {
+			k = n
+		}
+		floor := math.Inf(-1)
+		switch rng.Intn(4) {
+		case 0:
+			floor = float64(rng.Intn(6))
+		case 1:
+			floor = 100 // above every finite score: the heap never fills
+		}
+		base := rng.Intn(1000)
+		want := pushLoop(scores, base, k, floor)
+		got := SelectRowInto(NewSeeded(k, floor), scores, base)
+		if !same(got, want) {
+			t.Fatalf("trial %d: k=%d floor=%v scores=%v\nSelectRowInto %+v\nPush loop     %+v", trial, k, floor, scores, got, want)
+		}
+		if math.IsInf(floor, -1) && !same(SelectRow(scores, base, k), want) {
+			t.Fatalf("trial %d: k=%d scores=%v: SelectRow differs from the Push loop", trial, k, scores)
+		}
+	}
+}

@@ -221,10 +221,34 @@ func (h *Heap) siftDown(i int) {
 // with SelectRowInto instead; floor-aware harvesting seeds that heap first.
 func SelectRow(scores []float64, itemBase, k int) []Entry {
 	h := New(k)
-	for j, s := range scores {
-		h.Push(itemBase+j, s)
-	}
+	h.pushRow(scores, itemBase)
 	return h.Sorted()
+}
+
+// pushRow offers scores[j] as item itemBase+j, in row order, to an empty
+// heap, and leaves in it what a Push per score would. Once the heap is full
+// a score is first compared with the running k-th score: s <= thr can be
+// dropped without a Push because the item ids ascend along the row, so a
+// score tying the root always belongs to a higher id than the root's and
+// loses the tie-break. Everything else — NaN on either side of the compare
+// included — is left to Push.
+func (h *Heap) pushRow(scores []float64, itemBase int) {
+	j := 0
+	for ; j < len(scores) && len(h.entries) < h.k; j++ {
+		h.Push(itemBase+j, scores[j])
+	}
+	if len(h.entries) < h.k {
+		return
+	}
+	thr := h.entries[0].Score
+	for ; j < len(scores); j++ {
+		s := scores[j]
+		if s <= thr {
+			continue
+		}
+		h.Push(itemBase+j, s)
+		thr = h.entries[0].Score
+	}
 }
 
 // SelectRowInto is SelectRow over a caller-supplied heap, reusing its storage
@@ -235,9 +259,7 @@ func SelectRow(scores []float64, itemBase, k int) []Entry {
 // costs no allocation at all. This is the BMM harvest hot path: one heap per
 // worker chunk instead of one per score row.
 func SelectRowInto(h *Heap, scores []float64, itemBase int) []Entry {
-	for j, s := range scores {
-		h.Push(itemBase+j, s)
-	}
+	h.pushRow(scores, itemBase)
 	if len(h.entries) == 0 {
 		return nil
 	}

@@ -1,4 +1,4 @@
-// Package optimus is a pure-Go implementation of the exact Maximum Inner
+// Package optimus is a dependency-free Go implementation of the exact Maximum Inner
 // Product Search (MIPS) system from "To Index or Not to Index: Optimizing
 // Exact Maximum Inner Product Search" (Abuzaid, Sethi, Bailis, Zaharia —
 // ICDE 2019).
