@@ -9,7 +9,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 // allSolvers builds one of each exact solver through the public facade,
@@ -318,7 +317,7 @@ func TestServerOverShardedPlanner(t *testing.T) {
 	if err := sh.Build(ds.Users, ds.Items); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(sh, ServerConfig{MaxBatch: 16, MaxDelay: time.Millisecond})
+	srv, err := NewServer(sh, ServerConfig{MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +377,7 @@ func TestMutableLifecycleEndToEnd(t *testing.T) {
 	if err := sh.Build(ds.Users, ds.Items); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(sh, ServerConfig{MaxBatch: 8, MaxDelay: time.Millisecond})
+	srv, err := NewServer(sh, ServerConfig{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,5 +428,87 @@ func TestMutableLifecycleEndToEnd(t *testing.T) {
 	}
 	if err := VerifyMutation(sh, NewNaive(), users, corpus, k, 1e-9); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPerUserWalkersBatchEqualsSingles pins what lets the per-user walkers
+// cut a served batch into small chunks: users are independent and the scan
+// meter is additive, so a 64-id batch with repeated users returns, entry for
+// entry and at any thread count, what 64 single-id queries return — and
+// scans exactly as many candidates.
+func TestPerUserWalkersBatchEqualsSingles(t *testing.T) {
+	cfg, err := DatasetByName("r2-nomad-10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := GenerateDataset(cfg.Scale(0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 7
+	ids := make([]int, 64)
+	for i := range ids {
+		ids[i] = i * 37 % 45 * 11 // 45 distinct users, 19 repeats
+	}
+	type walker interface {
+		Solver
+		SetThreads(int)
+	}
+	for _, s := range []walker{
+		NewLEMP(LEMPConfig{Seed: 9}),
+		NewConeTree(ConeTreeConfig{}),
+		NewFexipro(FexiproConfig{Variant: FexiproSI}),
+	} {
+		if err := s.Build(ds.Users, ds.Items); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		// scanned runs fn and returns the candidates it scanned (0 for a
+		// solver without a scan meter).
+		scanned := func(fn func()) int64 {
+			sc, ok := s.(ScanCounter)
+			if !ok {
+				fn()
+				return 0
+			}
+			sc.ResetScanStats()
+			fn()
+			return sc.ScanStats().Scanned
+		}
+		s.SetThreads(1)
+		want := make([][]Entry, len(ids))
+		wantScan := scanned(func() {
+			for i, u := range ids {
+				res, err := s.Query([]int{u}, k)
+				if err != nil {
+					t.Fatalf("%s: user %d: %v", s.Name(), u, err)
+				}
+				want[i] = res[0]
+			}
+		})
+		for _, threads := range []int{1, 2, 8} {
+			s.SetThreads(threads)
+			var got [][]Entry
+			gotScan := scanned(func() {
+				if got, err = s.Query(ids, k); err != nil {
+					t.Fatalf("%s threads=%d: %v", s.Name(), threads, err)
+				}
+			})
+			for i := range want {
+				if len(got[i]) != len(want[i]) {
+					t.Fatalf("%s threads=%d: row %d has %d entries, singles %d",
+						s.Name(), threads, i, len(got[i]), len(want[i]))
+				}
+				for r := range want[i] {
+					if got[i][r] != want[i][r] {
+						t.Fatalf("%s threads=%d: row %d rank %d = %v, singles %v",
+							s.Name(), threads, i, r, got[i][r], want[i][r])
+					}
+				}
+			}
+			if gotScan != wantScan {
+				t.Fatalf("%s threads=%d: batch scanned %d candidates, singles %d",
+					s.Name(), threads, gotScan, wantScan)
+			}
+		}
 	}
 }

@@ -450,5 +450,6 @@ func (x *Index) sortedIDs() []int {
 
 // queryGrain is the per-user chunk size handed to the shared parallel
 // worker pool (internal/parallel): branch-and-bound descent costs vary
-// per user, so chunks stay small enough to load-balance.
-const queryGrain = 64
+// per user, so chunks stay small enough to load-balance — and to spread a
+// served batch of a few dozen users over every thread.
+const queryGrain = 8

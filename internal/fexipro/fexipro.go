@@ -523,8 +523,9 @@ func slack(thr float64) float64 {
 
 // queryGrain is the per-user chunk size handed to the shared parallel
 // worker pool (internal/parallel): small enough to load-balance the very
-// skewed per-user bound-cascade costs, large enough to amortize dispatch.
-const queryGrain = 64
+// skewed per-user bound-cascade costs and to spread a served batch of a few
+// dozen users over every thread, large enough to amortize dispatch.
+const queryGrain = 8
 
 // floorPollInterval is how many norm-sorted scan positions pass between
 // FloorBoard re-polls in a live-floor query: frequent enough that a raised

@@ -626,9 +626,11 @@ func slack(thr float64) float64 {
 }
 
 // queryGrain is the per-user chunk size handed to the shared parallel worker
-// pool: one query scratch is allocated per chunk, so it is sized to amortize
-// that allocation while still load-balancing skewed bucket walks.
-const queryGrain = 64
+// pool: small enough that a served batch of a few dozen users spreads over
+// every thread (the per-chunk scratch is one small struct), large enough to
+// amortize dispatch. Users are independent and the scan meter is additive,
+// so answers and ScanStats do not depend on it.
+const queryGrain = 8
 
 // Buckets returns the number of buckets in the built index.
 func (x *Index) Buckets() int { return len(x.buckets) }

@@ -42,7 +42,7 @@ func TestQueryReturnsOnPostEnqueueCancel(t *testing.T) {
 	slow := faulty.Wrap(solver, faulty.Plan{
 		Rate: 1, Kinds: []faulty.Kind{faulty.KindLatency}, Latency: 300 * time.Millisecond,
 	})
-	srv, err := New(slow, Config{MaxDelay: time.Millisecond})
+	srv, err := New(slow, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestGroupDeadlinePropagates(t *testing.T) {
 	if err := sh.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sh, Config{MaxDelay: time.Millisecond})
+	srv, err := New(sh, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPanicDuringPipelinedServingWithLogMutations(t *testing.T) {
 	if err := sh.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(sh, Config{AllowPartial: true, MaxBatch: 8, MaxDelay: time.Millisecond})
+	srv, err := New(sh, Config{AllowPartial: true, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func TestLogFlushUnderLoad(t *testing.T) {
 	if err := solver.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(solver, Config{MaxBatch: 16, MaxDelay: 500 * time.Microsecond})
+	srv, err := New(solver, Config{MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

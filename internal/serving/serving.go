@@ -5,14 +5,14 @@
 // requests at once."
 //
 // The Server accepts single-user top-K requests from any number of
-// goroutines and executes them in micro-batches: an arriving request opens a
-// batching window (MaxDelay); requests landing inside the window join the
-// batch, which is dispatched when it reaches MaxBatch or when the window
-// closes. Batching is exactly what the repository's batch solvers reward —
-// MAXIMUS shares one block multiply across the batch's users per cluster,
-// and BMM amortizes its GEMM — so throughput under concurrent load far
-// exceeds one-at-a-time serving while each request still sees bounded
-// latency.
+// goroutines and executes them in micro-batches. The dispatcher is
+// work-conserving: a batch is the first queued request plus whatever else is
+// already queued (up to MaxBatch), dispatched at once. An idle server answers
+// a lone request immediately; requests arriving during a solver call form
+// the next batch, so batch size tracks load, not a timer. One solver call is
+// in flight at a time, and it sees each distinct (user, k) of a batch once.
+// Batching is what the batch solvers reward: MAXIMUS shares one block
+// multiply per cluster across the batch's users, BMM amortizes its GEMM.
 //
 // Servers over mutable solvers (mips.ItemMutator) additionally support
 // online catalog churn: Mutate applies AddItems/RemoveItems under a
@@ -22,7 +22,7 @@
 // positional item ids went stale. Under sustained churn, Log attaches a
 // batched mutation log (internal/mutlog) that coalesces events and pays one
 // drain and one generation tick per flushed batch instead of per event,
-// with Config.MaxDelay bounding how stale the served catalog may run.
+// with mutlog.Config.MaxDelay bounding how stale the served catalog may run.
 package serving
 
 import (
@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"optimus/internal/adapt"
@@ -40,12 +41,9 @@ import (
 
 // Config controls batching behaviour.
 type Config struct {
-	// MaxBatch dispatches a batch as soon as it holds this many requests.
-	// Default 64.
+	// MaxBatch caps a batch: a dispatch takes what is waiting when the
+	// solver becomes free, at most this many requests. Default 64.
 	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch waits for
-	// company. Default 2ms.
-	MaxDelay time.Duration
 	// QueueDepth bounds the number of requests waiting for a batch slot;
 	// Query blocks (or fails with ctx) when the queue is full. Default 1024.
 	QueueDepth int
@@ -66,14 +64,17 @@ type Config struct {
 
 // DefaultConfig returns the defaults documented on Config.
 func DefaultConfig() Config {
-	return Config{MaxBatch: 64, MaxDelay: 2 * time.Millisecond, QueueDepth: 1024}
+	return Config{MaxBatch: 64, QueueDepth: 1024}
 }
 
 // Stats is a snapshot of server counters.
 type Stats struct {
-	// Requests is the number of requests answered.
+	// Requests is the number of requests answered by the solver (result or
+	// error); requests dropped as already cancelled are not counted.
 	Requests int64
-	// Batches is the number of solver dispatches.
+	// Coalesced is how many of them shared a batch-mate's solver row.
+	Coalesced int64
+	// Batches is the number of dispatches that reached the solver.
 	Batches int64
 	// MeanBatchSize is Requests/Batches.
 	MeanBatchSize float64
@@ -166,6 +167,7 @@ type Server struct {
 	// queue (bounded by QueueDepth); none are dropped.
 	solverMu sync.RWMutex
 
+	coalesced  atomic.Int64 // Stats.Coalesced; not under mu
 	mu         sync.Mutex
 	requests   int64
 	batches    int64
@@ -193,9 +195,6 @@ func New(solver mips.Solver, cfg Config) (*Server, error) {
 	def := DefaultConfig()
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = def.MaxBatch
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = def.MaxDelay
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = def.QueueDepth
@@ -286,8 +285,8 @@ func (s *Server) submit(ctx context.Context, userID, k int) (response, error) {
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	st := Stats{Requests: s.requests, Batches: s.batches, Generation: s.generation,
-		Retunes: s.retunes}
+	st := Stats{Requests: s.requests, Coalesced: s.coalesced.Load(), Batches: s.batches,
+		Generation: s.generation, Retunes: s.retunes}
 	if s.batches > 0 {
 		st.MeanBatchSize = float64(s.requests) / float64(s.batches)
 	}
@@ -466,52 +465,37 @@ func (s *Server) Close() {
 	}
 }
 
-// loop is the batching dispatcher.
+// loop is the work-conserving dispatcher (see the package comment).
 func (s *Server) loop() {
 	defer s.wg.Done()
 	for {
-		// Wait for the batch-opening request.
-		var first request
 		select {
-		case first = <-s.queue:
+		case first := <-s.queue:
+			s.dispatch(s.take([]request{first}))
 		case <-s.stop:
 			s.drain()
 			return
-		}
-		batch := []request{first}
-		// Batching window: collect until MaxBatch or MaxDelay.
-		timer := time.NewTimer(s.cfg.MaxDelay)
-	window:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case req := <-s.queue:
-				batch = append(batch, req)
-			case <-timer.C:
-				break window
-			case <-s.stop:
-				break window
-			}
-		}
-		timer.Stop()
-		s.dispatch(batch)
-		select {
-		case <-s.stop:
-			s.drain()
-			return
-		default:
 		}
 	}
 }
 
-// drain answers everything still queued at shutdown.
-func (s *Server) drain() {
-	for {
+// take tops batch up from the queue to at most MaxBatch; it never waits.
+func (s *Server) take(batch []request) []request {
+	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case req := <-s.queue:
-			s.dispatch([]request{req})
+			batch = append(batch, req)
 		default:
-			return
+			return batch
 		}
+	}
+	return batch
+}
+
+// drain answers everything still queued at shutdown.
+func (s *Server) drain() {
+	for batch := s.take(nil); len(batch) > 0; batch = s.take(nil) {
+		s.dispatch(batch)
 	}
 }
 
@@ -523,6 +507,7 @@ func (s *Server) dispatch(batch []request) {
 	s.solverMu.RLock()
 	defer s.solverMu.RUnlock()
 	byK := make(map[int][]request)
+	live := 0
 	for _, req := range batch {
 		// A request whose caller already gave up pays no solver time; its
 		// Query returned ctx.Err() at cancellation and the buffered done
@@ -532,33 +517,68 @@ func (s *Server) dispatch(batch []request) {
 			continue
 		}
 		byK[req.k] = append(byK[req.k], req)
+		live++
 	}
+	if live == 0 {
+		return
+	}
+	// Counted before the answers go out: a caller holding one finds it in Stats.
+	s.mu.Lock()
+	s.requests += int64(live)
+	s.batches++
+	s.mu.Unlock()
 	for k, reqs := range byK {
 		ctx, cancel := groupContext(reqs)
-		results, cov, err := s.queryGroup(ctx, groupIDs(reqs), k)
+		err := s.answerGroup(ctx, reqs, k)
 		if cancel != nil {
 			cancel()
 		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				// Not retryable: a retry would run past the same deadline
-				// again, stalling every later group behind a dead one.
-				for _, req := range reqs {
-					req.done <- response{err: err}
-				}
-				continue
+		switch {
+		case err == nil:
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			// Not retryable: a retry would run past the same deadline
+			// again, stalling every later group behind a dead one.
+			for _, req := range reqs {
+				req.done <- response{err: err}
 			}
+		default:
 			s.retryGroup(reqs, k)
-			continue
-		}
-		for i, req := range reqs {
-			req.done <- response{entries: results[i], cov: cov}
 		}
 	}
-	s.mu.Lock()
-	s.requests += int64(len(batch))
-	s.batches++
-	s.mu.Unlock()
+}
+
+// answerGroup answers one k-group with a single solver call over its
+// distinct user ids. Requesters of one user each get their own slice, the
+// solver's row going to the last: its owner may write to it once it is
+// handed out. On error nobody has been answered.
+func (s *Server) answerGroup(ctx context.Context, reqs []request, k int) error {
+	ids := make([]int, 0, len(reqs))
+	row := make(map[int]int, len(reqs)) // user id → its row of the solver's answer
+	var left []int                      // per row, requesters not yet answered
+	for _, req := range reqs {
+		r, ok := row[req.userID]
+		if !ok {
+			r = len(ids)
+			row[req.userID] = r
+			ids = append(ids, req.userID)
+			left = append(left, 0)
+		}
+		left[r]++
+	}
+	results, cov, err := s.queryGroup(ctx, ids, k)
+	if err != nil {
+		return err
+	}
+	s.coalesced.Add(int64(len(reqs) - len(ids)))
+	for _, req := range reqs {
+		r := row[req.userID]
+		entries := results[r]
+		if left[r]--; left[r] > 0 {
+			entries = append([]topk.Entry(nil), entries...)
+		}
+		req.done <- response{entries: entries, cov: cov}
+	}
+	return nil
 }
 
 // queryGroup is the single seam every batch (and retry) answers through:
@@ -646,16 +666,8 @@ func (s *Server) retryGroup(reqs []request, k int) {
 		}
 		req.done <- response{err: err}
 	}
-	if len(good) == 0 {
-		return
-	}
-	results, cov, err := s.queryGroup(nil, groupIDs(good), k)
-	if err != nil {
+	if len(good) > 0 && s.answerGroup(nil, good, k) != nil {
 		s.retrySerial(good)
-		return
-	}
-	for i, req := range good {
-		req.done <- response{entries: results[i], cov: cov}
 	}
 }
 
@@ -664,20 +676,8 @@ func (s *Server) retryGroup(reqs []request, k int) {
 // context (the original failure was not a deadline; see dispatch).
 func (s *Server) retrySerial(reqs []request) {
 	for _, req := range reqs {
-		r, cov, err := s.queryGroup(nil, []int{req.userID}, req.k)
-		if err != nil {
+		if err := s.answerGroup(nil, []request{req}, req.k); err != nil {
 			req.done <- response{err: err}
-		} else {
-			req.done <- response{entries: r[0], cov: cov}
 		}
 	}
-}
-
-// groupIDs collects the user ids of one k-group.
-func groupIDs(reqs []request) []int {
-	ids := make([]int, len(reqs))
-	for i, req := range reqs {
-		ids[i] = req.userID
-	}
-	return ids
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"optimus/internal/core"
 	"optimus/internal/mat"
@@ -55,7 +54,7 @@ func TestSingleQueryExact(t *testing.T) {
 
 func TestConcurrentQueriesAllExact(t *testing.T) {
 	solver, users, items := buildSolver(t, 200, 150, 8)
-	srv, err := New(solver, Config{MaxBatch: 32, MaxDelay: time.Millisecond})
+	srv, err := New(solver, Config{MaxBatch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,37 +98,9 @@ func TestConcurrentQueriesAllExact(t *testing.T) {
 	}
 }
 
-func TestBatchingActuallyBatches(t *testing.T) {
-	solver, _, _ := buildSolver(t, 100, 60, 6)
-	srv, err := New(solver, Config{MaxBatch: 64, MaxDelay: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Fire a burst well inside one batching window.
-	const burst = 40
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			if _, err := srv.Query(context.Background(), u%100, 3); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	st := srv.Stats()
-	if st.MeanBatchSize < 2 {
-		t.Fatalf("burst of %d produced mean batch size %.1f; batching is not happening",
-			burst, st.MeanBatchSize)
-	}
-}
-
 func TestMixedKRequests(t *testing.T) {
 	solver, users, items := buildSolver(t, 60, 40, 5)
-	srv, err := New(solver, Config{MaxBatch: 16, MaxDelay: 10 * time.Millisecond})
+	srv, err := New(solver, Config{MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +110,7 @@ func TestMixedKRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			k := 1 + i%4 // four distinct k values inside one batch
+			k := 1 + i%4 // four distinct k values, sharing batches when they coincide
 			res, err := srv.Query(context.Background(), i, k)
 			if err != nil {
 				t.Error(err)
@@ -155,7 +126,7 @@ func TestMixedKRequests(t *testing.T) {
 
 func TestBadRequestDoesNotPoisonBatch(t *testing.T) {
 	solver, users, items := buildSolver(t, 30, 20, 4)
-	srv, err := New(solver, Config{MaxBatch: 8, MaxDelay: 20 * time.Millisecond})
+	srv, err := New(solver, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +182,22 @@ func (h hidden) Query(ids []int, k int) ([][]topk.Entry, error) {
 }
 
 // dispatchBatch drives the dispatcher directly with a synthetic batch, so
-// the call accounting is deterministic (no batching-window races).
+// the call accounting is deterministic (batch formation depends on timing).
 func dispatchBatch(t *testing.T, srv *Server, userIDs []int, k int) []response {
 	t.Helper()
 	batch := make([]request, len(userIDs))
 	for i, u := range userIDs {
-		batch[i] = request{userID: u, k: k, done: make(chan response, 1)}
+		batch[i] = request{userID: u, k: k}
+	}
+	return dispatchRequests(t, srv, batch)
+}
+
+// dispatchRequests is dispatchBatch for hand-built requests (mixed k,
+// per-request contexts); it supplies the reply channels.
+func dispatchRequests(t *testing.T, srv *Server, batch []request) []response {
+	t.Helper()
+	for i := range batch {
+		batch[i].done = make(chan response, 1)
 	}
 	srv.dispatch(batch)
 	out := make([]response, len(batch))
@@ -350,7 +331,7 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.cfg.MaxBatch != 64 || srv.cfg.MaxDelay != 2*time.Millisecond || srv.cfg.QueueDepth != 1024 {
+	if srv.cfg.MaxBatch != 64 || srv.cfg.QueueDepth != 1024 {
 		t.Fatalf("defaults not applied: %+v", srv.cfg)
 	}
 }
@@ -363,7 +344,7 @@ func BenchmarkServingThroughput(b *testing.B) {
 			name = "unbatched"
 		}
 		b.Run(name, func(b *testing.B) {
-			srv, err := New(solver, Config{MaxBatch: batch, MaxDelay: time.Millisecond})
+			srv, err := New(solver, Config{MaxBatch: batch})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -408,8 +408,10 @@ type TransportStats = transport.Stats
 type ServerConfig = serving.Config
 
 // Server batches concurrent single-user requests onto one solver — the
-// Clipper-style online deployment §II-A of the paper describes. Construct
-// with NewServer around a built Solver.
+// Clipper-style online deployment §II-A of the paper describes. Batches form
+// from whatever queued while the previous solver call ran (no batching
+// window), capped at ServerConfig.MaxBatch. Construct with NewServer around a
+// built Solver.
 type Server = serving.Server
 
 // ErrServerClosed is returned by Server.Query after Close.

@@ -18,14 +18,13 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"optimus/internal/mutlog"
 	"optimus/internal/serving"
 )
 
 func recoveryServerConfig() ServerConfig {
-	return ServerConfig{MaxBatch: 8, MaxDelay: 100 * time.Microsecond}
+	return ServerConfig{MaxBatch: 8}
 }
 
 func recoveryLogConfig(journal *bytes.Buffer) MutationLogConfig {
