@@ -56,6 +56,25 @@ func Dot(a, b []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// DotFrom returns s plus the inner product of a and b, adding one product at
+// a time in coordinate order: s += a[i]*b[i] for i = 0, 1, …, each multiply
+// and add rounded separately. That is the order in which gemmTile and the
+// AVX2 kernel sum every element of a GEMM, so DotFrom(0, a, b) equals the
+// product's element to the bit, and so does a sum carried across consecutive
+// coordinate ranges (DotFrom(DotFrom(0, a[:i], b[:i]), a[i:], b[i:])). It is
+// slower than Dot — one dependent chain instead of four — and is for callers
+// whose scores must agree with a multiply's. Panics if lengths differ.
+func DotFrom(s float64, a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("blas: dot length mismatch %d vs %d", len(a), len(b)))
+	}
+	b = b[:len(a)] // lets the compiler drop the bounds check below
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
 // Axpy computes y += alpha*x in place. Panics if lengths differ.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -86,7 +105,7 @@ func GemvNT(a *mat.Matrix, x []float64, out []float64) {
 // tile the AVX2 micro-kernel (kernel_amd64.s) fills 4×8 register tiles from
 // a packed copy of B, and the scalar gemmTile covers the edges — and whole
 // products where the kernel is not available. Both accumulate every element
-// in the same order, so the result does not depend on which one ran.
+// in DotFrom's order, so the result does not depend on which one ran.
 func GemmNT(a, b, c *mat.Matrix) {
 	GemmNTParallel(a, b, c, 1)
 }
@@ -135,12 +154,25 @@ type Packed struct {
 // Fewer than kernelRows of them would never reach the kernel, so nothing is
 // copied then. The result aliases b and is only valid while b is unchanged.
 func Pack(b *mat.Matrix, aRows int) *Packed {
-	p := &Packed{b: b}
+	p := &Packed{}
+	Repack(p, b, aRows)
+	return p
+}
+
+// Repack makes p what Pack(b, aRows) returns, laying the panels into p's
+// existing buffer when it is large enough — for a caller that keeps one
+// packed operand across changes to the rows behind it.
+func Repack(p *Packed, b *mat.Matrix, aRows int) {
+	p.b = b
 	n8, f := b.Rows()&^(kernelCols-1), b.Cols()
 	if !useKernel || aRows < kernelRows || n8 == 0 || f == 0 {
-		return p
+		p.panels = nil
+		return
 	}
-	p.panels = make([]float64, n8*f)
+	if cap(p.panels) < n8*f {
+		p.panels = make([]float64, n8*f)
+	}
+	p.panels = p.panels[:n8*f]
 	for j0 := 0; j0 < n8; j0 += kernelCols {
 		panel := p.panels[j0*f : (j0+kernelCols)*f]
 		for lane := 0; lane < kernelCols; lane++ {
@@ -149,7 +181,6 @@ func Pack(b *mat.Matrix, aRows int) *Packed {
 			}
 		}
 	}
-	return p
 }
 
 // gemmRange computes C rows [rowLo, rowHi) of A·Bᵀ — one aRowTile-high chunk
@@ -178,16 +209,16 @@ func gemmRange(a *mat.Matrix, p *Packed, c *mat.Matrix, rowLo, rowHi int) {
 }
 
 // gemmScalar fills C[i][j] for i in [iLo,iHi), j in [jLo,jHi) with the scalar
-// tile, bRowTile columns at a time. jLo must be a multiple of 4 so the
-// four-column groups — and with them which columns fall to Dot — land where
-// a whole-matrix scalar pass puts them.
+// tile, bRowTile columns at a time.
 func gemmScalar(a, b, c *mat.Matrix, iLo, iHi, jLo, jHi int) {
 	for jb := jLo; jb < jHi; jb += bRowTile {
 		gemmTile(a, b, c, iLo, iHi, jb, min(jb+bRowTile, jHi))
 	}
 }
 
-// gemmTile fills C[i][j] for i in [iLo,iHi), j in [jLo,jHi).
+// gemmTile fills C[i][j] for i in [iLo,iHi), j in [jLo,jHi): four columns per
+// pass over the A row, and the trailing ones through DotFrom. Every element is
+// summed in DotFrom's order, whichever of the two computes it.
 func gemmTile(a, b, c *mat.Matrix, iLo, iHi, jLo, jHi int) {
 	for i := iLo; i < iHi; i++ {
 		arow := a.Row(i)
@@ -211,7 +242,7 @@ func gemmTile(a, b, c *mat.Matrix, iLo, iHi, jLo, jHi int) {
 			crow[j+3] = s3
 		}
 		for ; j < jHi; j++ {
-			crow[j] = Dot(arow, b.Row(j))
+			crow[j] = DotFrom(0, arow, b.Row(j))
 		}
 	}
 }

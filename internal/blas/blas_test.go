@@ -49,6 +49,64 @@ func TestDotEmptyAndMismatch(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
+// TestDotFromCarriesOneOrder pins DotFrom's contract: the inner product, and
+// the same float however the coordinates are split across calls.
+func TestDotFromCarriesOneOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for n := 0; n < 40; n++ {
+		a := make([]float64, n)
+		b := make([]float64, n)
+		for i := range a {
+			a[i] = rng.NormFloat64()
+			b[i] = rng.NormFloat64()
+		}
+		whole := DotFrom(0, a, b)
+		if want := mat.Dot(a, b); math.Abs(whole-want) > 1e-9*(1+math.Abs(want)) {
+			t.Fatalf("n=%d: DotFrom = %v, want %v", n, whole, want)
+		}
+		for cut := 0; cut <= n; cut++ {
+			if got := DotFrom(DotFrom(0, a[:cut], b[:cut]), a[cut:], b[cut:]); got != whole {
+				t.Fatalf("n=%d cut=%d: carried sum %v != whole %v", n, cut, got, whole)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected mismatch panic")
+		}
+	}()
+	DotFrom(0, []float64{1}, []float64{1, 2})
+}
+
+// TestRepackReusesItsBuffer pins the in-place re-pack: a B of no more rows
+// re-uses the panel buffer, and the result multiplies like a fresh Pack.
+func TestRepackReusesItsBuffer(t *testing.T) {
+	if !useKernel {
+		t.Skip("no kernel in this build or on this CPU: nothing is packed")
+	}
+	rng := rand.New(rand.NewSource(26))
+	a := randomMatrix(rng, 8, 12)
+	p := Pack(randomMatrix(rng, 40, 12), a.Rows())
+	buf := &p.panels[0]
+	for _, n := range []int{40, 33, 16} {
+		b := randomMatrix(rng, n, 12)
+		Repack(p, b, a.Rows())
+		if &p.panels[0] != buf {
+			t.Fatalf("n=%d: Repack allocated a new buffer", n)
+		}
+		got, want := mat.New(8, n), mat.New(8, n)
+		GemmNTPacked(a, p, got, 1)
+		GemmNTPacked(a, Pack(b, a.Rows()), want, 1)
+		if !got.Equal(want, 0) {
+			t.Fatalf("n=%d: re-packed product differs from a fresh Pack", n)
+		}
+	}
+	Repack(p, randomMatrix(rng, 64, 12), a.Rows())
+	if len(p.panels) != 64*12 {
+		t.Fatalf("a larger B holds %d packed values, want %d", len(p.panels), 64*12)
+	}
+}
+
 func TestAxpy(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{10, 20, 30}
@@ -160,7 +218,10 @@ func scalarGemmNT(a, b, c *mat.Matrix) {
 
 // TestKernelBitIdenticalToScalarTile is the kernel's contract: every entry
 // point returns exactly the floats the scalar tile returns, at every edge of
-// the register tile, on row views, and at any thread count.
+// the register tile, on row views, and at any thread count — and every one of
+// them, the n%4 trailing columns included, is DotFrom over its row and
+// column, which is what lets an index score some candidates by multiply and
+// the rest one at a time.
 func TestKernelBitIdenticalToScalarTile(t *testing.T) {
 	if !useKernel {
 		t.Log("no kernel in this build or on this CPU: the scalar tile is compared with itself")
@@ -178,6 +239,13 @@ func TestKernelBitIdenticalToScalarTile(t *testing.T) {
 		b := randomMatrix(rng, n, f)
 		want := mat.New(m, n)
 		scalarGemmNT(a, b, want)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				if d := DotFrom(0, a.Row(i), b.Row(j)); want.At(i, j) != d {
+					t.Fatalf("m=%d n=%d f=%d: scalar C[%d][%d] = %v, DotFrom %v", m, n, f, i, j, want.At(i, j), d)
+				}
+			}
+		}
 		got := mat.New(m, n)
 		for i := range got.Data() {
 			got.Data()[i] = 999

@@ -13,6 +13,15 @@
 // tail bound), or NAIVE (full scan) — chosen per bucket by timing each
 // routine on a small sample of users, exactly the runtime adaptation that
 // the paper observes makes LEMP's sampled runtime estimates noisy (Fig 7).
+//
+// The users of one call share their first buckets. The head — the leading
+// buckets the median sampled user enters — is scored for every user of a
+// parallel chunk whose floor cannot prune inside it as one blocked multiply
+// against a packed copy of those rows (MAXIMUS's shared block, §III-B), and
+// each walk then resumes after the head. All three routines sum a score in
+// the multiply's order (blas.DotFrom), so a walked score equals a multiplied
+// one to the bit: answers do not depend on the routine, on which users were
+// batched together, or on whether the head was used.
 package lemp
 
 import (
@@ -84,9 +93,18 @@ type bucket struct {
 	maxNorm float64 // norm of the first (largest) item in the bucket
 }
 
-// tuning holds the per-bucket algorithm choices for one value of k.
+// tuning holds what LEMP adapts for one value of k: the per-bucket routine
+// choices and the head.
 type tuning struct {
-	algos []Algorithm
+	algos []Algorithm // nil until chosen, and after the bucket count changed
+	// headBuckets is the head's depth in buckets, 0 until measured (a
+	// snapshot restores algos only).
+	headBuckets int
+	// head is sorted rows [0, buckets[headBuckets-1].hi) packed for
+	// blas.GemmNTPacked: nil until a call first has a user eligible for it,
+	// and stale after a mutation until the next such call re-packs it.
+	head      *blas.Packed
+	headStale bool
 }
 
 // Index is a built LEMP index. It is read-only after Build and safe for
@@ -108,6 +126,7 @@ type Index struct {
 
 	buckets []bucket
 
+	// mu guards tunings, including each tuning's lazily packed head.
 	mu      sync.Mutex
 	tunings map[int]*tuning
 
@@ -115,14 +134,20 @@ type Index struct {
 	// tuning-sample walks are measurement overhead and are not counted.
 	scanned atomic.Int64
 
+	// scratches recycles the per-chunk scratch, whose head operands are
+	// too large to allocate per call.
+	scratches sync.Pool
+
 	// gen is the mips.ItemMutator mutation stamp (see mutate section below).
 	gen uint64
 
 	buildTime time.Duration
 }
 
-// New returns an unbuilt LEMP index with the given configuration.
-// Zero-valued fields fall back to DefaultConfig values.
+// New returns an unbuilt LEMP index with the given configuration. A zero
+// BucketSize falls back to DefaultConfig's and a zero Threads to the
+// package-wide default; a zero TuneSample is kept and means INCR in every
+// bucket (see Config).
 func New(cfg Config) *Index {
 	def := DefaultConfig()
 	if cfg.BucketSize <= 0 {
@@ -142,8 +167,9 @@ func (x *Index) SetThreads(n int) { x.cfg.Threads = parallel.Resolve(n) }
 // Name implements mips.Solver.
 func (x *Index) Name() string { return "LEMP" }
 
-// Batches implements mips.Solver. LEMP answers one user at a time.
-func (x *Index) Batches() bool { return false }
+// Batches implements mips.Solver: the head multiply amortizes the first
+// buckets across the users of a call, so a sample is timed as one batch.
+func (x *Index) Batches() bool { return true }
 
 // NumUsers implements mips.Sized.
 func (x *Index) NumUsers() int {
@@ -208,6 +234,7 @@ func (x *Index) Build(users, items *mat.Matrix) error {
 		x.suffix2[s] = mat.Norm(row[x.cp2:])
 	}
 
+	x.dropTunings()
 	x.recutBuckets()
 	x.scanned.Store(0)
 	x.gen = 0
@@ -222,9 +249,11 @@ func (x *Index) Build(users, items *mat.Matrix) error {
 // in both cases the suffix-norm tables of untouched items stay valid
 // verbatim (they are item-intrinsic). What a fresh Build would redo and a
 // mutation skips: the O(n log n) re-sort and the O(n·f) suffix-norm pass over
-// the whole catalog. Bucket boundaries are re-cut (O(n/BucketSize)) and the
-// per-k algorithm tunings dropped — they are performance adaptations
-// re-measured lazily on the next query, never a correctness input.
+// the whole catalog. Bucket boundaries are re-cut (O(n/BucketSize)). Each per-k
+// tuning keeps its head depth and marks its head stale; the next query that
+// uses the head re-packs it into the same buffer, so the mutation itself
+// copies nothing more. Tunings are performance adaptations, re-measured
+// lazily when invalidated, never a correctness input.
 
 // AddItems implements mips.ItemMutator (see the contract in internal/mips):
 // merge the new items into the norm-sorted arrays at their sorted positions.
@@ -323,9 +352,12 @@ func (x *Index) RemoveItems(removeIDs []int) error {
 func (x *Index) Generation() uint64 { return x.gen }
 
 // recutBuckets (re)cuts the cardinality-balanced buckets over the current
-// sorted order and resets the per-k algorithm tunings — shared by Build and
-// by both mutations (after a splice the bucket boundaries moved, so the old
-// timings no longer describe these buckets; tunings re-measure lazily).
+// sorted order — shared by Build, Load and both mutations. Every tuning keeps
+// its head depth and marks its head stale (a splice may have moved its rows);
+// one whose bucket count no longer matches also forgets its routine choices,
+// which are re-chosen lazily. Re-measuring the depth instead would stall the
+// next query for a few dozen sample walks, and a corpus whose size hovers at a
+// bucket boundary would pay that on most mutations.
 func (x *Index) recutBuckets() {
 	n := x.sorted.Rows()
 	x.buckets = x.buckets[:0]
@@ -336,6 +368,20 @@ func (x *Index) recutBuckets() {
 		}
 		x.buckets = append(x.buckets, bucket{lo: lo, hi: hi, maxNorm: x.norms[lo]})
 	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, tn := range x.tunings {
+		if len(tn.algos) != len(x.buckets) {
+			tn.algos = nil
+			tn.headBuckets = min(tn.headBuckets, len(x.buckets))
+		}
+		tn.headStale = true
+	}
+}
+
+// dropTunings forgets every per-k tuning: the corpus they were measured on
+// is gone (Build, Load).
+func (x *Index) dropTunings() {
 	x.mu.Lock()
 	x.tunings = make(map[int]*tuning)
 	x.mu.Unlock()
@@ -412,36 +458,134 @@ func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float6
 	if err := mips.ValidateK(k, x.sorted.Rows()); err != nil {
 		return nil, err
 	}
-	tn := x.tuningFor(k)
-	out := make([][]topk.Entry, len(userIDs))
+	c := &call{ctx: ctx, ids: userIDs, k: k, floors: floors, board: board,
+		tn: x.tuningFor(k), out: make([][]topk.Entry, len(userIDs))}
 	run := func(lo, hi int) error {
-		scratch := newScratch()
-		scratch.ctx = ctx
-		for qi := lo; qi < hi; qi++ {
-			if err := mips.CtxErr(ctx); err != nil {
-				return err
-			}
-			u := userIDs[qi]
-			if u < 0 || u >= x.users.Rows() {
-				return fmt.Errorf("lemp: user id %d out of range [0,%d)", u, x.users.Rows())
-			}
-			floor := math.Inf(-1)
-			if floors != nil {
-				floor = floors[qi]
-			} else if board != nil {
-				floor = board.Floor(qi)
-			}
-			scratch.board, scratch.cell = board, qi
-			out[qi] = x.queryOne(x.users.Row(u), k, floor, tn, scratch, nil)
-		}
-		x.scanned.Add(scratch.scanned)
-		scratch.scanned = 0
-		return nil
+		scr := x.getScratch()
+		defer x.putScratch(scr)
+		return x.answerChunk(c, lo, hi, scr)
 	}
 	if err := parallel.ForErrCtx(ctx, x.cfg.Threads, len(userIDs), queryGrain, run); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return c.out, nil
+}
+
+// call is one query call's arguments, shared by its parallel chunks.
+type call struct {
+	ctx    context.Context // nil outside QueryCtx
+	ids    []int
+	k      int
+	floors []float64        // static floors, or nil
+	board  *topk.FloorBoard // live floors, or nil
+	tn     *tuning
+	out    [][]topk.Entry
+}
+
+// answerChunk answers c.ids[lo:hi] — one parallel chunk, at most queryGrain
+// users. A user whose floor cannot prune inside the head (even the head's
+// smallest norm passes the length test against it) would enter every head
+// bucket and score nearly all of it, so those users' heads are scored
+// together by one multiply against the packed head and harvested into their
+// heaps; their walks resume after the head. Floor-bearing users that the
+// floor already prunes inside the head walk from the first bucket, as does
+// everyone when the call has no eligible user — the head is then not even
+// packed. The multiply runs the same for one user as for eight (the scalar
+// tile when m < 4), so a user's answer does not depend on its batch-mates.
+func (x *Index) answerChunk(c *call, lo, hi int, scr *scratch) error {
+	if err := mips.CtxErr(c.ctx); err != nil {
+		return err
+	}
+	scr.ctx = c.ctx
+	hb := c.tn.headBuckets
+	headLen := x.buckets[hb-1].hi
+	edge := x.norms[headLen-1]
+	scr.walkers = scr.walkers[:0]
+	m := 0
+	for qi := lo; qi < hi; qi++ {
+		u := c.ids[qi]
+		if u < 0 || u >= x.users.Rows() {
+			return fmt.Errorf("lemp: user id %d out of range [0,%d)", u, x.users.Rows())
+		}
+		w := walker{user: x.users.Row(u), floor: math.Inf(-1)}
+		w.unorm = mat.Norm(w.user)
+		if c.floors != nil {
+			w.floor = c.floors[qi]
+		} else if c.board != nil {
+			w.floor = c.board.Floor(qi)
+		}
+		if w.unorm*edge >= w.floor-slack(w.floor) {
+			w.headRow = m
+			m++
+		} else {
+			w.headRow = -1
+		}
+		scr.walkers = append(scr.walkers, w)
+	}
+	var scores *mat.Matrix
+	if m > 0 {
+		a, cm := scr.operands(m, x.sorted.Cols(), headLen)
+		for _, w := range scr.walkers {
+			if w.headRow >= 0 {
+				copy(a.Row(w.headRow), w.user)
+			}
+		}
+		blas.GemmNTPacked(a, x.headFor(c.tn, headLen), cm, 1)
+		scores = cm
+	}
+	for i, w := range scr.walkers {
+		if err := mips.CtxErr(c.ctx); err != nil {
+			return err
+		}
+		qi := lo + i
+		scr.board, scr.cell = c.board, qi
+		h := topk.NewSeeded(c.k, w.floor)
+		from := 0
+		if w.headRow >= 0 {
+			x.harvestHead(scores.Row(w.headRow), h, scr)
+			from = hb
+		}
+		x.walk(w.user, w.unorm, h, c.tn, from, scr, nil)
+		c.out[qi] = h.Sorted()
+	}
+	x.scanned.Add(scr.scanned)
+	return nil
+}
+
+// harvestHead offers one user's head scores — scores[s] is sorted item s —
+// to its heap, polling the live floor first. Once the heap prunes, a score
+// below the threshold is dropped with one compare; a tie is left to Push,
+// because norm order is not id order and the tie-break is by id.
+func (x *Index) harvestHead(scores []float64, h *topk.Heap, scr *scratch) {
+	if scr.board != nil {
+		h.RaiseFloor(scr.board.Floor(scr.cell))
+	}
+	scr.scanned += int64(len(scores))
+	thr, full := h.Threshold()
+	for s, v := range scores {
+		if full && v < thr {
+			continue
+		}
+		if h.Push(x.ids[s], v) {
+			thr, full = h.Threshold()
+		}
+	}
+}
+
+// headFor returns tn's head packed over sorted rows [0, headLen): packed on
+// the first call that needs it, and re-packed into the same buffer on the
+// first such call after a mutation.
+func (x *Index) headFor(tn *tuning, headLen int) *blas.Packed {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if tn.head == nil {
+		tn.head, tn.headStale = new(blas.Packed), true
+	}
+	if tn.headStale {
+		blas.Repack(tn.head, x.sorted.RowSlice(0, headLen), queryGrain)
+		tn.headStale = false
+	}
+	return tn.head
 }
 
 // QueryAll implements mips.Solver.
@@ -462,9 +606,10 @@ func (x *Index) ChosenAlgorithms(k int) []Algorithm {
 	return out
 }
 
-// scratch holds per-goroutine temporaries reused across users. board/cell,
-// when set, identify the live floor cell of the user currently being
-// answered (QueryWithFloorBoard); both are reassigned per user.
+// scratch holds per-goroutine temporaries reused across users, recycled
+// across chunks and calls through Index.scratches. board/cell, when set,
+// identify the live floor cell of the user currently being answered
+// (QueryWithFloorBoard); both are reassigned per user.
 type scratch struct {
 	usuf1, usuf2 float64
 	scanned      int64 // candidates evaluated, flushed per chunk
@@ -472,65 +617,130 @@ type scratch struct {
 	board        *topk.FloorBoard
 	cell         int
 	ctx          context.Context // nil outside QueryCtx; polled per bucket
+	walkers      []walker
+	a, c         *mat.Matrix // head multiply operands, queryGrain rows each
 }
 
-func newScratch() *scratch { return &scratch{} }
+// walker is one user of a chunk. headRow is the user's row in the head
+// multiply, or -1 when the floor prunes inside the head.
+type walker struct {
+	user         []float64
+	unorm, floor float64
+	headRow      int
+}
 
-// tuningFor returns (building if necessary) the per-bucket algorithm choice
-// for depth k. LEMP's runtime adaptation: each routine is timed on a user
-// sample and each bucket keeps its fastest.
+func (x *Index) getScratch() *scratch {
+	if scr, ok := x.scratches.Get().(*scratch); ok {
+		return scr
+	}
+	return &scratch{}
+}
+
+func (x *Index) putScratch(scr *scratch) {
+	scr.scanned, scr.board, scr.ctx = 0, nil, nil
+	x.scratches.Put(scr)
+}
+
+// operands returns the head multiply's A (m×f) and C (m×headLen) as views of
+// the scratch's buffers, reallocating them when the shape changed.
+func (scr *scratch) operands(m, f, headLen int) (a, c *mat.Matrix) {
+	if scr.a == nil || scr.a.Cols() != f {
+		scr.a = mat.New(queryGrain, f)
+	}
+	if scr.c == nil || scr.c.Cols() != headLen {
+		scr.c = mat.New(queryGrain, headLen)
+	}
+	return scr.a.RowSlice(0, m), scr.c.RowSlice(0, m)
+}
+
+// headSample is the number of users whose unfloored walks size the head.
+const headSample = 32
+
+// tuningFor returns the per-bucket algorithm choice and the head depth for
+// k, measuring whichever is missing: both for a new k, the routines after a
+// mutation changed the bucket count, the head after Load. LEMP's runtime
+// adaptation: each routine is timed on a user sample and each bucket keeps
+// its fastest.
 func (x *Index) tuningFor(k int) *tuning {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if tn, ok := x.tunings[k]; ok {
-		return tn
-	}
-	tn := &tuning{algos: make([]Algorithm, len(x.buckets))}
-	if x.cfg.TuneSample == 0 {
-		for b := range tn.algos {
-			tn.algos[b] = AlgoIncr
-		}
+	tn, ok := x.tunings[k]
+	if !ok {
+		tn = &tuning{}
 		x.tunings[k] = tn
-		return tn
+	}
+	if tn.algos == nil {
+		tn.algos = x.chooseAlgos(k)
+	}
+	if tn.headBuckets == 0 {
+		tn.headBuckets = x.headDepth(k, tn)
+	}
+	return tn
+}
+
+// chooseAlgos picks each bucket's routine for k: INCR everywhere when
+// TuneSample is 0, else the fastest of the three on the timed sample.
+func (x *Index) chooseAlgos(k int) []Algorithm {
+	algos := make([]Algorithm, len(x.buckets))
+	if x.cfg.TuneSample == 0 {
+		for b := range algos {
+			algos[b] = AlgoIncr
+		}
+		return algos
 	}
 	sampleRng := rand.New(rand.NewSource(x.cfg.Seed))
 	sample := stats.SampleWithoutReplacement(sampleRng, x.users.Rows(), x.cfg.TuneSample)
 
 	times := make([][numAlgos]time.Duration, len(x.buckets))
-	scr := newScratch()
+	scr := &scratch{bucketTimes: times}
 	for a := Algorithm(0); a < numAlgos; a++ {
 		forced := &tuning{algos: make([]Algorithm, len(x.buckets))}
 		for b := range forced.algos {
 			forced.algos[b] = a
 		}
-		scr.bucketTimes = times
 		for _, u := range sample {
-			x.queryOne(x.users.Row(u), k, math.Inf(-1), forced, scr, &a)
+			user := x.users.Row(u)
+			x.walk(user, mat.Norm(user), topk.New(k), forced, 0, scr, &a)
 		}
-		scr.bucketTimes = nil
 	}
-	for b := range tn.algos {
+	for b := range algos {
 		best, bestT := AlgoLength, times[b][AlgoLength]
 		for a := Algorithm(1); a < numAlgos; a++ {
 			if times[b][a] < bestT {
 				best, bestT = a, times[b][a]
 			}
 		}
-		tn.algos[b] = best
+		algos[b] = best
 	}
-	x.tunings[k] = tn
-	return tn
+	return algos
 }
 
-// queryOne answers one user's top-k, pruning against floor (-Inf = none)
-// from the first candidate. If timeAlgo is non-nil, per-bucket elapsed time
-// is accumulated into scratch.bucketTimes[*][*timeAlgo].
-func (x *Index) queryOne(user []float64, k int, floor float64, tn *tuning, scr *scratch, timeAlgo *Algorithm) []topk.Entry {
-	unorm := mat.Norm(user)
+// headDepth measures the head for k: the number of leading buckets that the
+// median of a seeded user sample enters on an unfloored walk — the depth
+// MAXIMUS-style sharing pays off to, sized from scan depth, not set.
+func (x *Index) headDepth(k int, tn *tuning) int {
+	rng := rand.New(rand.NewSource(x.cfg.Seed))
+	sample := stats.SampleWithoutReplacement(rng, x.users.Rows(), headSample)
+	depths := make([]int, len(sample))
+	scr := &scratch{}
+	for i, u := range sample {
+		user := x.users.Row(u)
+		depths[i] = x.walk(user, mat.Norm(user), topk.New(k), tn, 0, scr, nil)
+	}
+	sort.Ints(depths)
+	return depths[len(depths)/2]
+}
+
+// walk continues one user's top-k walk at bucket from, pruning against h's
+// threshold (its floor, if seeded, from the first candidate), and returns the
+// number of buckets it entered. If timeAlgo is non-nil, per-bucket elapsed
+// time is accumulated into scr.bucketTimes[*][*timeAlgo].
+func (x *Index) walk(user []float64, unorm float64, h *topk.Heap, tn *tuning, from int, scr *scratch, timeAlgo *Algorithm) int {
 	scr.usuf1 = mat.Norm(user[x.cp1:])
 	scr.usuf2 = mat.Norm(user[x.cp2:])
-	h := topk.NewSeeded(k, floor)
-	for b, bk := range x.buckets {
+	entered := 0
+	for b := from; b < len(x.buckets); b++ {
+		bk := x.buckets[b]
 		// Cancellation lands at the bucket boundary too: the partial heap is
 		// discarded by the caller, which returns ctx.Err() from its own poll.
 		if scr.ctx != nil && scr.ctx.Err() != nil {
@@ -551,6 +761,7 @@ func (x *Index) queryOne(user []float64, k int, floor float64, tn *tuning, scr *
 		if thr, full := h.Threshold(); full && unorm*bk.maxNorm < thr-slack(thr) {
 			break
 		}
+		entered++
 		var begin time.Time
 		if timeAlgo != nil {
 			begin = time.Now()
@@ -567,7 +778,7 @@ func (x *Index) queryOne(user []float64, k int, floor float64, tn *tuning, scr *
 			scr.bucketTimes[b][*timeAlgo] += time.Since(begin)
 		}
 	}
-	return h.Sorted()
+	return entered
 }
 
 // scanLength walks the bucket in norm order pruning on ‖u‖·‖i‖.
@@ -577,14 +788,16 @@ func (x *Index) scanLength(user []float64, unorm float64, bk bucket, h *topk.Hea
 			return // items are norm-sorted; the rest of the bucket is worse
 		}
 		scr.scanned++
-		h.Push(x.ids[s], blas.Dot(user, x.sorted.Row(s)))
+		h.Push(x.ids[s], blas.DotFrom(0, user, x.sorted.Row(s)))
 	}
 }
 
 // scanIncr adds two-checkpoint incremental pruning: a partial inner product
 // over the leading coordinates plus a Cauchy–Schwarz bound on the remainder.
-// Items whose first checkpoint is computed count as scanned even when the
-// tail bound then discards them — the partial product is real work.
+// The partial sums carry through to the full score in DotFrom's order, so the
+// score is the one LENGTH, NAIVE and the head multiply compute. Items whose
+// first checkpoint is computed count as scanned even when the tail bound then
+// discards them — the partial product is real work.
 func (x *Index) scanIncr(user []float64, unorm float64, bk bucket, h *topk.Heap, scr *scratch) {
 	u1 := user[:x.cp1]
 	u12 := user[x.cp1:x.cp2]
@@ -597,15 +810,15 @@ func (x *Index) scanIncr(user []float64, unorm float64, bk bucket, h *topk.Heap,
 		}
 		scr.scanned++
 		row := x.sorted.Row(s)
-		p1 := blas.Dot(u1, row[:x.cp1])
+		p1 := blas.DotFrom(0, u1, row[:x.cp1])
 		if full && p1+scr.usuf1*x.suffix1[s] < thr-sl {
 			continue // Cauchy–Schwarz: the tail cannot recover the deficit
 		}
-		p2 := p1 + blas.Dot(u12, row[x.cp1:x.cp2])
+		p2 := blas.DotFrom(p1, u12, row[x.cp1:x.cp2])
 		if full && p2+scr.usuf2*x.suffix2[s] < thr-sl {
 			continue
 		}
-		h.Push(x.ids[s], p2+blas.Dot(u2, row[x.cp2:]))
+		h.Push(x.ids[s], blas.DotFrom(p2, u2, row[x.cp2:]))
 	}
 }
 
@@ -613,7 +826,7 @@ func (x *Index) scanIncr(user []float64, unorm float64, bk bucket, h *topk.Heap,
 func (x *Index) scanNaive(user []float64, bk bucket, h *topk.Heap, scr *scratch) {
 	scr.scanned += int64(bk.hi - bk.lo)
 	for s := bk.lo; s < bk.hi; s++ {
-		h.Push(x.ids[s], blas.Dot(user, x.sorted.Row(s)))
+		h.Push(x.ids[s], blas.DotFrom(0, user, x.sorted.Row(s)))
 	}
 }
 

@@ -1,11 +1,15 @@
 package lemp
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"optimus/internal/blas"
 	"optimus/internal/mat"
 	"optimus/internal/mips"
 	"optimus/internal/topk"
@@ -333,7 +337,7 @@ func TestBuildTimeRecorded(t *testing.T) {
 
 func TestSolverInterfaceCompliance(t *testing.T) {
 	var _ mips.Solver = New(Config{})
-	if New(Config{}).Name() != "LEMP" || New(Config{}).Batches() {
+	if New(Config{}).Name() != "LEMP" || !New(Config{}).Batches() {
 		t.Fatal("identity methods wrong")
 	}
 }
@@ -496,5 +500,278 @@ func TestQueryWithFloorsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sameBits reports the first difference between two answer sets, comparing
+// scores with == (no tolerance).
+func sameBits(got, want [][]topk.Entry) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d answers, want %d", len(got), len(want))
+	}
+	for u := range want {
+		if len(got[u]) != len(want[u]) {
+			return fmt.Errorf("user %d: %d entries, want %d", u, len(got[u]), len(want[u]))
+		}
+		for r, e := range want[u] {
+			if got[u][r] != e {
+				return fmt.Errorf("user %d rank %d: %+v, want %+v", u, r, got[u][r], e)
+			}
+		}
+	}
+	return nil
+}
+
+// TestRoutinesAgreeToTheBit pins LEMP's one summation order: LENGTH, INCR and
+// NAIVE forced on every bucket, each with the head multiply and without it,
+// return the same entries with == scores, each equal to the multiply's
+// element (blas.DotFrom). So neither the timed routine choice, nor a batch's
+// make-up, nor a floor that keeps a user out of the head changes an answer.
+func TestRoutinesAgreeToTheBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	users, items := testModel(rng, 60, 900, 50)
+	const k = 10
+	x := New(Config{BucketSize: 64, TuneSample: 0})
+	if err := x.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	tn := x.tuningFor(k)
+	if tn.headBuckets < 1 || tn.headBuckets > x.Buckets() {
+		t.Fatalf("head of %d buckets in %d", tn.headBuckets, x.Buckets())
+	}
+	var want [][]topk.Entry
+	for _, algo := range []Algorithm{AlgoLength, AlgoIncr, AlgoNaive} {
+		for b := range tn.algos {
+			tn.algos[b] = algo
+		}
+		withHead, err := x.QueryAll(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tn.head == nil {
+			t.Fatalf("%v: unfloored users did not use the head", algo)
+		}
+		walked := make([][]topk.Entry, users.Rows())
+		scr := &scratch{}
+		for u := range walked {
+			user := users.Row(u)
+			h := topk.New(k)
+			x.walk(user, mat.Norm(user), h, tn, 0, scr, nil)
+			walked[u] = h.Sorted()
+		}
+		if err := sameBits(withHead, walked); err != nil {
+			t.Fatalf("%v: head vs walk: %v", algo, err)
+		}
+		if want == nil {
+			want = walked
+			for u, row := range want {
+				for _, e := range row {
+					if s := blas.DotFrom(0, users.Row(u), items.Row(e.Item)); e.Score != s {
+						t.Fatalf("user %d item %d: score %v, multiply's %v", u, e.Item, e.Score, s)
+					}
+				}
+			}
+		} else if err := sameBits(walked, want); err != nil {
+			t.Fatalf("%v vs %v: %v", algo, AlgoLength, err)
+		}
+	}
+}
+
+// TestHeadPackedOnlyWhenUsed pins the lazy head: a call whose floors prune
+// inside the head — a tail shard's users, seeded by the head shard — neither
+// packs nor scores it; the first call with an eligible user does.
+func TestHeadPackedOnlyWhenUsed(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	users, items := testModel(rng, 30, 400, 12)
+	const k = 5
+	x := New(Config{BucketSize: 32, TuneSample: 0})
+	if err := x.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	ids := mips.AllUserIDs(users.Rows())
+	high := make([]float64, len(ids))
+	for i := range high {
+		high[i] = math.MaxFloat64
+	}
+	if _, err := x.QueryWithFloors(ids, k, high); err != nil {
+		t.Fatal(err)
+	}
+	if x.tunings[k].head != nil || x.ScanStats().Scanned != 0 {
+		t.Fatalf("floored-out call packed the head or scanned %d candidates", x.ScanStats().Scanned)
+	}
+	if _, err := x.Query(ids[:1], k); err != nil {
+		t.Fatal(err)
+	}
+	tn := x.tunings[k]
+	if tn.head == nil {
+		t.Fatal("an unfloored user did not pack the head")
+	}
+	if got, want := x.ScanStats().Scanned, int64(x.buckets[tn.headBuckets-1].hi); got < want {
+		t.Fatalf("one head user scanned %d candidates, fewer than the %d head items", got, want)
+	}
+}
+
+// TestMutationRepacksHeadInPlace pins the head's lifecycle under churn: a
+// mutation keeps the tuning and its head depth and only marks the head stale
+// (one that changes the bucket count also drops the routine choices), the
+// next query re-packs the same head, and answers equal a fresh Build's to the
+// bit.
+func TestMutationRepacksHeadInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	users, corpus := testModel(rng, 40, 300, 12)
+	const k = 5
+	cfg := Config{BucketSize: 32, TuneSample: 0}
+	x := New(cfg)
+	if err := x.Build(users, corpus); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.QueryAll(k); err != nil {
+		t.Fatal(err)
+	}
+	tn := x.tunings[k]
+	head, depth := tn.head, tn.headBuckets
+	if head == nil {
+		t.Fatal("QueryAll did not pack the head")
+	}
+	check := func(step string, buckets int) {
+		t.Helper()
+		if x.Buckets() != buckets {
+			t.Fatalf("%s: %d buckets, want %d", step, x.Buckets(), buckets)
+		}
+		if x.tunings[k] != tn || !tn.headStale || tn.headBuckets != depth {
+			t.Fatalf("%s: tuning replaced, head not marked stale, or depth %d re-measured", step, depth)
+		}
+		if tn.algos != nil && len(tn.algos) != buckets {
+			t.Fatalf("%s: %d routine choices kept for %d buckets", step, len(tn.algos), buckets)
+		}
+		if err := mips.VerifyMutation(x, New(cfg), users, corpus, k, 0); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if tn.head != head || tn.headStale || len(tn.algos) != buckets {
+			t.Fatalf("%s: head replaced or left stale, or routines not re-chosen", step)
+		}
+	}
+
+	_, added := testModel(rng, 1, 5, 12)
+	if _, err := x.AddItems(added); err != nil {
+		t.Fatal(err)
+	}
+	corpus = mat.AppendRows(corpus, added)
+	check("add 5", 10)
+
+	drop := []int{0, 7, 301}
+	if err := x.RemoveItems(drop); err != nil {
+		t.Fatal(err)
+	}
+	corpus = mat.RemoveRows(corpus, drop)
+	check("remove 3", 10)
+
+	drop = make([]int, 40)
+	for i := range drop {
+		drop[i] = 2 * i
+	}
+	if err := x.RemoveItems(drop); err != nil {
+		t.Fatal(err)
+	}
+	corpus = mat.RemoveRows(corpus, drop)
+	if tn.algos != nil {
+		t.Fatal("remove 40: routine choices kept across a change of bucket count")
+	}
+	var snap bytes.Buffer
+	if err := x.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := New(cfg).Load(&snap); err != nil {
+		t.Fatalf("remove 40: a snapshot taken before the routines are re-chosen: %v", err)
+	}
+	check("remove 40", 9)
+}
+
+// TestSnapshotLeavesHeadOut pins that the head is a query-time cache: a
+// snapshot taken after the head was packed loads to an index that answers
+// to the bit, re-measures and re-packs on first use, and saves to the same
+// bytes.
+func TestSnapshotLeavesHeadOut(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	users, items := testModel(rng, 40, 300, 12)
+	const k = 5
+	x := New(Config{BucketSize: 32, TuneSample: 0})
+	if err := x.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	want, err := x.QueryAll(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := x.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	y := New(Config{})
+	if err := y.Load(bytes.NewReader(saved.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if tn := y.tunings[k]; tn == nil || tn.headBuckets != 0 || tn.head != nil {
+		t.Fatalf("loaded tuning %+v, want the routines only", tn)
+	}
+	got, err := y.QueryAll(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameBits(got, want); err != nil {
+		t.Fatal(err)
+	}
+	if y.tunings[k].headBuckets != x.tunings[k].headBuckets {
+		t.Fatalf("re-measured head %d buckets, built index %d", y.tunings[k].headBuckets, x.tunings[k].headBuckets)
+	}
+	var resaved bytes.Buffer
+	if err := y.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+		t.Fatal("re-saving the loaded index changed the snapshot bytes")
+	}
+}
+
+// TestConcurrentCallsShareOneHead runs calls from several goroutines on a
+// fresh index — the first ones race to tune, measure and pack the head —
+// and requires every answer to equal a serial run's.
+func TestConcurrentCallsShareOneHead(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	users, items := testModel(rng, 64, 500, 16)
+	const k = 6
+	cfg := Config{BucketSize: 48, TuneSample: 0, Threads: 2}
+	serial := New(cfg)
+	if err := serial.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	ids := mips.AllUserIDs(users.Rows())
+	want, err := serial.Query(ids, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := New(cfg)
+	if err := x.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lo := g * 8
+			got, err := x.Query(ids[lo:lo+8], k)
+			if err == nil {
+				err = sameBits(got, want[lo:lo+8])
+			}
+			errs[g] = err
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		}
 	}
 }

@@ -20,9 +20,10 @@ func init() {
 // arrays, the INCR checkpoints, the bucket size the cuts derive from, and —
 // following the FAISS exemplar of persisting the auto-tuned parameters with
 // the index — every per-k algorithm tuning measured so far, so a restored
-// index starts warm instead of re-timing its buckets. All three retrieval
-// routines are exact, so tunings affect speed only; equivalence of results
-// never depends on them.
+// index starts warm instead of re-timing its buckets. The head is not saved:
+// its depth is re-measured and its rows packed on first use after Load. All
+// three retrieval routines and the head compute every score in one order, so
+// tunings affect speed only; results never depend on them.
 func (x *Index) Save(w io.Writer) error {
 	if x.sorted == nil {
 		return fmt.Errorf("lemp: Save before Build")
@@ -47,8 +48,10 @@ func (x *Index) Save(w io.Writer) error {
 		x.mu.Lock()
 		defer x.mu.Unlock()
 		ks := make([]int, 0, len(x.tunings))
-		for k := range x.tunings {
-			ks = append(ks, k)
+		for k, tn := range x.tunings {
+			if tn.algos != nil { // invalidated by a mutation, not yet re-chosen
+				ks = append(ks, k)
+			}
 		}
 		sort.Ints(ks) // deterministic bytes for identical state
 		e.Int(len(ks))
@@ -155,7 +158,8 @@ func (x *Index) Load(r io.Reader) error {
 	x.suffix1, x.suffix2 = suffix1, suffix2
 	x.cfg.BucketSize = bucketSize
 	x.gen = gen
-	x.recutBuckets() // also resets the tunings map
+	x.dropTunings()
+	x.recutBuckets()
 	x.mu.Lock()
 	for _, tn := range tunings {
 		if len(tn.algos) != len(x.buckets) {
