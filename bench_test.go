@@ -253,11 +253,15 @@ func BenchmarkThresholdPruning(b *testing.B) {
 		for _, mode := range []string{"blind", "seeded"} {
 			b.Run(fmt.Sprintf("%s/S=%d/%s", solver, shards, mode), func(b *testing.B) {
 				solver := solver
+				sched := shard.AutoSchedule
+				if mode == "blind" {
+					sched = shard.SingleWave
+				}
 				s := shard.New(shard.Config{
-					Shards:              shards,
-					Partitioner:         shard.ByNorm(),
-					Factory:             func() mips.Solver { return benchSolver(solver) },
-					DisableFloorSeeding: mode == "blind",
+					Shards:      shards,
+					Partitioner: shard.ByNorm(),
+					Factory:     func() mips.Solver { return benchSolver(solver) },
+					Schedule:    sched,
 				})
 				if err := s.Build(m.Users, m.Items); err != nil {
 					b.Fatal(err)

@@ -281,11 +281,7 @@ func runQueries(s mips.Solver, k int, timeout time.Duration, partial bool) ([][]
 		return results, nil
 	}
 	if ctx != nil {
-		cq, ok := s.(mips.CancellableQuerier)
-		if !ok {
-			return nil, fmt.Errorf("-timeout: solver %s does not support deadlines", s.Name())
-		}
-		return cq.QueryCtx(ctx, allUsers(s), k, mips.QueryOptions{})
+		return s.QueryCtx(ctx, allUsers(s), k, mips.QueryOptions{})
 	}
 	return s.QueryAll(k)
 }

@@ -41,10 +41,10 @@ func allSolvers() []Solver {
 			Factory:     func() Solver { return NewLEMP(LEMPConfig{Seed: 9}) },
 		}),
 		NewSharded(ShardedConfig{
-			Shards:              3,
-			Partitioner:         ShardByNorm(),
-			DisableFloorSeeding: true,
-			Factory:             func() Solver { return NewLEMP(LEMPConfig{Seed: 9}) },
+			Shards:      3,
+			Partitioner: ShardByNorm(),
+			Schedule:    ScheduleSingle,
+			Factory:     func() Solver { return NewLEMP(LEMPConfig{Seed: 9}) },
 		}),
 	}
 }

@@ -119,12 +119,16 @@ func (r *Runner) thresholdPropagation(m *dataset.Model) error {
 			var blindTail int64
 			var blindRes [][]topk.Entry
 			for _, disable := range []bool{true, false} {
+				sched := shard.AutoSchedule
+				if disable {
+					sched = shard.SingleWave
+				}
 				sh := shard.New(shard.Config{
-					Shards:              shards,
-					Partitioner:         shard.ByNorm(),
-					Threads:             r.opt.Threads,
-					Factory:             factory,
-					DisableFloorSeeding: disable,
+					Shards:      shards,
+					Partitioner: shard.ByNorm(),
+					Threads:     r.opt.Threads,
+					Factory:     factory,
+					Schedule:    sched,
 				})
 				tm, res, err := r.measureResults(sh, m, k)
 				if err != nil {

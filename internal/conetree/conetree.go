@@ -283,33 +283,14 @@ func (x *Index) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 	return x.query(nil, userIDs, k, nil, nil)
 }
 
-// QueryWithFloors implements mips.ThresholdQuerier: each user's heap is
-// seeded with its floor, so the branch-and-bound descent compares node
-// bounds against the floor from the root down — a whole subtree whose bound
-// trails the floor is pruned before a single inner product. Results honor
-// the floor contract (see mips.ThresholdQuerier).
-func (x *Index) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
-	if err := mips.ValidateFloors(userIDs, floors); err != nil {
-		return nil, err
-	}
-	return x.query(nil, userIDs, k, floors, nil)
-}
-
-// QueryWithFloorBoard implements mips.LiveFloorQuerier: the descent re-reads
-// the user's board cell at every internal node it enters, so a floor raised
-// by a concurrently finishing shard tightens the branch-and-bound threshold
-// for the rest of this user's descent. Per-node polling is the tree's natural
-// pruning granularity — the same place Threshold is consulted.
-func (x *Index) QueryWithFloorBoard(userIDs []int, k int, board *topk.FloorBoard) ([][]topk.Entry, error) {
-	if err := mips.ValidateFloorBoard(userIDs, board); err != nil {
-		return nil, err
-	}
-	return x.query(nil, userIDs, k, nil, board)
-}
-
-// QueryCtx implements mips.CancellableQuerier: ctx is polled once per user
-// and at every internal node the descent enters — the tree's natural pruning
-// granularity, the same place the live floor board is re-polled.
+// QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
+// branch-and-bound descent compares node bounds against it from the root
+// down — a whole subtree whose bound trails the floor is pruned before a
+// single inner product. A board is re-read at every internal node the
+// descent enters (the tree's natural pruning granularity, where Threshold is
+// consulted), so a floor raised by a concurrently finishing shard tightens
+// the rest of this user's descent. ctx is polled once per user and at the
+// same nodes.
 func (x *Index) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err

@@ -277,14 +277,14 @@ func TestQueryWithFloorsContract(t *testing.T) {
 			floors[i] = want[i][0].Score + 1
 		}
 	}
-	got, err := x.QueryWithFloors(ids, k, floors)
+	got, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mips.VerifyFloorPrefix(want, got, floors); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.QueryWithFloors(ids, k, floors[:1]); err == nil {
+	if _, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors[:1]}); err == nil {
 		t.Fatal("floor/user length mismatch must fail")
 	}
 
@@ -295,7 +295,7 @@ func TestQueryWithFloorsContract(t *testing.T) {
 		high[i] = want[i][0].Score
 	}
 	x.ResetScanStats()
-	if _, err := x.QueryWithFloors(ids, k, high); err != nil {
+	if _, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: high}); err != nil {
 		t.Fatal(err)
 	}
 	seededScanned := x.ScanStats().Scanned
@@ -304,7 +304,7 @@ func TestQueryWithFloorsContract(t *testing.T) {
 	}
 	x.SetThreads(3)
 	x.ResetScanStats()
-	if _, err := x.QueryWithFloors(ids, k, high); err != nil {
+	if _, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: high}); err != nil {
 		t.Fatal(err)
 	}
 	if got := x.ScanStats().Scanned; got != seededScanned {

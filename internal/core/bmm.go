@@ -172,23 +172,13 @@ func (b *BMM) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 	return res, err
 }
 
-// QueryWithFloors implements mips.ThresholdQuerier. BMM cannot skip any
-// inner products — the GEMM is monolithic — but the harvest becomes
-// floor-aware: each row's heap is seeded, so below-floor scores never enter
-// it, sift work collapses on heavily floored rows, and a row whose every
-// score trails its floor allocates nothing. Results honor the floor
-// contract (see mips.ThresholdQuerier).
-func (b *BMM) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
-	if err := mips.ValidateFloors(userIDs, floors); err != nil {
-		return nil, err
-	}
-	res, _, err := b.queryStats(nil, userIDs, k, floors)
-	return res, err
-}
-
-// QueryCtx implements mips.CancellableQuerier: ctx is polled at every score
-// slab and every harvest chunk — the natural units of BMM's monolithic GEMM.
-// A live board is snapshotted into static floors (valid: cells only rise).
+// QueryCtx implements mips.Solver. BMM cannot skip any inner products — the
+// GEMM is monolithic — but the harvest becomes floor-aware: each row's heap
+// is seeded, so below-floor scores never enter it, sift work collapses on
+// heavily floored rows, and a row whose every score trails its floor
+// allocates nothing. A live board is snapshotted into static floors (valid:
+// cells only rise). ctx is polled at every score slab and every harvest
+// chunk — the natural units of the GEMM.
 func (b *BMM) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err

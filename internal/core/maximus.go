@@ -475,43 +475,20 @@ func (m *Maximus) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 	return res, err
 }
 
-// QueryWithFloors implements mips.ThresholdQuerier: each user's heap is
-// seeded with its floor, so the sorted-bound walk terminates as soon as the
-// Equation 3 bound trails the floor — before the heap fills, often right
-// after the shared blocked prefix (whose pushes the floor filters but whose
-// GEMM still runs: block sizes are fixed at Build). Results honor the floor
-// contract (see mips.ThresholdQuerier).
-func (m *Maximus) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
-	if err := mips.ValidateFloors(userIDs, floors); err != nil {
-		return nil, err
-	}
-	res, _, err := m.queryStats(nil, userIDs, k, floors, nil)
-	return res, err
-}
-
-// QueryWithFloorBoard implements mips.LiveFloorQuerier: the board seeds each
-// user's heap like a static floor, and the sorted-bound walk re-polls the
-// user's cell every floorPollInterval positions, so a bound published by a
-// concurrently finishing shard terminates this walk early. The shared
-// blocked prefix still runs in full (block sizes are fixed at Build — the
-// construction-side answer to that is SetEstimationFloors). See the
-// contract on mips.LiveFloorQuerier.
-func (m *Maximus) QueryWithFloorBoard(userIDs []int, k int, board *topk.FloorBoard) ([][]topk.Entry, error) {
-	if err := mips.ValidateFloorBoard(userIDs, board); err != nil {
-		return nil, err
-	}
-	res, _, err := m.queryStats(nil, userIDs, k, nil, board)
-	return res, err
-}
-
 // QueryStats is Query with traversal instrumentation.
 func (m *Maximus) QueryStats(userIDs []int, k int) ([][]topk.Entry, MaximusQueryStats, error) {
 	return m.queryStats(nil, userIDs, k, nil, nil)
 }
 
-// QueryCtx implements mips.CancellableQuerier: ctx is polled at every cluster
-// boundary and every floorPollInterval positions of the sorted-bound walks —
-// the same cadence the live floor board is re-polled at.
+// QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
+// sorted-bound walk terminates as soon as the Equation 3 bound trails it —
+// before the heap fills, often right after the shared blocked prefix (whose
+// pushes the floor filters but whose GEMM still runs: block sizes are fixed
+// at Build; the construction-side answer is SetEstimationFloors). A board
+// seeds the heap the same way and is re-polled every floorPollInterval walk
+// positions, so a bound published by a concurrently finishing shard ends
+// the walk early. ctx is polled at every cluster boundary and at the same
+// cadence as the board.
 func (m *Maximus) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err

@@ -489,14 +489,14 @@ func TestMaximusQueryWithFloorsContract(t *testing.T) {
 			floors[i] = want[i][0].Score + 1
 		}
 	}
-	got, err := m.QueryWithFloors(ids, k, floors)
+	got, err := m.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mips.VerifyFloorPrefix(want, got, floors); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.QueryWithFloors(ids, k, floors[:3]); err == nil {
+	if _, err := m.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors[:3]}); err == nil {
 		t.Fatal("floor/user length mismatch must fail")
 	}
 
@@ -508,7 +508,7 @@ func TestMaximusQueryWithFloorsContract(t *testing.T) {
 		high[i] = want[i][0].Score
 	}
 	m.ResetScanStats()
-	if _, err := m.QueryWithFloors(ids, k, high); err != nil {
+	if _, err := m.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: high}); err != nil {
 		t.Fatal(err)
 	}
 	seededScanned := m.ScanStats().Scanned
@@ -548,7 +548,7 @@ func TestBMMQueryWithFloorsContract(t *testing.T) {
 		}
 	}
 	b.ResetScanStats()
-	got, err := b.QueryWithFloors(ids, k, floors)
+	got, err := b.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestBMMQueryWithFloorsContract(t *testing.T) {
 	if got := b.ScanStats().Scanned; got != blindScanned {
 		t.Fatalf("BMM floored scanned %d, want unchanged %d", got, blindScanned)
 	}
-	if _, err := b.QueryWithFloors(ids, k, floors[:2]); err == nil {
+	if _, err := b.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors[:2]}); err == nil {
 		t.Fatal("floor/user length mismatch must fail")
 	}
 }

@@ -6,14 +6,11 @@
 // reproducible call-for-call under -race and across runs.
 //
 // The wrapper forwards every optional solver interface the repository's
-// composites probe for. Where the inner solver lacks an optional capability
-// the wrapper degrades along the documented contracts instead of lying:
-// QueryWithFloors and QueryWithFloorBoard fall back to Query (below-floor
-// entries MAY be retained; a never-raised board observes -Inf floors), and
-// QueryCtx falls back to a ctx check at call entry followed by Query (call
-// entry is the wrapper's natural cancellation boundary). Mutation and
-// persistence calls on an incapable inner return errors, mirroring how the
-// composites treat missing interfaces.
+// composites probe for. Queries fire the plan's fault and then reach the
+// inner solver's own method, so QueryCtx hands floors, a live board and the
+// deadline through unchanged. Mutation and persistence calls on an incapable
+// inner return errors, mirroring how the composites treat missing
+// interfaces.
 //
 // Snapshots pass through to the inner solver, so a snapshot Saved through a
 // wrapper restores as the bare inner solver — a revived shard sheds its
@@ -36,9 +33,8 @@ import (
 )
 
 // Op classifies the wrapper's entry points for fault matching. Every query
-// variant (Query, QueryAll, QueryWithFloors, QueryWithFloorBoard, QueryCtx)
-// counts as one OpQuery call; AddItems, RemoveItems, and AddUsers as
-// OpMutate; Save and Load as OpPersist.
+// method (Query, QueryAll, QueryCtx) counts as one OpQuery call; AddItems,
+// RemoveItems, and AddUsers as OpMutate; Save and Load as OpPersist.
 type Op int
 
 // Operation classes.
@@ -182,7 +178,7 @@ func (s *Solver) next(op Op) *Fault {
 		if len(s.plan.Kinds) > 0 {
 			kind = s.plan.Kinds[s.rng.Intn(len(s.plan.Kinds))]
 		}
-		return s.filled(&Fault{Op: op, Kind: kind})
+		return s.filled(&Fault{Op: op, Call: int(n), Kind: kind})
 	}
 	return nil
 }
@@ -259,61 +255,13 @@ func (s *Solver) QueryAll(k int) ([][]topk.Entry, error) {
 	return s.inner.QueryAll(k)
 }
 
-// --- optional query interfaces ---
-
-// QueryCtx implements mips.CancellableQuerier. Fault latency races
-// ctx.Done; a cancellable inner keeps polling past the injection point,
-// otherwise the entry check here is the only boundary.
+// QueryCtx implements mips.Solver. Fault latency races ctx.Done; past the
+// injection point the inner solver polls ctx itself.
 func (s *Solver) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := s.inject(ctx, s.next(OpQuery)); err != nil {
 		return nil, err
 	}
-	if cq, ok := s.inner.(mips.CancellableQuerier); ok {
-		return cq.QueryCtx(ctx, userIDs, k, opts)
-	}
-	if err := mips.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	return s.queryOpts(userIDs, k, opts)
-}
-
-// QueryWithFloors implements mips.ThresholdQuerier, degrading to Query when
-// the inner solver has no floor path (the floor contract permits retaining
-// below-floor entries).
-func (s *Solver) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
-	if err := s.inject(nil, s.next(OpQuery)); err != nil {
-		return nil, err
-	}
-	return s.queryOpts(userIDs, k, mips.QueryOptions{Floors: floors})
-}
-
-// QueryWithFloorBoard implements mips.LiveFloorQuerier; an inner without the
-// interface never observes the board, which is a valid (-Inf) observation.
-func (s *Solver) QueryWithFloorBoard(userIDs []int, k int, board *topk.FloorBoard) ([][]topk.Entry, error) {
-	if err := s.inject(nil, s.next(OpQuery)); err != nil {
-		return nil, err
-	}
-	return s.queryOpts(userIDs, k, mips.QueryOptions{Board: board})
-}
-
-// queryOpts routes an already-injected query to the richest interface the
-// inner solver offers for the given options.
-func (s *Solver) queryOpts(userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
-	if opts.Board != nil {
-		if lf, ok := s.inner.(mips.LiveFloorQuerier); ok {
-			return lf.QueryWithFloorBoard(userIDs, k, opts.Board)
-		}
-		if tq, ok := s.inner.(mips.ThresholdQuerier); ok {
-			return tq.QueryWithFloors(userIDs, k, opts.Board.Snapshot(nil))
-		}
-		return s.inner.Query(userIDs, k)
-	}
-	if opts.Floors != nil {
-		if tq, ok := s.inner.(mips.ThresholdQuerier); ok {
-			return tq.QueryWithFloors(userIDs, k, opts.Floors)
-		}
-	}
-	return s.inner.Query(userIDs, k)
+	return s.inner.QueryCtx(ctx, userIDs, k, opts)
 }
 
 // --- mutation ---
@@ -463,9 +411,6 @@ func (s *Solver) ResetScanStats() {
 // Interface conformance.
 var (
 	_ mips.Solver              = (*Solver)(nil)
-	_ mips.CancellableQuerier  = (*Solver)(nil)
-	_ mips.ThresholdQuerier    = (*Solver)(nil)
-	_ mips.LiveFloorQuerier    = (*Solver)(nil)
 	_ mips.ItemMutator         = (*Solver)(nil)
 	_ mips.UserAdder           = (*Solver)(nil)
 	_ mips.Persister           = (*Solver)(nil)

@@ -335,34 +335,14 @@ func (x *Index) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 	return x.query(nil, userIDs, k, nil, nil)
 }
 
-// QueryWithFloors implements mips.ThresholdQuerier: each user's heap is
-// seeded with its floor, so the whole bound cascade — the norm-sorted walk
-// break, the integer bound, the SVD partial bound — prunes against the floor
-// from the very first candidate instead of waiting for the heap to fill.
-// FEXIPRO's sequential-scan prune has the same threshold structure as
-// LEMP's, so the identical seeding applies. Results honor the floor contract
-// (see mips.ThresholdQuerier).
-func (x *Index) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
-	if err := mips.ValidateFloors(userIDs, floors); err != nil {
-		return nil, err
-	}
-	return x.query(nil, userIDs, k, floors, nil)
-}
-
-// QueryWithFloorBoard implements mips.LiveFloorQuerier: the norm-sorted scan
-// re-polls the user's board cell every floorPollInterval items, so floors
-// raised by concurrently finishing shards tighten the whole bound cascade —
-// the norm-walk break, the integer bound, the SVD partial bound — mid-scan.
-func (x *Index) QueryWithFloorBoard(userIDs []int, k int, board *topk.FloorBoard) ([][]topk.Entry, error) {
-	if err := mips.ValidateFloorBoard(userIDs, board); err != nil {
-		return nil, err
-	}
-	return x.query(nil, userIDs, k, nil, board)
-}
-
-// QueryCtx implements mips.CancellableQuerier: ctx is polled once per user
-// and every floorPollInterval items of the sequential scan — the same cadence
-// the live floor board is re-polled at.
+// QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
+// whole bound cascade — the norm-sorted walk break, the integer bound, the
+// SVD partial bound — prunes against it from the very first candidate
+// instead of waiting for the heap to fill (FEXIPRO's sequential-scan prune
+// has the same threshold structure as LEMP's). A board is re-polled every
+// floorPollInterval items, so floors raised by concurrently finishing shards
+// tighten the cascade mid-scan. ctx is polled once per user and at the same
+// cadence as the board.
 func (x *Index) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err

@@ -416,34 +416,13 @@ func (x *Index) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 	return x.query(nil, userIDs, k, nil, nil)
 }
 
-// QueryWithFloors implements mips.ThresholdQuerier: each user's heap is
-// seeded with its floor, so the bucket break and the scanLength/scanIncr
-// prunes fire before the heap fills — on a high floor, often at the very
-// first bucket. Results honor the floor contract (see mips.ThresholdQuerier).
-func (x *Index) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
-	if err := mips.ValidateFloors(userIDs, floors); err != nil {
-		return nil, err
-	}
-	return x.query(nil, userIDs, k, floors, nil)
-}
-
-// QueryWithFloorBoard implements mips.LiveFloorQuerier: the board seeds each
-// user's heap exactly like a static floor, and is re-polled at every bucket
-// boundary — the same decision point where the bucket break already fires —
-// so a floor raised by a concurrently finishing shard tightens this walk's
-// break and within-bucket prunes mid-query. See the contract on
-// mips.LiveFloorQuerier for why monotone tightening preserves the
-// floor-prefix result.
-func (x *Index) QueryWithFloorBoard(userIDs []int, k int, board *topk.FloorBoard) ([][]topk.Entry, error) {
-	if err := mips.ValidateFloorBoard(userIDs, board); err != nil {
-		return nil, err
-	}
-	return x.query(nil, userIDs, k, nil, board)
-}
-
-// QueryCtx implements mips.CancellableQuerier: ctx is polled once per user
-// and at every bucket boundary — the same seam the live floor board polls —
-// so cancellation lands within one bucket scan.
+// QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
+// bucket break and the scanLength/scanIncr prunes fire before the heap
+// fills — on a high floor, often at the very first bucket. A board seeds the
+// heap the same way and is re-polled at every bucket boundary, where the
+// bucket break already fires, so a floor raised by a concurrently finishing
+// shard tightens this walk mid-query. ctx is polled once per user and at the
+// same bucket boundary, so cancellation lands within one bucket scan.
 func (x *Index) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
@@ -473,7 +452,7 @@ func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float6
 
 // call is one query call's arguments, shared by its parallel chunks.
 type call struct {
-	ctx    context.Context // nil outside QueryCtx
+	ctx    context.Context // nil: no deadline
 	ids    []int
 	k      int
 	floors []float64        // static floors, or nil
@@ -609,14 +588,14 @@ func (x *Index) ChosenAlgorithms(k int) []Algorithm {
 // scratch holds per-goroutine temporaries reused across users, recycled
 // across chunks and calls through Index.scratches. board/cell, when set,
 // identify the live floor cell of the user currently being answered
-// (QueryWithFloorBoard); both are reassigned per user.
+// (QueryOptions.Board); both are reassigned per user.
 type scratch struct {
 	usuf1, usuf2 float64
 	scanned      int64 // candidates evaluated, flushed per chunk
 	bucketTimes  [][numAlgos]time.Duration
 	board        *topk.FloorBoard
 	cell         int
-	ctx          context.Context // nil outside QueryCtx; polled per bucket
+	ctx          context.Context // nil: no deadline; polled per bucket
 	walkers      []walker
 	a, c         *mat.Matrix // head multiply operands, queryGrain rows each
 }
@@ -749,7 +728,7 @@ func (x *Index) walk(user []float64, unorm float64, h *topk.Heap, tn *tuning, fr
 		// Live floors: re-poll the user's board cell at the bucket boundary,
 		// so a bound published by a concurrent shard tightens this walk's
 		// break and the within-bucket prunes below (monotone — see
-		// mips.LiveFloorQuerier).
+		// mips.Solver.QueryCtx).
 		if scr.board != nil {
 			h.RaiseFloor(scr.board.Floor(scr.cell))
 		}

@@ -349,7 +349,7 @@ func min(a, b int) int {
 	return b
 }
 
-// floorsFor builds the mixed floor vector the QueryWithFloors tests use:
+// floorsFor builds the mixed floor vector the floor-seeded tests use:
 // unseeded, exactly tying the user's k-th (and best) score — the tie-at-floor
 // hazard — and above everything.
 func floorsFor(want [][]topk.Entry, k int) []float64 {
@@ -383,7 +383,7 @@ func TestQueryWithFloorsContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	floors := floorsFor(want, k)
-	got, err := x.QueryWithFloors(ids, k, floors)
+	got, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestQueryWithFloorsContract(t *testing.T) {
 	for i := range blind {
 		blind[i] = math.Inf(-1)
 	}
-	unseeded, err := x.QueryWithFloors(ids, k, blind)
+	unseeded, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: blind})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,10 +405,10 @@ func TestQueryWithFloorsContract(t *testing.T) {
 		}
 	}
 	// Shape and NaN validation.
-	if _, err := x.QueryWithFloors(ids, k, blind[:1]); err == nil {
+	if _, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: blind[:1]}); err == nil {
 		t.Fatal("floor/user length mismatch must fail")
 	}
-	if _, err := x.QueryWithFloors([]int{0}, k, []float64{math.NaN()}); err == nil {
+	if _, err := x.QueryCtx(nil, []int{0}, k, mips.QueryOptions{Floors: []float64{math.NaN()}}); err == nil {
 		t.Fatal("NaN floor must fail")
 	}
 }
@@ -442,7 +442,7 @@ func TestQueryWithFloorsPrunesScans(t *testing.T) {
 		floors[i] = want[i][0].Score
 	}
 	x.ResetScanStats()
-	if _, err := x.QueryWithFloors(ids, k, floors); err != nil {
+	if _, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors}); err != nil {
 		t.Fatal(err)
 	}
 	seededScanned := x.ScanStats().Scanned
@@ -452,7 +452,7 @@ func TestQueryWithFloorsPrunesScans(t *testing.T) {
 	// Determinism across thread counts.
 	x.SetThreads(3)
 	x.ResetScanStats()
-	if _, err := x.QueryWithFloors(ids, k, floors); err != nil {
+	if _, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors}); err != nil {
 		t.Fatal(err)
 	}
 	if got := x.ScanStats().Scanned; got != seededScanned {
@@ -492,7 +492,7 @@ func TestQueryWithFloorsProperty(t *testing.T) {
 				floors[i] = want[i][rng.Intn(k)].Score
 			}
 		}
-		got, err := x.QueryWithFloors(ids, k, floors)
+		got, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 		if err != nil {
 			return false
 		}
@@ -593,7 +593,7 @@ func TestHeadPackedOnlyWhenUsed(t *testing.T) {
 	for i := range high {
 		high[i] = math.MaxFloat64
 	}
-	if _, err := x.QueryWithFloors(ids, k, high); err != nil {
+	if _, err := x.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: high}); err != nil {
 		t.Fatal(err)
 	}
 	if x.tunings[k].head != nil || x.ScanStats().Scanned != 0 {

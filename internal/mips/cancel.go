@@ -1,7 +1,7 @@
-// Cancellation and graceful-degradation contracts (ISSUE 8): the
-// CancellableQuerier deadline-propagation interface every solver implements,
-// and the PartialQuerier/Coverage degraded-answer contract the sharded
-// executor offers the serving layer.
+// Query options, cancellation and graceful-degradation contracts: the
+// QueryOptions every Solver.QueryCtx call carries, and the
+// PartialQuerier/Coverage degraded-answer contract the sharded executor
+// offers the serving layer.
 package mips
 
 import (
@@ -16,42 +16,39 @@ import (
 // QueryOptions carries the optional floor source of a QueryCtx call. At most
 // one of Floors and Board may be set; both nil is a plain query.
 type QueryOptions struct {
-	// Floors, when non-nil, seeds the query as ThresholdQuerier documents
-	// (positionally aligned with userIDs).
+	// Floors, when non-nil, seeds the query with static per-user floors
+	// (positionally aligned with userIDs; see Solver.QueryCtx).
 	Floors []float64
-	// Board, when non-nil, is a live floor source as LiveFloorQuerier
-	// documents. Solvers without live polling may snapshot it (a valid
+	// Board, when non-nil, is a live floor source (cell i belongs to
+	// userIDs[i]). Solvers without live polling may snapshot it (a valid
 	// static floor: cells only ever rise).
 	Board *topk.FloorBoard
 }
 
-// CancellableQuerier is the optional interface for solvers whose queries
-// honor a context — the deadline/cancellation propagation path the serving
-// layer and the sharded fan-out thread end to end.
-//
-// Contract: cancellation is cooperative. The solver polls ctx at its natural
-// work boundaries — the same seams LiveFloorQuerier already polls (LEMP's
-// bucket boundary, MAXIMUS's cluster loop and walk poll points, the cone
-// tree's internal nodes, FEXIPRO's scan poll interval, BMM's score slabs) —
-// and returns ctx.Err() promptly once ctx is done, discarding partial work.
-// A query that runs to completion before noticing cancellation may return
-// its (exact) results instead. A nil ctx, like context.Background(), never
-// cancels; results are then identical to Query / QueryWithFloors /
-// QueryWithFloorBoard for the same floor source.
-type CancellableQuerier interface {
-	QueryCtx(ctx context.Context, userIDs []int, k int, opts QueryOptions) ([][]topk.Entry, error)
-}
-
 // ValidateQueryOptions checks the QueryCtx argument shapes shared by all
-// implementations: at most one floor source, each validated by its own rules.
+// implementations: at most one floor source, aligned with userIDs. NaN
+// floors are rejected: every comparison against NaN is false, which would
+// silently disable pruning on some paths and reject everything on others. A
+// board needs only the alignment check (FloorBoard rejects NaN at Raise).
 func ValidateQueryOptions(userIDs []int, opts QueryOptions) error {
-	if opts.Floors != nil && opts.Board != nil {
+	switch {
+	case opts.Floors != nil && opts.Board != nil:
 		return fmt.Errorf("mips: QueryOptions carries both floors and a board (want at most one floor source)")
+	case opts.Board != nil:
+		if opts.Board.Len() != len(userIDs) {
+			return fmt.Errorf("mips: floor board has %d cells for %d users", opts.Board.Len(), len(userIDs))
+		}
+	case opts.Floors != nil:
+		if len(opts.Floors) != len(userIDs) {
+			return fmt.Errorf("mips: %d floors for %d users", len(opts.Floors), len(userIDs))
+		}
+		for i, f := range opts.Floors {
+			if f != f {
+				return fmt.Errorf("mips: floor %d is NaN", i)
+			}
+		}
 	}
-	if opts.Floors != nil {
-		return ValidateFloors(userIDs, opts.Floors)
-	}
-	return ValidateFloorBoard(userIDs, opts.Board)
+	return nil
 }
 
 // CtxErr reports a context's error, tolerating the nil ("no deadline")
@@ -106,8 +103,8 @@ type PartialQuerier interface {
 	QueryPartial(ctx context.Context, userIDs []int, k int) ([][]topk.Entry, Coverage, error)
 }
 
-// QueryCtx implements CancellableQuerier for the naive reference solver,
-// polling between users — each user's scan is one natural work unit.
+// QueryCtx implements Solver for the naive reference solver, polling between
+// users — each user's scan is one natural work unit.
 func (n *Naive) QueryCtx(ctx context.Context, userIDs []int, k int, opts QueryOptions) ([][]topk.Entry, error) {
 	if err := ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err

@@ -2,9 +2,15 @@
 // repository — the brute-force baselines, the LEMP and FEXIPRO indexes, and
 // the paper's MAXIMUS — plus the naive reference oracle and the verification
 // helpers the test suite and the OPTIMUS optimizer build on.
+//
+// Every solver answers floor-seeded, live-board and deadline-bound queries
+// through one method, Solver.QueryCtx, whose doc holds the floor contract.
+// The remaining optional interfaces (Sized, ItemMutator, ScanCounter, ...)
+// describe capabilities some solvers lack, not alternative query paths.
 package mips
 
 import (
+	"context"
 	"fmt"
 
 	"optimus/internal/mat"
@@ -13,8 +19,8 @@ import (
 
 // Solver is an exact batch top-K MIPS solver. The lifecycle is
 // Build (construct index structures over fixed user/item matrices) followed
-// by any number of Query/QueryAll calls. Implementations are read-only after
-// Build and safe for concurrent Query calls.
+// by any number of Query/QueryAll/QueryCtx calls. Implementations are
+// read-only after Build and safe for concurrent queries.
 type Solver interface {
 	// Name identifies the solver in reports ("BMM", "MAXIMUS", "LEMP", ...).
 	Name() string
@@ -31,6 +37,39 @@ type Solver interface {
 
 	// QueryAll returns the exact top-k items for every user.
 	QueryAll(k int) ([][]topk.Entry, error)
+
+	// QueryCtx is Query under a deadline and an optional floor source
+	// (QueryOptions) — the one entry point the sharded fan-out, its wave
+	// schedules and the serving batcher call.
+	//
+	// Floors: opts.Floors[i] is a lower bound on the global k-th score of
+	// user userIDs[i], or math.Inf(-1) for "no bound". The row for user i
+	// must be exactly the prefix of the unseeded Query row whose scores are
+	// >= its floor: every entry that beats or ties the floor appears at its
+	// identical rank with its identical score, and entries strictly below
+	// may be omitted (rows may be shorter than k, and empty). Ties at the
+	// floor MUST be retained — a tied item can still win a global merge on
+	// the lower-item-id rule. VerifyFloorPrefix checks this contract.
+	//
+	// Board: opts.Board is a live floor source whose cells only rise
+	// (topk.FloorBoard enforces it). A solver seeds each user's heap from
+	// the cell when that user's scan starts and may re-poll it at its
+	// pruning decision points, raising the heap floor via
+	// topk.Heap.RaiseFloor; the row is then the prefix a static call at the
+	// highest observed floor would return. Callers therefore certify it
+	// against a board snapshot taken at or after return. With no concurrent
+	// raisers the call is deterministic; under concurrency only scan counts
+	// vary.
+	//
+	// Ignoring floors or a board is always valid, because the unseeded
+	// answer is a superset of every floored prefix: a minimal solver checks
+	// ctx once and answers with Query.
+	//
+	// Deadlines: cancellation is cooperative. The solver polls ctx at its
+	// natural work boundaries and returns ctx.Err() promptly once it is
+	// done, discarding partial work; a call that completes before noticing
+	// may return its exact answer instead. A nil ctx never cancels.
+	QueryCtx(ctx context.Context, userIDs []int, k int, opts QueryOptions) ([][]topk.Entry, error)
 
 	// Batches reports whether the solver amortizes work across the users
 	// within a single Query call (true for BMM and MAXIMUS). The OPTIMUS
@@ -61,79 +100,6 @@ type Sized interface {
 	NumUsers() int
 	// NumItems returns the number of item rows the solver was built over.
 	NumItems() int
-}
-
-// ThresholdQuerier is the optional interface for solvers that can exploit a
-// caller-supplied lower bound on each user's global top-k threshold — the
-// floor-seeded pruning path. The sharded two-wave executor queries the
-// norm-sorted head shard first, harvests every user's k-th score, and fans
-// the tail shards out through this interface so their bound checks fire
-// before the heaps fill.
-//
-// Contract (the floor contract, verified in the same style as VerifyAll):
-// floors[i] is a lower bound on the global k-th score of user userIDs[i], or
-// math.Inf(-1) for "no bound". The result for user i must be exactly the
-// prefix of the unseeded Query(userIDs, k) result whose scores are >= its
-// floor: every entry whose score beats or ties the floor appears, in the
-// identical rank with the identical score, and entries strictly below the
-// floor may be omitted (rows may therefore be shorter than k, and empty).
-// Ties at the floor MUST be retained — a tied item can still win the global
-// merge on the lower-item-id rule. With every floor at -Inf the call is
-// equivalent to Query. len(floors) must equal len(userIDs).
-type ThresholdQuerier interface {
-	QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error)
-}
-
-// ValidateFloors checks the QueryWithFloors argument shapes shared by all
-// implementations. NaN floors are rejected: every comparison against NaN is
-// false, which would silently disable pruning on some paths and reject
-// everything on others.
-func ValidateFloors(userIDs []int, floors []float64) error {
-	if len(floors) != len(userIDs) {
-		return fmt.Errorf("mips: %d floors for %d users", len(floors), len(userIDs))
-	}
-	for i, f := range floors {
-		if f != f {
-			return fmt.Errorf("mips: floor %d is NaN", i)
-		}
-	}
-	return nil
-}
-
-// LiveFloorQuerier is the optional interface for solvers that can poll a
-// *live* floor source during a query — the pipelined wave schedule, where
-// shards run concurrently and publish each user's k-th score the moment
-// their own scan completes, tightening the floors of every scan still in
-// flight. board cell i belongs to user userIDs[i] (positionally aligned,
-// like QueryWithFloors' floors slice).
-//
-// Contract: every cell is, at every instant, a valid lower bound on its
-// user's global k-th score, and only ever rises (topk.FloorBoard enforces
-// the monotonicity). The solver must seed each user's heap from the cell at
-// the start of that user's scan and may re-poll it at any of its existing
-// pruning decision points, raising the heap floor via topk.Heap.RaiseFloor —
-// which evicts retained entries the tightened floor now excludes, so the
-// result is entry-for-entry the prefix a static QueryWithFloors at the
-// highest observed floor would return. Because observed floors only rise,
-// that result also satisfies the floor contract against any *later* cell
-// value: callers certify with VerifyFloorPrefix using a board snapshot taken
-// at or after return (a snapshot from call entry would be too low — entries
-// between it and the observed floor were legitimately dropped). A nil board
-// is equivalent to Query. With no concurrent raisers the call is fully
-// deterministic; under concurrency the result set is still exact, only the
-// scan counts vary with raise timing.
-type LiveFloorQuerier interface {
-	QueryWithFloorBoard(userIDs []int, k int, board *topk.FloorBoard) ([][]topk.Entry, error)
-}
-
-// ValidateFloorBoard checks the QueryWithFloorBoard argument shapes shared
-// by all implementations. NaN cannot occur (FloorBoard rejects it at Raise),
-// so only the alignment is checked; a nil board is valid ("no bounds").
-func ValidateFloorBoard(userIDs []int, board *topk.FloorBoard) error {
-	if board != nil && board.Len() != len(userIDs) {
-		return fmt.Errorf("mips: floor board has %d cells for %d users", board.Len(), len(userIDs))
-	}
-	return nil
 }
 
 // FloorAwareEstimator is the optional interface for solvers whose *build*
@@ -349,12 +315,12 @@ func VerifyTopK(user []float64, items *mat.Matrix, got []topk.Entry, k int, tol 
 	return nil
 }
 
-// VerifyFloorPrefix checks a QueryWithFloors result against the unseeded
-// reference for the same (userIDs, k): each seeded row must be a prefix of
-// the corresponding unseeded row that retains at least every entry whose
-// score beats or ties its floor — the floor contract on ThresholdQuerier.
-// Scores are compared exactly: both calls run the same kernels over the same
-// sub-matrices, so even the last ulp must agree.
+// VerifyFloorPrefix checks a floor-seeded QueryCtx result against the
+// unseeded reference for the same (userIDs, k): each seeded row must be a
+// prefix of the corresponding unseeded row that retains at least every entry
+// whose score beats or ties its floor — the floor contract on
+// Solver.QueryCtx. Scores are compared exactly: both calls run the same
+// kernels over the same sub-matrices, so even the last ulp must agree.
 func VerifyFloorPrefix(unseeded, seeded [][]topk.Entry, floors []float64) error {
 	if len(seeded) != len(unseeded) {
 		return fmt.Errorf("mips: %d seeded rows for %d unseeded", len(seeded), len(unseeded))

@@ -190,19 +190,27 @@ func TestAllUserIDs(t *testing.T) {
 	}
 }
 
-func TestValidateFloors(t *testing.T) {
+func TestValidateQueryOptions(t *testing.T) {
 	ids := []int{0, 1, 2}
-	if err := ValidateFloors(ids, []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
+	inf := math.Inf(-1)
+	cases := []struct {
+		name string
+		opts QueryOptions
+		ok   bool
+	}{
+		{"plain", QueryOptions{}, true},
+		{"floors", QueryOptions{Floors: []float64{1, 2, 3}}, true},
+		{"-Inf floors are the unseeded case", QueryOptions{Floors: []float64{inf, inf, inf}}, true},
+		{"floor length mismatch", QueryOptions{Floors: []float64{1, 2}}, false},
+		{"NaN floor", QueryOptions{Floors: []float64{1, math.NaN(), 3}}, false},
+		{"board", QueryOptions{Board: topk.NewFloorBoard(3)}, true},
+		{"board length mismatch", QueryOptions{Board: topk.NewFloorBoard(2)}, false},
+		{"floors and board", QueryOptions{Floors: []float64{1, 2, 3}, Board: topk.NewFloorBoard(3)}, false},
 	}
-	if err := ValidateFloors(ids, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-	if err := ValidateFloors(ids, []float64{1, math.NaN(), 3}); err == nil {
-		t.Fatal("NaN floor must fail")
-	}
-	if err := ValidateFloors(ids, []float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}); err != nil {
-		t.Fatalf("-Inf floors are the unseeded case: %v", err)
+	for _, tc := range cases {
+		if err := ValidateQueryOptions(ids, tc.opts); (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok = %v", tc.name, err, tc.ok)
+		}
 	}
 }
 

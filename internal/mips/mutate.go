@@ -25,8 +25,8 @@ import (
 // mutations: relative id order never changes.
 //
 // Exactness semantics. After any interleaving of AddItems and RemoveItems,
-// Query/QueryAll — and QueryWithFloors for ThresholdQueriers — must return
-// results entry-for-entry identical (same items, same ranks, scores to within
+// Query/QueryAll/QueryCtx — floor-seeded or not — must return results
+// entry-for-entry identical (same items, same ranks, scores to within
 // kernel rounding) to a freshly Built solver over the mutated corpus: the
 // matrix obtained by applying the same appends and compactions to the Build
 // input (mat.AppendRows / mat.RemoveRows). VerifyMutation is the oracle for

@@ -59,6 +59,10 @@ func (f *fakeSolver) NumUsers() int { return f.users }
 func (f *fakeSolver) NumItems() int { return 1 << 20 }
 
 func (f *fakeSolver) Query(ids []int, k int) ([][]topk.Entry, error) {
+	return f.QueryCtx(nil, ids, k, mips.QueryOptions{})
+}
+
+func (f *fakeSolver) QueryCtx(_ context.Context, ids []int, k int, _ mips.QueryOptions) ([][]topk.Entry, error) {
 	call := solverCall{ids: append([]int(nil), ids...), k: k}
 	f.mu.Lock()
 	f.calls = append(f.calls, call)

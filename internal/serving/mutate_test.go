@@ -57,6 +57,9 @@ func (s *staticSolver) Query(ids []int, k int) ([][]topk.Entry, error) {
 	return s.inner.Query(ids, k)
 }
 func (s *staticSolver) QueryAll(k int) ([][]topk.Entry, error) { return s.inner.QueryAll(k) }
+func (s *staticSolver) QueryCtx(ctx context.Context, ids []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
+	return s.inner.QueryCtx(ctx, ids, k, opts)
+}
 
 func TestMutateSwapsGenerations(t *testing.T) {
 	users, items := randMatrix(3, 40, 6), randMatrix(4, 60, 6)

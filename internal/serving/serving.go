@@ -582,21 +582,14 @@ func (s *Server) answerGroup(ctx context.Context, reqs []request, k int) error {
 }
 
 // queryGroup is the single seam every batch (and retry) answers through:
-// degraded-mode dispatch under Config.AllowPartial, a cancellable query
-// when a group deadline exists and the solver can honor it, the plain
-// strict Query otherwise.
+// degraded-mode dispatch under Config.AllowPartial, the strict QueryCtx
+// otherwise (ctx is nil when the group carries no deadline).
 func (s *Server) queryGroup(ctx context.Context, ids []int, k int) ([][]topk.Entry, mips.Coverage, error) {
 	if s.cfg.AllowPartial {
 		pq := s.solver.(mips.PartialQuerier) // checked at New
 		return pq.QueryPartial(ctx, ids, k)
 	}
-	if ctx != nil {
-		if cq, ok := s.solver.(mips.CancellableQuerier); ok {
-			res, err := cq.QueryCtx(ctx, ids, k, mips.QueryOptions{})
-			return res, mips.Coverage{}, err
-		}
-	}
-	res, err := s.solver.Query(ids, k)
+	res, err := s.solver.QueryCtx(ctx, ids, k, mips.QueryOptions{})
 	return res, mips.Coverage{}, err
 }
 

@@ -155,16 +155,17 @@ func TestBadRequestDoesNotPoisonBatch(t *testing.T) {
 	}
 }
 
-// countingSolver wraps a solver and counts Query calls, forwarding the
-// wrapped solver's mips.Sized information.
+// countingSolver wraps a solver and counts QueryCtx calls — the one method
+// the server answers through — forwarding the wrapped solver's mips.Sized
+// information.
 type countingSolver struct {
 	mips.Solver
 	calls int
 }
 
-func (c *countingSolver) Query(ids []int, k int) ([][]topk.Entry, error) {
+func (c *countingSolver) QueryCtx(ctx context.Context, ids []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	c.calls++
-	return c.Solver.Query(ids, k)
+	return c.Solver.QueryCtx(ctx, ids, k, opts)
 }
 
 func (c *countingSolver) NumUsers() int { return c.Solver.(mips.Sized).NumUsers() }
@@ -179,6 +180,9 @@ func (h hidden) Build(u, i *mat.Matrix) error           { return h.c.Build(u, i)
 func (h hidden) QueryAll(k int) ([][]topk.Entry, error) { return h.c.QueryAll(k) }
 func (h hidden) Query(ids []int, k int) ([][]topk.Entry, error) {
 	return h.c.Query(ids, k)
+}
+func (h hidden) QueryCtx(ctx context.Context, ids []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
+	return h.c.QueryCtx(ctx, ids, k, opts)
 }
 
 // dispatchBatch drives the dispatcher directly with a synthetic batch, so

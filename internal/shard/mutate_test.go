@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -130,7 +131,7 @@ func TestMutationFloorPrefix(t *testing.T) {
 						floors[i] = row[0].Score
 					}
 				}
-				seeded, err := sh.QueryWithFloors(userIDs, k, floors)
+				seeded, err := sh.QueryCtx(nil, userIDs, k, mips.QueryOptions{Floors: floors})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -365,10 +366,9 @@ func TestShardedAddUsers(t *testing.T) {
 	}
 }
 
-// TestFexiproJoinsTwoWave: the FEXIPRO floors satellite — with
-// QueryWithFloors implemented, a FEXIPRO-sharded by-norm composite takes the
-// two-wave path and still matches the blind fan-out and the unsharded index
-// entry-for-entry.
+// TestFexiproJoinsTwoWave: a FEXIPRO-sharded by-norm composite takes the
+// two-wave path, its QueryCtx seeding the bound cascade with floors, and
+// still matches the blind fan-out and the unsharded index entry-for-entry.
 func TestFexiproJoinsTwoWave(t *testing.T) {
 	m := model(t, "r2-nomad-25", 0.04)
 	const k = 7
@@ -391,7 +391,7 @@ func TestFexiproJoinsTwoWave(t *testing.T) {
 				t.Fatal("FEXIPRO sharded by-norm did not enable the two-wave path")
 			}
 			blind := New(Config{Shards: shards, Partitioner: ByNorm(), Factory: factory,
-				DisableFloorSeeding: true})
+				Schedule: SingleWave})
 			if err := blind.Build(m.Users, m.Items); err != nil {
 				t.Fatal(err)
 			}
@@ -428,6 +428,9 @@ func (f *faultyUserAdder) Query(ids []int, k int) ([][]topk.Entry, error) {
 	return f.inner.Query(ids, k)
 }
 func (f *faultyUserAdder) QueryAll(k int) ([][]topk.Entry, error) { return f.inner.QueryAll(k) }
+func (f *faultyUserAdder) QueryCtx(ctx context.Context, ids []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
+	return f.inner.QueryCtx(ctx, ids, k, opts)
+}
 
 func (f *faultyUserAdder) AddUsers(users *mat.Matrix) ([]int, error) {
 	*f.calls++
@@ -547,8 +550,8 @@ func TestShardedMutationUnderServingTypes(t *testing.T) {
 	if _, ok := s.(mips.UserAdder); !ok {
 		t.Fatal("Sharded lost mips.UserAdder")
 	}
-	if _, ok := s.(mips.ThresholdQuerier); !ok {
-		t.Fatal("Sharded lost mips.ThresholdQuerier")
+	if _, ok := s.(mips.PartialQuerier); !ok {
+		t.Fatal("Sharded lost mips.PartialQuerier")
 	}
 	var _ []topk.Entry // keep topk imported for assertSameEntries's signature
 }

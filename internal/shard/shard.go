@@ -30,19 +30,19 @@
 // A blind fan-out wastes the partition's structure: under ByNorm, shard 0
 // holds the biggest-norm head of the catalog, so for most users the global
 // top-k lives almost entirely there — yet every tail shard still answers its
-// local top-k from a cold heap. When the partitioner is head-first (ByNorm)
-// and every tail sub-solver implements mips.ThresholdQuerier, Query runs in
-// two waves instead: wave 1 answers the head shard alone; each user's k-th
-// head score is then a certified lower bound on their global k-th score (a
-// k-th best over a superset never decreases), and wave 2 fans the tail
-// shards out through QueryWithFloors with those bounds as floors. Tail heaps
-// are born with the head's threshold, so LEMP's bucket break, the cone
-// tree's node-bound prune, and MAXIMUS's sorted-bound walk terminate before
-// their heaps fill — on a norm-skewed corpus, often immediately. The floor
-// contract (ties at the floor retained, everything above it intact)
-// guarantees the k-way merge still reproduces the single-wave result
-// entry-for-entry. Config.DisableFloorSeeding forces the single-wave path;
-// S=1 and non-head-first partitions fall back to it automatically.
+// local top-k from a cold heap. When the partitioner is head-first (ByNorm),
+// Query runs in two waves instead: wave 1 answers the head shard alone; each
+// user's k-th head score is then a certified lower bound on their global k-th
+// score (a k-th best over a superset never decreases), and wave 2 fans the
+// tail shards out through QueryCtx with those bounds as QueryOptions.Floors.
+// Tail heaps are born with the head's threshold, so LEMP's bucket break, the
+// cone tree's node-bound prune, and MAXIMUS's sorted-bound walk terminate
+// before their heaps fill — on a norm-skewed corpus, often immediately. The
+// floor contract on mips.Solver.QueryCtx (ties at the floor retained,
+// everything above it intact) guarantees the k-way merge still reproduces the
+// single-wave result entry-for-entry; a sub-solver that ignores floors only
+// scans more. Schedule: SingleWave forces the single-wave path; S=1 and
+// non-head-first partitions fall back to it automatically.
 package shard
 
 import (
@@ -97,8 +97,7 @@ func (contiguous) Partition(items *mat.Matrix, shards int) [][]int {
 // shard order is head-to-tail by score potential: every item norm in shard s
 // is >= every item norm in shard s+1, so shard 0's local top-k is the best
 // available seed for the remaining shards' thresholds. Sharded switches to
-// the two-wave floor-seeded query when the partitioner reports true here
-// and the tail sub-solvers accept floors.
+// the two-wave floor-seeded query when the partitioner reports true here.
 type HeadFirst interface {
 	HeadFirst() bool
 }
@@ -174,16 +173,13 @@ type Config struct {
 	// sub-solvers implementing mips.ThreadSetter via SetThreads); 0 defers
 	// to the package-wide parallel.Threads() default.
 	Threads int
-	// DisableFloorSeeding forces the single-wave blind fan-out even when the
-	// partitioner is head-first and the sub-solvers accept floors — the
-	// two-wave lesion switch the benchmarks flip to measure the pruning win.
-	// The zero value keeps threshold propagation on wherever it applies.
-	DisableFloorSeeding bool
 	// Schedule requests a wave schedule (waves.go). AutoSchedule — the zero
 	// value — resolves to TwoWave when the composite is floor-eligible and
 	// SingleWave otherwise; an explicit floor-bearing schedule likewise falls
-	// back to SingleWave when ineligible. Exactness is schedule-independent;
-	// only scan counts (and, for Pipelined, their determinism) differ.
+	// back to SingleWave when ineligible. SingleWave is also the lesion arm
+	// the benchmarks flip to measure the pruning win, and it persists in
+	// snapshots. Exactness is schedule-independent; only scan counts (and,
+	// for Pipelined, their determinism) differ.
 	Schedule Schedule
 	// RetainShardSnapshots keeps each shard's sub-solver snapshot bytes (the
 	// per-shard section of the persistence manifest) in memory after Build
@@ -254,11 +250,9 @@ type Sharded struct {
 	shards       []shardState
 	batches      bool
 	// active is the resolved wave schedule (waves.go): Config.Schedule
-	// checked against floor eligibility — the partitioner is head-first,
-	// floor seeding is enabled, there is a live head and at least one live
-	// tail, and every live tail sub-solver accepts floors. Re-evaluated
-	// after every mutation (a re-plan can change a tail solver's
-	// capabilities).
+	// checked against floor eligibility — the partitioner is head-first and
+	// there is a live head and at least one live tail. Re-evaluated after
+	// every mutation (removals can empty a shard).
 	active Schedule
 	// obs holds one observed-floor board per shard when a floor-bearing
 	// schedule is active (waves.go): the tightest floors wave scheduling
@@ -685,21 +679,9 @@ func (s *Sharded) refreshComposite() {
 		}
 	}
 	floorsOK := false
-	if s.headFirst && !s.cfg.DisableFloorSeeding && len(shards) > 1 && shards[0].count > 0 {
-		live := 0
-		floorsOK = true
-		for i := 1; i < len(shards); i++ {
-			if shards[i].count == 0 {
-				continue
-			}
-			live++
-			if !shards[i].caps.Floors {
-				floorsOK = false
-				break
-			}
-		}
-		if live == 0 {
-			floorsOK = false
+	if s.headFirst && len(shards) > 1 && shards[0].count > 0 {
+		for i := 1; i < len(shards) && !floorsOK; i++ {
+			floorsOK = shards[i].count > 0
 		}
 	}
 	switch {
@@ -774,22 +756,13 @@ func (s *Sharded) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 	return s.query(nil, userIDs, k, nil, nil)
 }
 
-// QueryWithFloors implements mips.ThresholdQuerier, making Sharded
-// composable under a further threshold-propagating layer: caller floors
-// seed wave 1 (when the head sub-solver accepts them), combine with the
-// harvested head thresholds for wave 2, and reach every floor-capable shard
-// on the single-wave path. Results honor the floor contract.
-func (s *Sharded) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
-	if err := mips.ValidateFloors(userIDs, floors); err != nil {
-		return nil, err
-	}
-	return s.query(nil, userIDs, k, floors, nil)
-}
-
-// QueryCtx implements mips.CancellableQuerier: the deadline fans out with
-// the query — every shard dispatch prefers the sub-solver's own QueryCtx
-// (which polls at its natural pruning boundary), and the fan-out itself
-// stops claiming shards once ctx is done.
+// QueryCtx implements mips.Solver. Caller floors make Sharded composable
+// under a further threshold-propagating layer: they seed wave 1, combine
+// with the harvested head thresholds for wave 2, and reach every shard on
+// the single-wave path. The deadline fans out with the query — every shard
+// dispatch goes through the sub-solver's own QueryCtx (which polls at its
+// natural pruning boundary), and the fan-out itself stops claiming shards
+// once ctx is done.
 func (s *Sharded) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
@@ -913,12 +886,11 @@ func (s *Sharded) fanOut(ctx context.Context, firstShard int, userIDs []int, k i
 const mergeGrain = 64
 
 // queryShard answers one shard and remaps its item ids into global space.
-// floors, when non-nil, seeds the shard's query if its solver accepts
-// floors; a plain Query is a valid substitute (its result is a superset of
-// any floored prefix), so non-capable solvers on the single-wave path just
-// ignore the bound. Failures route through the containment policy (settle):
-// sub-solver panics and errors quarantine the shard, strict mode fails
-// closed, partial mode records a Coverage gap.
+// floors, when non-nil, seed the shard's query (a sub-solver may ignore
+// them: its unseeded answer is a superset of any floored prefix). Failures
+// route through the containment policy (settle): sub-solver panics and
+// errors quarantine the shard, strict mode fails closed, partial mode
+// records a Coverage gap.
 func (s *Sharded) queryShard(ctx context.Context, si int, userIDs []int, k int, floors []float64, sc *queryScratch, partial bool) error {
 	sh := &s.shards[si]
 	if sh.count == 0 {
@@ -1006,12 +978,9 @@ func (s *Sharded) queryShard(ctx context.Context, si int, userIDs []int, k int, 
 }
 
 // shardQuery dispatches one shard's query to its Worker under panic
-// containment (recoverShard). The worker owns the interface-richness ladder
-// (QueryCtx when a deadline must propagate in-flight, live board or static
-// floors when seeded, plain Query otherwise — see localWorker.Query); the
-// coordinator only routes. At most one of floors and board may be non-nil.
-// A recovered panic leaves (nil, nil) here and its typed error in
-// sc.perr[si] — the caller folds it back in.
+// containment (recoverShard); the coordinator only routes. At most one of
+// floors and board may be non-nil. A recovered panic leaves (nil, nil) here
+// and its typed error in sc.perr[si] — the caller folds it back in.
 func (s *Sharded) shardQuery(ctx context.Context, sh *shardState, si int, userIDs []int, kq int, floors []float64, board *topk.FloorBoard, sc *queryScratch) (res [][]topk.Entry, err error) {
 	defer recoverShard(sc, si)
 	return sh.w.Query(ctx, userIDs, kq, floors, board)
@@ -1095,8 +1064,5 @@ func identityRange(lo, hi int) []int {
 	return ids
 }
 
-// The composite propagates deadlines and degrades explicitly (health.go).
-var (
-	_ mips.CancellableQuerier = (*Sharded)(nil)
-	_ mips.PartialQuerier     = (*Sharded)(nil)
-)
+// The composite degrades explicitly (health.go).
+var _ mips.PartialQuerier = (*Sharded)(nil)

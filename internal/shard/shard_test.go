@@ -451,47 +451,44 @@ func TestValidatePartition(t *testing.T) {
 	}
 }
 
-// Static conformance: the composite and all four floor-capable sub-solvers
-// implement the threshold-propagation contracts.
+// Static conformance: the composite and the four pruning sub-solvers take
+// floors through mips.Solver.QueryCtx and meter the scans floors save.
 var (
-	_ mips.ThresholdQuerier = (*Sharded)(nil)
-	_ mips.ScanCounter      = (*Sharded)(nil)
-	_ mips.ThresholdQuerier = (*core.BMM)(nil)
-	_ mips.ThresholdQuerier = (*core.Maximus)(nil)
-	_ mips.ThresholdQuerier = (*lemp.Index)(nil)
-	_ mips.ThresholdQuerier = (*conetree.Index)(nil)
-	_ mips.ScanCounter      = (*core.BMM)(nil)
-	_ mips.ScanCounter      = (*core.Maximus)(nil)
-	_ mips.ScanCounter      = (*lemp.Index)(nil)
-	_ mips.ScanCounter      = (*conetree.Index)(nil)
+	_ mips.Solver      = (*Sharded)(nil)
+	_ mips.ScanCounter = (*Sharded)(nil)
+	_ mips.Solver      = (*core.BMM)(nil)
+	_ mips.Solver      = (*core.Maximus)(nil)
+	_ mips.Solver      = (*lemp.Index)(nil)
+	_ mips.Solver      = (*conetree.Index)(nil)
+	_ mips.ScanCounter = (*core.BMM)(nil)
+	_ mips.ScanCounter = (*core.Maximus)(nil)
+	_ mips.ScanCounter = (*lemp.Index)(nil)
+	_ mips.ScanCounter = (*conetree.Index)(nil)
 )
 
 // TestTwoWaveMatchesSingleWave is the threshold-propagation invariant: for
-// every floor-capable sub-solver and shard count, the two-wave floor-seeded
-// query over the by-norm partition returns entry-for-entry identical
-// results to the blind single-wave fan-out (and both match the exactness
-// oracle). Floors must never scan *more* than the blind path.
+// every sub-solver and shard count, the two-wave floor-seeded query over the
+// by-norm partition returns entry-for-entry identical results to the blind
+// single-wave fan-out (and both match the exactness oracle). Floors must
+// never scan *more* than the blind path.
 func TestTwoWaveMatchesSingleWave(t *testing.T) {
 	models := []string{"netflix-nomad-25", "r2-nomad-25"}
 	const k = 7
 	for _, mname := range models {
 		m := model(t, mname, 0.04)
 		for sub, factory := range factories() {
-			if sub == "Naive" {
-				continue // not floor-capable; covered by TestTwoWaveFallbacks
-			}
 			for _, shards := range []int{2, 3, 8} {
 				name := fmt.Sprintf("%s/%s/S=%d", mname, sub, shards)
 				t.Run(name, func(t *testing.T) {
 					blind := New(Config{
 						Shards: shards, Partitioner: ByNorm(),
-						Factory: factory, DisableFloorSeeding: true,
+						Factory: factory, Schedule: SingleWave,
 					})
 					if err := blind.Build(m.Users, m.Items); err != nil {
 						t.Fatal(err)
 					}
 					if blind.TwoWave() {
-						t.Fatal("DisableFloorSeeding must force single-wave")
+						t.Fatal("Schedule: SingleWave must force single-wave")
 					}
 					want, err := blind.QueryAll(k)
 					if err != nil {
@@ -549,7 +546,7 @@ func TestTwoWavePrunesTailScans(t *testing.T) {
 		t.Run(sub, func(t *testing.T) {
 			blind := New(Config{
 				Shards: 4, Partitioner: ByNorm(),
-				Factory: factory, DisableFloorSeeding: true,
+				Factory: factory, Schedule: SingleWave,
 			})
 			if err := blind.Build(users, items); err != nil {
 				t.Fatal(err)
@@ -583,23 +580,23 @@ func TestTwoWavePrunesTailScans(t *testing.T) {
 }
 
 // TestTwoWaveFallbacks pins when threshold propagation must NOT engage:
-// single shard, non-head-first partitions, floor-blind sub-solvers, and the
-// explicit lesion switch — all staying exact on the single-wave path.
+// single shard, non-head-first partitions, and the explicit SingleWave
+// lesion — all staying exact on the single-wave path. A Naive sub-solver is
+// no fallback: its QueryCtx honors floors, so it takes the two-wave path.
 func TestTwoWaveFallbacks(t *testing.T) {
 	m := model(t, "netflix-nomad-10", 0.02)
 	const k = 3
+	bmm := func() mips.Solver { return core.NewBMM(core.BMMConfig{}) }
 	cases := []struct {
-		name string
-		cfg  Config
+		name    string
+		cfg     Config
+		twoWave bool
 	}{
-		{"S=1", Config{Shards: 1, Partitioner: ByNorm(),
-			Factory: func() mips.Solver { return core.NewBMM(core.BMMConfig{}) }}},
-		{"contiguous", Config{Shards: 3,
-			Factory: func() mips.Solver { return core.NewBMM(core.BMMConfig{}) }}},
+		{"S=1", Config{Shards: 1, Partitioner: ByNorm(), Factory: bmm}, false},
+		{"contiguous", Config{Shards: 3, Factory: bmm}, false},
 		{"naive-sub-solver", Config{Shards: 3, Partitioner: ByNorm(),
-			Factory: func() mips.Solver { return mips.NewNaive() }}},
-		{"disabled", Config{Shards: 3, Partitioner: ByNorm(), DisableFloorSeeding: true,
-			Factory: func() mips.Solver { return core.NewBMM(core.BMMConfig{}) }}},
+			Factory: func() mips.Solver { return mips.NewNaive() }}, true},
+		{"disabled", Config{Shards: 3, Partitioner: ByNorm(), Schedule: SingleWave, Factory: bmm}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -607,8 +604,8 @@ func TestTwoWaveFallbacks(t *testing.T) {
 			if err := sh.Build(m.Users, m.Items); err != nil {
 				t.Fatal(err)
 			}
-			if sh.TwoWave() {
-				t.Fatal("two-wave must not engage")
+			if sh.TwoWave() != tc.twoWave {
+				t.Fatalf("two-wave = %v, want %v", sh.TwoWave(), tc.twoWave)
 			}
 			res, err := sh.QueryAll(k)
 			if err != nil {
@@ -621,8 +618,8 @@ func TestTwoWaveFallbacks(t *testing.T) {
 	}
 }
 
-// TestShardedQueryWithFloors covers the composite's own ThresholdQuerier:
-// caller floors must compose with the internal two-wave harvest (by-norm)
+// TestShardedQueryWithFloors covers the composite's own floor path: caller
+// floors passed to QueryCtx must compose with the internal two-wave harvest (by-norm)
 // and forward on the single-wave path (contiguous), honoring the floor
 // contract against the unseeded composite.
 func TestShardedQueryWithFloors(t *testing.T) {
@@ -653,14 +650,14 @@ func TestShardedQueryWithFloors(t *testing.T) {
 					floors[i] = want[i][0].Score
 				}
 			}
-			got, err := sh.QueryWithFloors(ids, k, floors)
+			got, err := sh.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := mips.VerifyFloorPrefix(want, got, floors); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sh.QueryWithFloors(ids, k, floors[:1]); err == nil {
+			if _, err := sh.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors[:1]}); err == nil {
 				t.Fatal("floor/user length mismatch must fail")
 			}
 		})

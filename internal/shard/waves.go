@@ -5,8 +5,8 @@
 //
 //   - SingleWave: blind fan-out — every shard answers from a cold heap. The
 //     mandatory fallback whenever floor propagation is unavailable (S=1,
-//     non-head-first partitions, a floor-incapable tail, or
-//     Config.DisableFloorSeeding), and the lesion arm of the ablations.
+//     non-head-first partitions, no live head or tail), and the lesion arm
+//     of the ablations.
 //   - TwoWave: the head shard answers alone; each user's k-th head score
 //     seeds every tail shard at once. Exactly the pre-schedule behavior —
 //     AutoSchedule resolves here whenever eligible.
@@ -17,9 +17,9 @@
 //     — strictly tighter than TwoWave's head-only floors, at the cost of
 //     serializing the waves. Fully deterministic: scan counters are
 //     reproducible run to run.
-//   - Pipelined: every shard starts at once. Shards whose sub-solver
-//     implements mips.LiveFloorQuerier start blind but poll a shared
-//     topk.FloorBoard at their pruning decision points, so a floor raised by
+//   - Pipelined: every shard starts at once. Shards start blind but their
+//     sub-solvers poll a shared topk.FloorBoard (QueryOptions.Board) at
+//     their pruning decision points, so a floor raised by
 //     an earlier-finishing shard re-seeds them in flight; each shard that
 //     completes with a full k rows raises the board with its per-user k-th
 //     score. Results are exact regardless of timing (every raise is a

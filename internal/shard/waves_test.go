@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"optimus/internal/mat"
 	"optimus/internal/mips"
+	"optimus/internal/persist"
 	"optimus/internal/topk"
 )
 
@@ -35,9 +37,10 @@ func TestScheduleNames(t *testing.T) {
 
 // TestScheduleResolution pins how requested schedules resolve against
 // eligibility: floor schedules fall back to SingleWave whenever floor
-// propagation is unavailable, AutoSchedule resolves to TwoWave when
-// available, an explicit SingleWave is always honored, and re-scheduling a
-// built composite re-resolves.
+// propagation is unavailable (and only then — a Naive tail is eligible, its
+// QueryCtx honors floors), AutoSchedule resolves to TwoWave when available,
+// an explicit SingleWave is always honored, every resolution answers
+// exactly, and re-scheduling a built composite re-resolves.
 func TestScheduleResolution(t *testing.T) {
 	m := model(t, "netflix-nomad-10", 0.02)
 	lempF := factories()["LEMP"]
@@ -54,9 +57,8 @@ func TestScheduleResolution(t *testing.T) {
 		{"two-wave-explicit", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF, Schedule: TwoWave}, TwoWave},
 		{"single-explicit", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF, Schedule: SingleWave}, SingleWave},
 		{"cascade-contiguous", Config{Shards: 3, Factory: lempF, Schedule: Cascade}, SingleWave},
-		{"cascade-naive-tail", Config{Shards: 3, Partitioner: ByNorm(), Factory: naiveF, Schedule: Cascade}, SingleWave},
-		{"pipelined-disabled", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF,
-			Schedule: Pipelined, DisableFloorSeeding: true}, SingleWave},
+		{"cascade-naive-tail", Config{Shards: 3, Partitioner: ByNorm(), Factory: naiveF, Schedule: Cascade}, Cascade},
+		{"pipelined-disabled", Config{Shards: 3, Factory: lempF, Schedule: Pipelined}, SingleWave},
 		{"cascade-S1", Config{Shards: 1, Partitioner: ByNorm(), Factory: lempF, Schedule: Cascade}, SingleWave},
 	}
 	for _, tc := range cases {
@@ -73,6 +75,13 @@ func TestScheduleResolution(t *testing.T) {
 			}
 			if sh.ActiveScheduleName() != tc.want.String() {
 				t.Fatalf("name = %q, want %q", sh.ActiveScheduleName(), tc.want.String())
+			}
+			res, err := sh.QueryAll(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mips.VerifyAll(m.Users, m.Items, res, 3, 1e-9); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -160,7 +169,7 @@ func TestSchedulesMatchSingleWave(t *testing.T) {
 					for u := range want {
 						assertSameEntries(t, u, want[u], got[u])
 					}
-					floored, err := sh.QueryWithFloors(ids, k, floors)
+					floored, err := sh.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -288,9 +297,8 @@ func TestCascadeCutsScansVsTwoWave(t *testing.T) {
 
 // stubSolver answers canned, shard-locally-ordered rows without allocating
 // after its first call of a given shape — isolating the composite
-// orchestration layer for the allocation regression test. It implements
-// ThresholdQuerier (floors ignored: a superset answer is always valid) so
-// the floor schedules engage.
+// orchestration layer for the allocation regression test. Its QueryCtx
+// ignores floors (a superset answer is always valid).
 type stubSolver struct {
 	items int
 	rows  [][]topk.Entry
@@ -328,7 +336,7 @@ func (s *stubSolver) QueryAll(k int) ([][]topk.Entry, error) {
 	return nil, fmt.Errorf("stub: QueryAll unused")
 }
 
-func (s *stubSolver) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
+func (s *stubSolver) QueryCtx(_ context.Context, userIDs []int, k int, _ mips.QueryOptions) ([][]topk.Entry, error) {
 	return s.Query(userIDs, k)
 }
 
@@ -436,10 +444,6 @@ func (r *floorRecorder) Build(users, items *mat.Matrix) error {
 	return r.Solver.Build(users, items)
 }
 
-func (r *floorRecorder) QueryWithFloors(userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
-	return r.Solver.(mips.ThresholdQuerier).QueryWithFloors(userIDs, k, floors)
-}
-
 // TestObservedFloorFeedback pins the construction side of the loop: queries
 // record the floors each shard was fed (global user ids), SingleWave keeps
 // no boards, and a dirty-shard rebuild replays the observed floors into the
@@ -539,9 +543,9 @@ func TestObservedFloorFeedback(t *testing.T) {
 }
 
 // TestScheduleRoundTrip pins schedule persistence: a non-default requested
-// schedule survives Save/Load (via the additive trailing section), the
-// default writes no section at all (golden byte-stability), and the loaded
-// composite answers identically.
+// schedule survives Save/Load and Save/LoadAny (via the additive trailing
+// section), the default writes no section at all (golden byte-stability),
+// and the loaded composite answers identically.
 func TestScheduleRoundTrip(t *testing.T) {
 	m := model(t, "netflix-nomad-10", 0.04)
 	const k = 3
@@ -574,6 +578,15 @@ func TestScheduleRoundTrip(t *testing.T) {
 			}
 			if dst.ActiveSchedule() != src.ActiveSchedule() {
 				t.Fatalf("loaded active schedule %v, want %v", dst.ActiveSchedule(), src.ActiveSchedule())
+			}
+			// The self-describing path restores it too: a SingleWave lesion
+			// saved here must not come back two-wave.
+			ls, err := persist.LoadAny(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ls.(*Sharded).ActiveSchedule(); got != src.ActiveSchedule() {
+				t.Fatalf("LoadAny active schedule %v, want %v", got, src.ActiveSchedule())
 			}
 			got, err := dst.QueryAll(k)
 			if err != nil {

@@ -26,22 +26,13 @@ import (
 // WorkerCaps is a worker's static capability word: which optional parts of
 // the contract the underlying solver actually implements. The coordinator
 // gates on these exactly where it used to gate on interface assertions —
-// refreshComposite's floor eligibility, the mutation patch paths, scan
-// accounting, snapshot capture. A transport client forwards the worker-side
-// word verbatim (with LiveFloors forced off: a live board cannot cross a
-// wire, only its snapshot can).
+// the mutation patch paths, scan accounting, snapshot capture. Queries need
+// no capability: every solver answers floors, boards and deadlines through
+// mips.Solver.QueryCtx. A transport client forwards the worker-side word
+// verbatim.
 type WorkerCaps struct {
 	// Batches mirrors mips.Solver.Batches.
 	Batches bool
-	// Floors: the solver accepts static per-user floors
-	// (mips.ThresholdQuerier).
-	Floors bool
-	// LiveFloors: the solver polls a live floor board mid-query
-	// (mips.LiveFloorQuerier). Always false across a transport.
-	LiveFloors bool
-	// Cancellable: the solver polls ctx at its pruning boundary
-	// (mips.CancellableQuerier).
-	Cancellable bool
 	// Mutable: AddItems/RemoveItems patch in place (mips.ItemMutator).
 	Mutable bool
 	// UserAdds: AddUsers extends the user matrix (mips.UserAdder).
@@ -60,10 +51,10 @@ type WorkerCaps struct {
 //
 // Query is the single dispatch entry point. ctx may be nil (never cancels);
 // at most one of floors and board is non-nil. The floor contract is
-// mips.ThresholdQuerier's: seeded results must be a prefix of the unseeded
-// ones with ties at the floor retained. A worker without the matching
-// capability degrades along the documented ladder (board → floors snapshot →
-// plain query), which the contract permits.
+// mips.Solver.QueryCtx's: seeded results must be a prefix of the unseeded
+// ones with ties at the floor retained. A worker that cannot carry a live
+// board (a transport) snapshots it into static floors, which the contract
+// permits.
 //
 // Error semantics carry the containment policy (health.go settle): a context
 // error returned from Query must satisfy errors.Is against context.Canceled
@@ -100,27 +91,21 @@ type Worker interface {
 type WorkerDialer func(shard int, section []byte) (Worker, error)
 
 // NewWorker wraps a built sub-solver in the in-process Worker. All optional
-// interfaces are asserted once here, so Query dispatches through cached
-// fields — the fan-out hot path stays allocation-free.
+// interfaces are asserted once here, so the worker dispatches through cached
+// fields.
 func NewWorker(solver mips.Solver) Worker {
 	w := &localWorker{solver: solver}
-	w.cq, _ = solver.(mips.CancellableQuerier)
-	w.lq, _ = solver.(mips.LiveFloorQuerier)
-	w.tq, _ = solver.(mips.ThresholdQuerier)
 	w.im, _ = solver.(mips.ItemMutator)
 	w.ua, _ = solver.(mips.UserAdder)
 	w.scn, _ = solver.(mips.ScanCounter)
 	w.ts, _ = solver.(mips.ThreadSetter)
 	w.p, _ = solver.(mips.Persister)
 	w.caps = WorkerCaps{
-		Batches:     solver.Batches(),
-		Floors:      w.tq != nil,
-		LiveFloors:  w.lq != nil,
-		Cancellable: w.cq != nil,
-		Mutable:     w.im != nil,
-		UserAdds:    w.ua != nil,
-		Scans:       w.scn != nil,
-		Snapshots:   w.p != nil,
+		Batches:   solver.Batches(),
+		Mutable:   w.im != nil,
+		UserAdds:  w.ua != nil,
+		Scans:     w.scn != nil,
+		Snapshots: w.p != nil,
 	}
 	return w
 }
@@ -133,9 +118,6 @@ type localWorker struct {
 	caps   WorkerCaps
 
 	// Optional interfaces, asserted once at NewWorker.
-	cq  mips.CancellableQuerier
-	lq  mips.LiveFloorQuerier
-	tq  mips.ThresholdQuerier
 	im  mips.ItemMutator
 	ua  mips.UserAdder
 	scn mips.ScanCounter
@@ -149,37 +131,9 @@ type localWorker struct {
 // calls this.
 func (w *localWorker) Solver() mips.Solver { return w.solver }
 
-// Query dispatches through the richest interface the solver and the request
-// support: QueryCtx when a deadline must propagate in-flight, the live board
-// or static floors when seeded, plain Query otherwise.
+// Query implements Worker through the solver's QueryCtx.
 func (w *localWorker) Query(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, error) {
-	if ctx != nil {
-		if w.cq != nil {
-			return w.cq.QueryCtx(ctx, userIDs, k, mips.QueryOptions{Floors: floors, Board: board})
-		}
-		if err := ctx.Err(); err != nil {
-			// A non-cancellable sub-solver cannot stop mid-flight; at
-			// least do not start past the deadline.
-			return nil, err
-		}
-	}
-	switch {
-	case board != nil:
-		if w.lq != nil {
-			return w.lq.QueryWithFloorBoard(userIDs, k, board)
-		}
-		if w.tq != nil {
-			return w.tq.QueryWithFloors(userIDs, k, board.Snapshot(nil))
-		}
-		return w.solver.Query(userIDs, k)
-	case floors != nil:
-		if w.tq != nil {
-			return w.tq.QueryWithFloors(userIDs, k, floors)
-		}
-		return w.solver.Query(userIDs, k)
-	default:
-		return w.solver.Query(userIDs, k)
-	}
+	return w.solver.QueryCtx(ctx, userIDs, k, mips.QueryOptions{Floors: floors, Board: board})
 }
 
 // AddItems implements Worker (gated by Caps().Mutable).

@@ -13,7 +13,8 @@ import (
 // argument: a solver that observed floor f for a user and later observes
 // f' >= f has only ever pruned candidates strictly below a *valid* lower
 // bound, so its result still satisfies the floor contract at the highest
-// floor it saw (see mips.LiveFloorQuerier).
+// floor it saw (see the board contract on mips.Solver.QueryCtx, which takes a
+// board through QueryOptions.Board).
 //
 // Cells store math.Float64bits values in atomic.Uint64s. Raw uint64
 // comparison does not order floats across the sign boundary, so Raise
@@ -74,8 +75,9 @@ func (b *FloorBoard) Fill(floors []float64) {
 
 // Snapshot appends every cell's current bound to dst (allocating when dst is
 // nil or short) and returns it — the bridge from a live board to the static
-// []float64 floors a plain ThresholdQuerier accepts. The snapshot is only a
-// point-in-time lower bound per cell; cells may rise immediately after.
+// []float64 floors of a solver that does not poll live (BMM, a wire). The
+// snapshot is only a point-in-time lower bound per cell; cells may rise
+// immediately after.
 func (b *FloorBoard) Snapshot(dst []float64) []float64 {
 	if cap(dst) < len(b.cells) {
 		dst = make([]float64, len(b.cells))

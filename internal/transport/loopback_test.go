@@ -136,7 +136,7 @@ func TestLoopbackEquivalenceMatrix(t *testing.T) {
 							floors[i] = got[i][0].Score
 						}
 					}
-					seeded, err := wired.QueryWithFloors(ids, k, floors)
+					seeded, err := wired.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -80,26 +80,20 @@ func capsBits(c shard.WorkerCaps) byte {
 		}
 	}
 	set(0, c.Batches)
-	set(1, c.Floors)
-	set(2, c.LiveFloors)
-	set(3, c.Cancellable)
-	set(4, c.Mutable)
-	set(5, c.UserAdds)
-	set(6, c.Scans)
-	set(7, c.Snapshots)
+	set(1, c.Mutable)
+	set(2, c.UserAdds)
+	set(3, c.Scans)
+	set(4, c.Snapshots)
 	return b
 }
 
 func capsFromBits(b byte) shard.WorkerCaps {
 	return shard.WorkerCaps{
-		Batches:     b&(1<<0) != 0,
-		Floors:      b&(1<<1) != 0,
-		LiveFloors:  b&(1<<2) != 0,
-		Cancellable: b&(1<<3) != 0,
-		Mutable:     b&(1<<4) != 0,
-		UserAdds:    b&(1<<5) != 0,
-		Scans:       b&(1<<6) != 0,
-		Snapshots:   b&(1<<7) != 0,
+		Batches:   b&(1<<0) != 0,
+		Mutable:   b&(1<<1) != 0,
+		UserAdds:  b&(1<<2) != 0,
+		Scans:     b&(1<<3) != 0,
+		Snapshots: b&(1<<4) != 0,
 	}
 }
 
@@ -255,9 +249,7 @@ func okReply(fill func(*persist.Encoder)) []byte {
 // Client wraps a Conn as a shard.Worker: every contract call is encoded,
 // exchanged, and decoded — there is no in-process shortcut, which is exactly
 // what makes loopback a faithful rehearsal of a remote deployment. The
-// worker-side capability word is fetched once at dial and cached, with
-// LiveFloors forced off: a live floor board cannot cross a wire, only its
-// snapshot can, so board queries degrade to static floors client-side.
+// worker-side capability word is fetched once at dial and cached.
 type Client struct {
 	conn Conn
 	caps shard.WorkerCaps
@@ -275,9 +267,7 @@ func NewClient(conn Conn) (*Client, error) {
 	if len(payload) != 1 {
 		return nil, fmt.Errorf("transport: caps reply has %d payload bytes, want 1", len(payload))
 	}
-	caps := capsFromBits(payload[0])
-	caps.LiveFloors = false
-	return &Client{conn: conn, caps: caps}, nil
+	return &Client{conn: conn, caps: capsFromBits(payload[0])}, nil
 }
 
 // roundTrip performs one exchange and unwraps the reply status.

@@ -80,16 +80,17 @@ type Matrix = mat.Matrix
 type Entry = topk.Entry
 
 // Solver is an exact batch top-K MIPS solver (see the mips package contract:
-// Build, then Query/QueryAll; implementations are read-only after Build).
+// Build, then Query/QueryAll/QueryCtx; implementations are read-only after
+// Build). A custom solver implements QueryCtx too; ignoring its floors is
+// valid, because the unseeded answer is a superset of every floored one.
 type Solver = mips.Solver
 
-// ThresholdQuerier is the optional Solver refinement for floor-seeded
-// queries: QueryWithFloors(userIDs, k, floors) prunes each user's search
-// against a caller-known lower bound on their global k-th score, returning
-// a prefix of the unseeded result (every entry at or above the floor,
-// identically ranked). BMM, MAXIMUS, LEMP, FEXIPRO, the cone tree, and
-// Sharded all implement it; the sharded two-wave query path is built on it.
-type ThresholdQuerier = mips.ThresholdQuerier
+// QueryOptions carries the optional floor source of a Solver.QueryCtx call:
+// static per-user floors, or a live floor board, or neither. A floor-seeded
+// row is the prefix of the unseeded row whose scores are at or above the
+// user's floor (ties kept), identically ranked; the sharded two-wave query
+// path is built on it.
+type QueryOptions = mips.QueryOptions
 
 // ItemMutator is the optional Solver refinement for mutable item corpora —
 // the build/mutate lifecycle. AddItems appends items (ids [n, n+m) are
@@ -249,12 +250,12 @@ type ShardedConfig = shard.Config
 // NewShardPlanner), fans queries out in parallel, and k-way merges the
 // partial top-Ks. Results are identical to the unsharded solver's.
 //
-// With the ShardByNorm partitioner and floor-capable sub-solvers (see
-// ThresholdQuerier), queries automatically run in two waves: the
-// largest-norm head shard answers first, each user's k-th head score seeds
-// the tail shards' thresholds, and norm-sorted tail shards prune most of
-// their scans — cross-shard threshold propagation. Set
-// ShardedConfig.DisableFloorSeeding to force the blind single-wave fan-out.
+// With the ShardByNorm partitioner, queries automatically run in two waves
+// (see QueryOptions): the largest-norm head shard answers first, each user's
+// k-th head score seeds the tail shards' thresholds, and norm-sorted tail
+// shards prune most of their scans — cross-shard threshold propagation. Set
+// ShardedConfig.Schedule to ScheduleSingle to force the blind single-wave
+// fan-out.
 type Sharded = shard.Sharded
 
 // ShardPlan describes one shard's item count, chosen strategy, and build
@@ -316,13 +317,6 @@ func ShardByNorm() shard.Partitioner { return shard.ByNorm() }
 func NewShardPlanner(cfg OptimusConfig, planK int, candidates ...SolverFactory) shard.Planner {
 	return shard.NewOptimusPlanner(cfg, planK, candidates...)
 }
-
-// CancellableQuerier is the optional Solver refinement for deadline-aware
-// queries: QueryCtx observes ctx between (and, for the sharded composite,
-// inside) per-shard calls and returns ctx.Err() promptly once it fires.
-// Results on the nil-error path are identical to Query's. Every shipped
-// solver implements it.
-type CancellableQuerier = mips.CancellableQuerier
 
 // Coverage reports which shards answered a degraded-mode query: Answered of
 // Shards responded, Skipped lists the quarantined or failed shard indexes,

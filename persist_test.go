@@ -176,7 +176,7 @@ func TestSaveLoadEquivalenceSharded(t *testing.T) {
 						floors[u] = want[u][len(want[u])-1].Score
 					}
 				}
-				seeded, err := loaded.QueryWithFloors(userIDs, k, floors)
+				seeded, err := loaded.QueryCtx(nil, userIDs, k, QueryOptions{Floors: floors})
 				if err != nil {
 					t.Fatal(err)
 				}
