@@ -1,15 +1,11 @@
 // Command mipsbench regenerates the paper's evaluation artifacts on the
 // synthetic reference models. Each experiment id corresponds to one table or
-// figure of the paper (plus the ablation studies); see DESIGN.md §5 for the
-// index.
+// figure of the paper (plus the ablation studies and the systems
+// experiments); `mipsbench -list` prints every id.
 //
 // Usage:
 //
-//	mipsbench [flags] <experiment>
-//
-// where <experiment> is one of: table1 fig2 fig4 fig5 fig6 fig7 fig8 table2
-// sharding waves churn coldstart drift ablation-clustering ablation-params
-// ablation-ttest ablation-costmodel all
+//	mipsbench [flags] <experiment|all>
 //
 // Examples:
 //

@@ -62,7 +62,6 @@ import (
 	"time"
 
 	"optimus/internal/adapt"
-	_ "optimus/internal/conetree" // register snapshot kind
 	"optimus/internal/core"
 	"optimus/internal/fexipro"
 	"optimus/internal/lemp"

@@ -41,7 +41,6 @@ func goldenSolvers() []struct {
 		{"bmm", func() Solver { return NewBMM(BMMConfig{}) }},
 		{"maximus", func() Solver { return NewMaximus(MaximusConfig{Seed: 1}) }},
 		{"lemp", func() Solver { return NewLEMP(LEMPConfig{Seed: 1}) }},
-		{"conetree", func() Solver { return NewConeTree(ConeTreeConfig{}) }},
 		{"fexipro-si", func() Solver { return NewFexipro(FexiproConfig{Variant: FexiproSI}) }},
 		{"fexipro-sir", func() Solver { return NewFexipro(FexiproConfig{Variant: FexiproSIR}) }},
 		{"sharded", func() Solver {

@@ -9,11 +9,12 @@
 // *measured* decision (§IV) — goes stale the moment the corpus churns: the
 // by-norm cutoffs, the shard count S, the per-shard index-vs-scan plans,
 // and the wave schedule were all chosen for the build-time distribution.
-// Every structure in the repository already collects the evidence of that
-// decay (per-shard churn counters, arrival routing, scan meters, the cone
-// tree's churn-fraction rule); adapt gives the evidence one shape and one
-// trigger surface, so the per-solver rule (conetree) and the composite rule
-// (shard.Sharded) report and fire through the same API.
+// The composite already collects the evidence of that decay (per-shard
+// churn counters, arrival routing, scan meters); adapt gives the evidence
+// one shape and one trigger surface. Reporter is implemented by
+// shard.Sharded and serving.Server only: a single solver does not report
+// drift, because a baseline is made mutable by the composite's rebuilds and
+// a served solver patches in place.
 //
 // adapt deliberately depends on nothing but the standard library, so any
 // layer — solver, composite, serving — can implement Reporter or Driver
@@ -92,7 +93,7 @@ func (d DriftStats) ScanRegression() float64 {
 }
 
 // Reporter is implemented by structures that measure their own drift
-// (shard.Sharded, conetree.Index, serving.Server).
+// (shard.Sharded, serving.Server).
 type Reporter interface {
 	DriftStats() DriftStats
 }
@@ -101,8 +102,7 @@ type Reporter interface {
 // DriftStats measurement. For every threshold the zero value selects the
 // documented default and a negative value disables that trigger; the zero
 // Policy is therefore a sensible composite default, and a single-trigger
-// policy (the cone tree's churn-fraction rule) disables the rest
-// explicitly.
+// policy disables the rest explicitly.
 type Policy struct {
 	// MaxImbalance fires "imbalance" when DriftStats.Imbalance exceeds it.
 	// Default 1.5 (the most-loaded partition holds 50% more than its fair
@@ -117,14 +117,8 @@ type Policy struct {
 	// exceeds the locked baseline by this fraction. Default 0.25 (+25%
 	// scanned candidates per user).
 	MaxScanRegression float64
-	// MaxChurnFraction fires "churn-fraction" when total churn exceeds this
-	// fraction of the current corpus — the cone tree's
-	// rebuild-on-imbalance rule generalized. Default 0: DISABLED (unlike
-	// the other thresholds there is no universally sensible volume rule;
-	// the composite retunes on measured symptoms instead).
-	MaxChurnFraction float64
-	// MinChurn gates every churn-derived trigger (imbalance, arrival-skew,
-	// churn-fraction): none fires before this many mutations have been
+	// MinChurn gates every churn-derived trigger (imbalance,
+	// arrival-skew): none fires before this many mutations have been
 	// absorbed, so a handful of arrivals cannot thrash the structure.
 	// Default 32.
 	MinChurn int64
@@ -166,8 +160,8 @@ func (p Policy) WithDefaults() Policy {
 
 // Trigger identifies which rule fired and with what evidence.
 type Trigger struct {
-	// Reason is the rule name: "churn-fraction", "imbalance",
-	// "arrival-skew", or "scan-regression".
+	// Reason is the rule name: "imbalance", "arrival-skew", or
+	// "scan-regression".
 	Reason string
 	// Value is the measured quantity, Threshold the configured limit it
 	// exceeded.
@@ -182,18 +176,12 @@ func (t Trigger) String() string {
 }
 
 // Evaluate applies the policy to a measurement. Rules are checked in a
-// fixed order — churn-fraction, imbalance, arrival-skew, scan-regression —
+// fixed order — imbalance, arrival-skew, scan-regression —
 // and the first exceeded threshold is returned, so a caller acting on the
 // result sees a deterministic reason for deterministic inputs.
 func (p Policy) Evaluate(d DriftStats) (Trigger, bool) {
 	p = p.WithDefaults()
-	churn := d.Churn()
-	if churn >= p.MinChurn {
-		if p.MaxChurnFraction > 0 && d.Items > 0 &&
-			float64(churn) > p.MaxChurnFraction*float64(d.Items) {
-			return Trigger{Reason: "churn-fraction",
-				Value: float64(churn) / float64(d.Items), Threshold: p.MaxChurnFraction}, true
-		}
+	if d.Churn() >= p.MinChurn {
 		if p.MaxImbalance > 0 && d.Imbalance > p.MaxImbalance {
 			return Trigger{Reason: "imbalance", Value: d.Imbalance, Threshold: p.MaxImbalance}, true
 		}

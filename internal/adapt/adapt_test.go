@@ -15,9 +15,6 @@ func TestWithDefaults(t *testing.T) {
 		p.MinWindowUsers != DefaultMinWindowUsers {
 		t.Fatalf("zero policy did not resolve to defaults: %+v", p)
 	}
-	if p.MaxChurnFraction != 0 {
-		t.Fatalf("churn-fraction default must stay disabled, got %v", p.MaxChurnFraction)
-	}
 	q := Policy{MaxImbalance: -1, MinChurn: 7, MaxScanRegression: 0.5}.WithDefaults()
 	if q.MaxImbalance != -1 || q.MinChurn != 7 || q.MaxScanRegression != 0.5 {
 		t.Fatalf("explicit and disabled values must pass through: %+v", q)
@@ -25,7 +22,7 @@ func TestWithDefaults(t *testing.T) {
 }
 
 // TestEvaluateMatrix walks every trigger, the gates in front of them, and
-// the documented evaluation order (churn-fraction, imbalance, arrival-skew,
+// the documented evaluation order (imbalance, arrival-skew,
 // scan-regression: first exceeded wins).
 func TestEvaluateMatrix(t *testing.T) {
 	churned := DriftStats{Adds: 40, Removes: 24, Items: 100} // churn 64 >= default MinChurn
@@ -42,10 +39,6 @@ func TestEvaluateMatrix(t *testing.T) {
 		{"imbalance-disabled", Policy{MaxImbalance: -1}, with(churned, func(d *DriftStats) { d.Imbalance = 9 }), ""},
 		{"arrival-skew", Policy{}, with(churned, func(d *DriftStats) { d.ArrivalSkew = 0.9 }), "arrival-skew"},
 		{"arrival-skew-disabled", Policy{MaxArrivalSkew: -1}, with(churned, func(d *DriftStats) { d.ArrivalSkew = 0.9 }), ""},
-		{"churn-fraction", Policy{MaxChurnFraction: 0.5}, churned, "churn-fraction"},
-		{"churn-fraction-under", Policy{MaxChurnFraction: 0.7}, churned, ""},
-		{"order-churn-beats-imbalance", Policy{MaxChurnFraction: 0.5},
-			with(churned, func(d *DriftStats) { d.Imbalance = 9 }), "churn-fraction"},
 		{"order-imbalance-beats-skew", Policy{},
 			with(churned, func(d *DriftStats) { d.Imbalance = 9; d.ArrivalSkew = 1 }), "imbalance"},
 		{"scan-regression", Policy{},

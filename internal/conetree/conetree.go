@@ -7,8 +7,10 @@
 //
 // The paper cites Teflioudi et al.'s finding that cone trees lose to LEMP on
 // recommendation workloads; the ablation-conetree experiment reproduces that
-// comparison. The index is nevertheless a genuinely exact solver and
-// implements the same mips.Solver contract as the others.
+// comparison. The index is a genuinely exact solver in the baseline tier
+// (see internal/mips): it implements mips.Solver and mips.ScanCounter, and
+// nothing else — no mutation, no snapshots. A composite (internal/shard)
+// makes it mutable by rebuilding the shards a mutation touches.
 //
 // Node bound. For a user u and a node with unit center direction c, cone
 // half-angle ω = max_i angle(c, i), and item norms in [minNorm, maxNorm]:
@@ -74,13 +76,6 @@ type Index struct {
 	// scanned counts leaf-item evaluations across queries
 	// (mips.ScanCounter); items in pruned subtrees are never scanned.
 	scanned atomic.Int64
-
-	// gen is the mips.ItemMutator mutation stamp; adds/removes count churn
-	// since the last (re)build — the rebuild-on-imbalance rule's input
-	// (mutate.go), reported through the shared adapt.DriftStats shape so the
-	// per-solver trigger and the composite's (internal/shard) speak one API.
-	gen           uint64
-	adds, removes int64
 
 	buildTime time.Duration
 }
@@ -157,8 +152,6 @@ func (x *Index) Build(users, items *mat.Matrix) error {
 	}
 	x.root = x.build(0, n)
 	x.scanned.Store(0)
-	x.gen = 0
-	x.adds, x.removes = 0, 0
 	x.buildTime = time.Since(start)
 	return nil
 }
@@ -286,11 +279,11 @@ func (x *Index) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 // QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
 // branch-and-bound descent compares node bounds against it from the root
 // down — a whole subtree whose bound trails the floor is pruned before a
-// single inner product. A board is re-read at every internal node the
-// descent enters (the tree's natural pruning granularity, where Threshold is
-// consulted), so a floor raised by a concurrently finishing shard tightens
-// the rest of this user's descent. ctx is polled once per user and at the
-// same nodes.
+// single inner product. A board is read once, when the user's descent
+// starts, and seeds the heap the same way (static seeding, the Ram & Gray
+// bound); a floor a concurrent shard raises later is not polled, which the
+// QueryCtx contract allows. ctx is polled once per user and at every
+// internal node.
 func (x *Index) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
@@ -324,7 +317,7 @@ func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float6
 				floor = board.Floor(qi)
 			}
 			h := topk.NewSeeded(k, floor)
-			x.search(ctx, x.root, urow, mat.Norm(urow), h, board, qi, &scanned)
+			x.search(ctx, x.root, urow, mat.Norm(urow), h, &scanned)
 			out[qi] = h.Sorted()
 		}
 		x.scanned.Add(scanned)
@@ -348,10 +341,8 @@ func (x *Index) QueryAll(k int) ([][]topk.Entry, error) {
 // first and pruned against the heap threshold (with the repository's
 // floating-point guard band). A seeded heap reports its floor as the
 // threshold before it fills, so a floored query prunes from the first
-// descent. With a live board, each internal-node entry re-polls the user's
-// cell and tightens the heap floor before the children's bounds are judged.
-// scanned accumulates leaf-item evaluations.
-func (x *Index) search(ctx context.Context, n *node, u []float64, unorm float64, h *topk.Heap, board *topk.FloorBoard, cell int, scanned *int64) {
+// descent. scanned accumulates leaf-item evaluations.
+func (x *Index) search(ctx context.Context, n *node, u []float64, unorm float64, h *topk.Heap, scanned *int64) {
 	if n.left == nil {
 		*scanned += int64(n.hi - n.lo)
 		for s := n.lo; s < n.hi; s++ {
@@ -364,9 +355,6 @@ func (x *Index) search(ctx context.Context, n *node, u []float64, unorm float64,
 	if ctx != nil && ctx.Err() != nil {
 		return
 	}
-	if board != nil {
-		h.RaiseFloor(board.Floor(cell))
-	}
 	bl := bound(n.left, u, unorm)
 	br := bound(n.right, u, unorm)
 	first, second := n.left, n.right
@@ -376,10 +364,10 @@ func (x *Index) search(ctx context.Context, n *node, u []float64, unorm float64,
 		bFirst, bSecond = br, bl
 	}
 	if thr, ok := h.Threshold(); !ok || bFirst >= thr-slack(thr) {
-		x.search(ctx, first, u, unorm, h, board, cell, scanned)
+		x.search(ctx, first, u, unorm, h, scanned)
 	}
 	if thr, ok := h.Threshold(); !ok || bSecond >= thr-slack(thr) {
-		x.search(ctx, second, u, unorm, h, board, cell, scanned)
+		x.search(ctx, second, u, unorm, h, scanned)
 	}
 }
 
@@ -419,14 +407,6 @@ func leaves(n *node) int {
 		return 1
 	}
 	return leaves(n.left) + leaves(n.right)
-}
-
-// sortedIDs returns a copy of the permuted id array (tests check it remains
-// a permutation).
-func (x *Index) sortedIDs() []int {
-	out := make([]int, len(x.ids))
-	copy(out, x.ids)
-	return out
 }
 
 // queryGrain is the per-user chunk size handed to the shared parallel

@@ -462,7 +462,7 @@ func TestMaximusAdaptiveBlockTracksWalkLength(t *testing.T) {
 	}
 }
 
-func TestMaximusQueryWithFloorsContract(t *testing.T) {
+func TestMaximusFloorsContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	users, items := testModel(rng, 64, 500, 8)
 	m := NewMaximus(MaximusConfig{Seed: 4})
@@ -517,7 +517,7 @@ func TestMaximusQueryWithFloorsContract(t *testing.T) {
 	}
 }
 
-func TestBMMQueryWithFloorsContract(t *testing.T) {
+func TestBMMFloorsContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	users, items := testModel(rng, 40, 300, 8)
 	b := NewBMM(BMMConfig{})

@@ -22,6 +22,13 @@
 // partial dot in the rotated space (the rotation is orthogonal, so rotated
 // dots equal original dots). The two configurations benchmarked in the paper
 // are FEXIPRO-SI (bounds 1–3) and FEXIPRO-SIR (bounds 1–4).
+//
+// FEXIPRO is a baseline-tier solver (see internal/mips): it implements
+// mips.Solver, and mips.Persister so its eigendecomposition survives a
+// restore, but neither mutation contract. Its rotation, quantization scales
+// and reduction shifts are all whole-corpus artifacts, so it has no cheap
+// patch; a composite (internal/shard) makes it mutable by rebuilding the
+// shards a mutation touches, users included.
 package fexipro
 
 import (
@@ -85,15 +92,9 @@ type Index struct {
 	f int // latent factors
 	h int // partial-dot split
 
-	// Retained Build inputs and rotation, for the mutable-corpus lifecycle:
-	// item mutation falls back to a rebuild over the retained corpus (every
-	// index structure here — the rotation itself, the quantization scales,
-	// the reduction shifts — is a whole-corpus artifact, so FEXIPRO has no
-	// cheap patch), while user arrival is incremental through the stored
-	// eigenbasis. gen is the mips.ItemMutator mutation stamp.
+	// Retained Build inputs and rotation, which Save writes.
 	users, items *mat.Matrix
 	eig          *svd.Eigen
-	gen          uint64
 
 	// Items in descending-norm order.
 	ids      []int       // sorted position -> original item id
@@ -173,17 +174,14 @@ func (x *Index) Build(users, items *mat.Matrix) error {
 	f := items.Cols()
 
 	// Rotation from the item Gram spectrum. Decompose is the only fallible
-	// step below; no receiver state may be written before it succeeds, or a
-	// failed Build — and therefore a failed AddItems/RemoveItems rebuild,
-	// which routes through Build — would strand a half-updated index,
-	// breaking the ItemMutator error-atomicity contract.
+	// step below; no receiver state may be written before it succeeds, so a
+	// failed Build leaves the previous index answering.
 	eig, err := svd.Decompose(svd.Gram(items))
 	if err != nil {
 		return fmt.Errorf("fexipro: eigendecomposition: %w", err)
 	}
 	x.f = f
 	x.users, x.items = users, items
-	x.gen = 0
 	x.eig = eig
 	var total float64
 	for _, v := range eig.Values {

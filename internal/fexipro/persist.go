@@ -27,9 +27,13 @@ func init() {
 // restore is one pass over the rotated matrices instead of a Jacobi
 // eigendecomposition and two dense rotations.
 //
-// scaleU is stored verbatim rather than recomputed: AddUsers quantizes new
-// arrivals at the Build-time scale, so after user growth the stored scale
-// is no longer a function of the current tUsers.
+// scaleU is stored verbatim rather than recomputed: older versions grew
+// users incrementally at the Build-time scale, so a snapshot they saved
+// carries a scale that is not a function of its tUsers.
+//
+// The section opens with a generation slot from the era when FEXIPRO was an
+// item mutator. Save writes 0 and Load discards it, so the format — and
+// every snapshot saved by an older version — is unchanged.
 func (x *Index) Save(w io.Writer) error {
 	if x.tItems == nil {
 		return fmt.Errorf("fexipro: Save before Build")
@@ -39,7 +43,7 @@ func (x *Index) Save(w io.Writer) error {
 		return err
 	}
 	pw.Section("fexipro", func(e *persist.Encoder) {
-		e.U64(x.gen)
+		e.U64(0) // generation slot, unused
 		e.U8(uint8(x.cfg.Variant))
 		e.Int(x.h)
 		e.F64(x.cfg.EnergyFraction)
@@ -63,15 +67,15 @@ func (x *Index) Save(w io.Writer) error {
 }
 
 // Load implements mips.Persister. Variant, EnergyFraction, and QuantLevels
-// come from the snapshot — they shaped the stored index and govern any
-// future mutation rebuild — while Threads stays with the receiver.
+// come from the snapshot — they shaped the stored index — while Threads
+// stays with the receiver.
 func (x *Index) Load(r io.Reader) error {
 	pr, err := persist.NewReader(r, Kind)
 	if err != nil {
 		return err
 	}
 	d := pr.Section("fexipro")
-	gen := d.U64()
+	d.U64() // generation slot, unused
 	variant := Variant(d.U8())
 	h := d.Int()
 	energy := d.F64()
@@ -150,7 +154,6 @@ func (x *Index) Load(r io.Reader) error {
 	x.h = h
 	x.users, x.items = users, items
 	x.eig = &svd.Eigen{Values: eigValues, Vectors: eigVectors}
-	x.gen = gen
 	x.ids = ids
 	x.norms = norms
 	x.tItems = tItems

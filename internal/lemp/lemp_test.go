@@ -369,7 +369,7 @@ func floorsFor(want [][]topk.Entry, k int) []float64 {
 	return floors
 }
 
-func TestQueryWithFloorsContract(t *testing.T) {
+func TestFloorsContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	users, items := testModel(rng, 40, 300, 8)
 	x := New(Config{TuneSample: 0})
@@ -413,14 +413,14 @@ func TestQueryWithFloorsContract(t *testing.T) {
 	}
 }
 
-// TestQueryWithFloorsPrunesScans pins the point of the floor path: a floor
+// TestFloorsPruneScans pins the point of the floor path: a floor
 // above the local k-th score — the two-wave situation, where the head
 // shard's k-th score dwarfs a tail shard's local scores — must strictly
 // reduce the candidates LEMP scans, and the counter must not depend on the
 // thread count. (A floor equal to the local k-th score merely reproduces
 // the threshold the blind walk converges to anyway; the cross-shard floor
 // is what makes pruning fire early.)
-func TestQueryWithFloorsPrunesScans(t *testing.T) {
+func TestFloorsPruneScans(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	users, items := testModel(rng, 60, 600, 10)
 	x := New(Config{TuneSample: 0})
@@ -460,10 +460,10 @@ func TestQueryWithFloorsPrunesScans(t *testing.T) {
 	}
 }
 
-// TestQueryWithFloorsProperty drives random models and floors drawn from the
+// TestFloorsProperty drives random models and floors drawn from the
 // unseeded results (forcing exact ties at the floor) through the contract
 // verifier, across all three retrieval routines.
-func TestQueryWithFloorsProperty(t *testing.T) {
+func TestFloorsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		users, items := testModel(rng, 2+rng.Intn(12), 5+rng.Intn(80), 1+rng.Intn(8))

@@ -7,6 +7,15 @@
 // through one method, Solver.QueryCtx, whose doc holds the floor contract.
 // The remaining optional interfaces (Sized, ItemMutator, ScanCounter, ...)
 // describe capabilities some solvers lack, not alternative query paths.
+//
+// Solvers come in two tiers. A served solver (BMM, LEMP, MAXIMUS) implements
+// ItemMutator, UserAdder, Persister and ScanCounter: it patches itself under
+// churn and snapshots itself for restore. A baseline (the cone tree,
+// FEXIPRO) implements Solver and, optionally, ScanCounter; it exists to be
+// measured against. The composite makes any baseline mutable by rebuild:
+// internal/shard rebuilds every shard a mutation or a user arrival touches
+// whose sub-solver cannot patch itself, so serving a baseline under churn
+// means serving it as an S = 1 composite.
 package mips
 
 import (

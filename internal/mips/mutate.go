@@ -43,8 +43,8 @@ import (
 // corpus, whose positional ids are what a generation change invalidates;
 // user arrival never renumbers anything). Serving layers expose it so
 // clients can detect when cached id translations or results predate a
-// catalog swap. All seven implementations (the five solvers, Naive, and
-// the sharded composite) are held to these exact semantics by the
+// catalog swap. All five implementations (the three served solvers, Naive,
+// and the sharded composite) are held to these exact semantics by the
 // cross-solver contract test at the repository root.
 //
 // Mutators are NOT safe for concurrent use with queries: callers serialize

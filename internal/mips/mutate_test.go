@@ -12,26 +12,23 @@ import (
 	"math/rand"
 	"testing"
 
-	"optimus/internal/conetree"
 	"optimus/internal/core"
 	"optimus/internal/dataset"
-	"optimus/internal/fexipro"
 	"optimus/internal/lemp"
 	"optimus/internal/mat"
 	"optimus/internal/mips"
 )
 
-// mutatorFactories is the full ItemMutator conformance matrix: the four
-// incremental patchers, the FEXIPRO rebuild fallback, and the trivial Naive
-// reference.
+// mutatorFactories is the full ItemMutator conformance matrix: the three
+// served solvers, which patch in place, and the trivial Naive reference. The
+// baselines (cone tree, FEXIPRO) implement no mutation contract; the
+// composite's rebuild path covers them (internal/shard).
 func mutatorFactories() map[string]mips.Factory {
 	return map[string]mips.Factory{
-		"BMM":        func() mips.Solver { return core.NewBMM(core.BMMConfig{}) },
-		"MAXIMUS":    func() mips.Solver { return core.NewMaximus(core.MaximusConfig{Seed: 3}) },
-		"LEMP":       func() mips.Solver { return lemp.New(lemp.Config{Seed: 3}) },
-		"ConeTree":   func() mips.Solver { return conetree.New(conetree.Config{}) },
-		"FEXIPRO-SI": func() mips.Solver { return fexipro.New(fexipro.Config{}) },
-		"Naive":      func() mips.Solver { return mips.NewNaive() },
+		"BMM":     func() mips.Solver { return core.NewBMM(core.BMMConfig{}) },
+		"MAXIMUS": func() mips.Solver { return core.NewMaximus(core.MaximusConfig{Seed: 3}) },
+		"LEMP":    func() mips.Solver { return lemp.New(lemp.Config{Seed: 3}) },
+		"Naive":   func() mips.Solver { return mips.NewNaive() },
 	}
 }
 

@@ -364,6 +364,12 @@ var ErrNotMutable = errors.New("serving: solver does not support item mutation")
 // replaced along with its solver. Writers are serialized; Mutate may be
 // called from any goroutine, including after Close (the drain is then
 // trivially empty).
+//
+// An unsharded baseline (the cone tree, FEXIPRO; see internal/mips) is not
+// a mips.ItemMutator, so Mutate returns ErrNotMutable for it. To serve a
+// baseline mutable, serve it as an S = 1 composite (shard.Sharded), which
+// rebuilds it on every mutation; the composite's own overhead at S = 1 is
+// ≈ 0 (the benchmark's shard.s1_overhead_frac row).
 func (s *Server) Mutate(fn func(mips.ItemMutator) error) error {
 	mut, ok := s.solver.(mips.ItemMutator)
 	if !ok {
@@ -393,7 +399,8 @@ func (s *Server) Mutate(fn func(mips.ItemMutator) error) error {
 // flushed counters.
 //
 // The solver must be a mips.ItemMutator and report its corpus size
-// (mips.Sized). At most one log may be attached per server, and once it is,
+// (mips.Sized); an unsharded baseline returns ErrNotMutable, so serve it as
+// an S = 1 composite, as Mutate describes. At most one log may be attached per server, and once it is,
 // every catalog mutation must flow through it — a direct Mutate that
 // changes the corpus behind the log's back voids its id bookkeeping (the
 // log detects the drift and fails its next flush). Close closes the log

@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"optimus/internal/mat"
 	"optimus/internal/mips"
 	"optimus/internal/persist"
 )
@@ -330,13 +329,7 @@ func (s *Sharded) reviveShard(si int) bool {
 		}
 	}
 	if !restored {
-		var sub *mat.Matrix
-		if sh.ids == nil {
-			sub = s.items.RowSlice(sh.base, sh.base+sh.count)
-		} else {
-			sub = subMatrix(s.items, sh.ids)
-		}
-		if err := s.buildShard(&repl, si, s.users, sub, nil); err != nil {
+		if err := s.buildShard(&repl, si, s.users, s.shardItems(&sh), nil); err != nil {
 			s.stateMu.RUnlock()
 			return false
 		}

@@ -344,16 +344,20 @@ func (s *Sharded) RemoveItems(ids []int) error {
 // AddUsers implements mips.UserAdder by broadcasting the arrivals to every
 // live shard's sub-solver (each maintains its own per-shard user state —
 // MAXIMUS its θb bookkeeping, the others their query matrices) and growing
-// the composite's user matrix. Every live sub-solver must implement
-// mips.UserAdder; the capability — and the input shape — is checked up
-// front so an unsupported configuration fails before any shard changes.
+// the composite's user matrix. A live shard whose sub-solver is not a
+// mips.UserAdder (a baseline) is rebuilt over the grown user matrix
+// instead, as item mutations already do, so user arrival does not depend
+// on the sub-solver's tier.
 //
-// Error atomicity. The broadcast itself cannot be staged on copies
+// Error atomicity. The rebuilds are staged before the broadcast and
+// committed only after it succeeds, so a failed rebuild returns with the
+// composite untouched. The broadcast itself cannot be staged on copies
 // (sub-solvers absorb users in place), so a mid-broadcast failure — a
-// sub-solver error or an id-contract violation at shard k — is rolled back
-// by rebuilding shards 0..k over the composite's unchanged user matrix and
-// their current sub-corpora: the composite then answers queries identically
-// to its pre-call state (the exactness contract makes a rebuilt sub-solver
+// sub-solver error or an id-contract violation at shard k — discards the
+// staged rebuilds and is rolled back by rebuilding the adders among shards
+// 0..k over the composite's unchanged user matrix and their current
+// sub-corpora: the composite then answers queries identically to its
+// pre-call state (the exactness contract makes a rebuilt sub-solver
 // interchangeable; under a Planner the dirty shards are re-planned, and
 // their Plans()/Builds counters advance — the observable trace of the
 // recovery). Shard k itself is included because a contract-violating
@@ -381,14 +385,8 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 		if sh.count == 0 || s.healthOf(si) == Healthy {
 			continue
 		}
-		var sub *mat.Matrix
-		if sh.ids == nil {
-			sub = s.items.RowSlice(sh.base, sh.base+sh.count)
-		} else {
-			sub = subMatrix(s.items, sh.ids)
-		}
 		tmp := *sh
-		if err := s.buildShard(&tmp, si, s.users, sub, nil); err != nil {
+		if err := s.buildShard(&tmp, si, s.users, s.shardItems(sh), nil); err != nil {
 			return nil, err
 		}
 		s.retireWorker(sh.w)
@@ -400,19 +398,31 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 	if healed {
 		s.refreshComposite() // a re-plan may have changed capabilities
 	}
+	// Stage: a shard that cannot absorb users is rebuilt over the grown
+	// user matrix beside the live one.
+	grown := mat.AppendRows(s.users, newUsers)
+	var stages []stagedShard
+	discard := func() {
+		for _, g := range stages {
+			s.retireWorker(g.st.w)
+		}
+	}
 	for si := range s.shards {
 		sh := &s.shards[si]
-		if sh.count == 0 {
+		if sh.count == 0 || sh.caps.UserAdds {
 			continue
 		}
-		if !sh.caps.UserAdds {
-			return nil, fmt.Errorf("shard %d (%s): sub-solver does not support AddUsers", si, sh.plan)
+		tmp := *sh
+		if err := s.buildShard(&tmp, si, grown, s.shardItems(sh), nil); err != nil {
+			discard()
+			return nil, err
 		}
+		stages = append(stages, stagedShard{si: si, st: tmp})
 	}
 	base := s.users.Rows()
 	for si := range s.shards {
 		sh := &s.shards[si]
-		if sh.count == 0 {
+		if sh.count == 0 || !sh.caps.UserAdds {
 			continue
 		}
 		var ids []int
@@ -427,19 +437,32 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 		}
 		if err != nil {
 			err = &ShardError{Shard: si, Plan: sh.plan, Err: err}
+			discard()
 			if rbErr := s.rollbackUserBroadcast(si); rbErr != nil {
 				return nil, fmt.Errorf("%v; rollback failed, composite corrupt: %w", err, rbErr)
 			}
 			return nil, err
 		}
 	}
-	s.users = mat.AppendRows(s.users, newUsers)
+	for _, g := range stages {
+		s.retireWorker(s.shards[g.si].w)
+		s.shards[g.si] = g.st
+		s.mstats.Rebuilds++
+	}
+	if len(stages) > 0 {
+		s.refreshComposite() // a re-plan may have changed capabilities
+	}
+	s.users = grown
 	s.userNorms = append(s.userNorms, newUsers.RowNorms()...)
 	s.epoch++
 	// Every sub-solver embeds its user matrix, so every retained snapshot
-	// predates the broadcast; drop them all (revival falls back to rebuild).
+	// predates the broadcast; drop them all (revival falls back to rebuild),
+	// then retain the rebuilt shards' fresh ones.
 	for i := range s.snaps {
 		s.snaps[i] = nil
+	}
+	for _, g := range stages {
+		s.captureSnap(g.si)
 	}
 	// Grow the observed-floor boards to the new user count (waves.go);
 	// arrivals start at -Inf until a floor-bearing query reaches them.
@@ -449,23 +472,18 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 }
 
 // rollbackUserBroadcast undoes a partial AddUsers broadcast by rebuilding
-// shards [0, upto] from the composite's (unchanged) user matrix and their
-// current sub-corpora. Rebuilt shards answer identically to their pre-call
-// state; their Plans()/Builds counters advance, and a Planner re-plans them.
+// the user adders among shards [0, upto] from the composite's (unchanged)
+// user matrix and their current sub-corpora; the other shards never saw the
+// broadcast. Rebuilt shards answer identically to their pre-call state;
+// their Plans()/Builds counters advance, and a Planner re-plans them.
 func (s *Sharded) rollbackUserBroadcast(upto int) error {
 	for si := 0; si <= upto; si++ {
 		sh := &s.shards[si]
-		if sh.count == 0 {
+		if sh.count == 0 || !sh.caps.UserAdds {
 			continue
 		}
-		var sub *mat.Matrix
-		if sh.ids == nil {
-			sub = s.items.RowSlice(sh.base, sh.base+sh.count)
-		} else {
-			sub = subMatrix(s.items, sh.ids)
-		}
 		old := sh.w
-		if err := s.buildShard(sh, si, s.users, sub, nil); err != nil {
+		if err := s.buildShard(sh, si, s.users, s.shardItems(sh), nil); err != nil {
 			return err
 		}
 		s.retireWorker(old)
@@ -488,6 +506,15 @@ func (s *Sharded) materializeIDs() {
 			sh.base = 0
 		}
 	}
+}
+
+// shardItems returns a shard's current member rows from the corpus, in
+// either id representation.
+func (s *Sharded) shardItems(sh *shardState) *mat.Matrix {
+	if sh.ids == nil {
+		return s.items.RowSlice(sh.base, sh.base+sh.count)
+	}
+	return subMatrix(s.items, sh.ids)
 }
 
 // subMatrix selects a shard's member rows from the corpus, aliasing instead

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"optimus/internal/core"
@@ -102,8 +103,10 @@ func TestMutationFloorPrefix(t *testing.T) {
 	pool := arrivalPool(t, "netflix-nomad-25", 0.04)
 	const k = 6
 	userIDs := mips.AllUserIDs(m.Users.Rows())
-	for _, sub := range []string{"BMM", "LEMP", "MAXIMUS", "ConeTree"} {
-		factory := factories()[sub]
+	subs := factories()
+	subs["FEXIPRO-SI"] = func() mips.Solver { return fexipro.New(fexipro.Config{}) }
+	for _, sub := range []string{"BMM", "LEMP", "MAXIMUS", "ConeTree", "FEXIPRO-SI"} {
+		factory := subs[sub]
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/S=%d", sub, shards), func(t *testing.T) {
 				sh := New(Config{Shards: shards, Partitioner: ByNorm(), Factory: factory})
@@ -448,6 +451,157 @@ func (f *faultyUserAdder) AddUsers(users *mat.Matrix) ([]int, error) {
 		return ids, nil
 	}
 	return f.inner.(mips.UserAdder).AddUsers(users)
+}
+
+// buildFailer wraps a real solver and fails the Nth Build call the
+// wrapper family sees (shared counter; Build runs shards in parallel). It
+// implements mips.Solver only, so
+// a composite over it takes the rebuild path for every mutation and user
+// arrival — a baseline whose rebuild can be made to fail.
+type buildFailer struct {
+	inner  mips.Solver
+	builds *atomic.Int64 // shared across the factory's instances
+	failAt *int64        // 1-based Build call to fail; 0 disables
+}
+
+func (f *buildFailer) Name() string  { return "failing(" + f.inner.Name() + ")" }
+func (f *buildFailer) Batches() bool { return f.inner.Batches() }
+func (f *buildFailer) Build(u, i *mat.Matrix) error {
+	if n := f.builds.Add(1); *f.failAt > 0 && n == *f.failAt {
+		return fmt.Errorf("injected Build failure")
+	}
+	return f.inner.Build(u, i)
+}
+func (f *buildFailer) Query(ids []int, k int) ([][]topk.Entry, error) {
+	return f.inner.Query(ids, k)
+}
+func (f *buildFailer) QueryAll(k int) ([][]topk.Entry, error) { return f.inner.QueryAll(k) }
+func (f *buildFailer) QueryCtx(ctx context.Context, ids []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
+	return f.inner.QueryCtx(ctx, ids, k, opts)
+}
+
+// TestCompositeMakesBaselineMutable: FEXIPRO implements neither mutation
+// contract, yet a by-norm composite over it takes AddItems, RemoveItems and
+// AddUsers, answering like a fresh build after each — every dirty shard
+// rebuilt, none patched — and a user arrival whose rebuild fails leaves the
+// composite answering exactly as before.
+func TestCompositeMakesBaselineMutable(t *testing.T) {
+	m := model(t, "r2-nomad-25", 0.04)
+	pool := arrivalPool(t, "netflix-nomad-25", 0.04)
+	arrivals := model(t, "r2-nomad-25", 0.02).Users.RowSlice(0, 5)
+	const k = 7
+	const tol = 1e-9
+	factory := func() mips.Solver { return fexipro.New(fexipro.Config{}) }
+	if _, ok := factory().(mips.ItemMutator); ok {
+		t.Fatal("FEXIPRO is an ItemMutator; this test needs a baseline")
+	}
+	if _, ok := factory().(mips.UserAdder); ok {
+		t.Fatal("FEXIPRO is a UserAdder; this test needs a baseline")
+	}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("S=%d", shards), func(t *testing.T) {
+			cfg := Config{Shards: shards, Partitioner: ByNorm(), Factory: factory}
+			sh := New(cfg)
+			if err := sh.Build(m.Users, m.Items); err != nil {
+				t.Fatal(err)
+			}
+			users, corpus := m.Users, m.Items
+			step := func(op string, wantGen uint64, fn func() error) {
+				t.Helper()
+				before := sh.MutationStats()
+				if err := fn(); err != nil {
+					t.Fatalf("%s: %v", op, err)
+				}
+				if err := mips.VerifyMutation(sh, New(cfg), users, corpus, k, tol); err != nil {
+					t.Fatalf("%s vs fresh composite: %v", op, err)
+				}
+				if err := mips.VerifyMutation(sh, factory(), users, corpus, k, tol); err != nil {
+					t.Fatalf("%s vs fresh unsharded: %v", op, err)
+				}
+				st := sh.MutationStats()
+				if st.Patches != 0 || st.Emptied != 0 || st.Rebuilds != st.Dirty() ||
+					st.Rebuilds == before.Rebuilds {
+					t.Fatalf("%s: stats %+v (before %+v), want every dirty shard rebuilt", op, st, before)
+				}
+				if got := sh.Generation(); got != wantGen {
+					t.Fatalf("%s: generation = %d, want %d", op, got, wantGen)
+				}
+			}
+			add := pool.RowSlice(0, 9)
+			step("add 9", 1, func() error {
+				_, err := sh.AddItems(add)
+				corpus = mat.AppendRows(corpus, add)
+				return err
+			})
+			remove := []int{0, corpus.Rows() / 2, corpus.Rows() - 1}
+			step("remove 3", 2, func() error {
+				corpus = mat.RemoveRows(corpus, remove)
+				return sh.RemoveItems(remove)
+			})
+			rebuilds := sh.MutationStats().Rebuilds
+			step("add users", 2, func() error {
+				ids, err := sh.AddUsers(arrivals)
+				if err == nil && (len(ids) != arrivals.Rows() || ids[0] != users.Rows()) {
+					err = fmt.Errorf("assigned ids %v, want [%d,%d)", ids, users.Rows(), users.Rows()+arrivals.Rows())
+				}
+				users = mat.AppendRows(users, arrivals)
+				return err
+			})
+			if got := sh.MutationStats().Rebuilds - rebuilds; got != shards {
+				t.Fatalf("AddUsers rebuilt %d shards, want all %d", got, shards)
+			}
+		})
+		t.Run(fmt.Sprintf("S=%d/failed-rebuild", shards), func(t *testing.T) {
+			var builds atomic.Int64
+			var failAt int64
+			sh := New(Config{Shards: shards, Partitioner: ByNorm(), Factory: func() mips.Solver {
+				return &buildFailer{inner: factory(), builds: &builds, failAt: &failAt}
+			}})
+			if err := sh.Build(m.Users, m.Items); err != nil {
+				t.Fatal(err)
+			}
+			before, err := sh.QueryAll(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Fail the last shard's rebuild, after every earlier shard's
+			// replacement has been staged.
+			failAt = builds.Load() + int64(shards)
+			if _, err := sh.AddUsers(arrivals); err == nil {
+				t.Fatal("AddUsers succeeded over a failing rebuild")
+			}
+			if n := builds.Load(); n != failAt {
+				t.Fatalf("staging stopped at build %d, want %d", n, failAt)
+			}
+			after, err := sh.QueryAll(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := range before {
+				assertSameEntries(t, u, before[u], after[u])
+			}
+			if got := sh.NumUsers(); got != m.Users.Rows() {
+				t.Fatalf("NumUsers = %d after failed AddUsers, want %d", got, m.Users.Rows())
+			}
+			for si, p := range sh.Plans() {
+				if p.Builds != 1 {
+					t.Fatalf("shard %d builds = %d after a discarded stage, want 1", si, p.Builds)
+				}
+			}
+			if st := sh.MutationStats(); st.Dirty() != 0 {
+				t.Fatalf("failed AddUsers counted %+v", st)
+			}
+			// The retry lands.
+			failAt = 0
+			if _, err := sh.AddUsers(arrivals); err != nil {
+				t.Fatal(err)
+			}
+			grown := mat.AppendRows(m.Users, arrivals)
+			if err := mips.VerifyMutation(sh, factory(), grown, m.Items, k, tol); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestAddUsersFailureAtomicity is the error-atomicity regression for the

@@ -618,11 +618,11 @@ func TestTwoWaveFallbacks(t *testing.T) {
 	}
 }
 
-// TestShardedQueryWithFloors covers the composite's own floor path: caller
+// TestShardedFloors covers the composite's own floor path: caller
 // floors passed to QueryCtx must compose with the internal two-wave harvest (by-norm)
 // and forward on the single-wave path (contiguous), honoring the floor
 // contract against the unseeded composite.
-func TestShardedQueryWithFloors(t *testing.T) {
+func TestShardedFloors(t *testing.T) {
 	m := model(t, "netflix-nomad-25", 0.04)
 	const k = 5
 	for _, part := range []Partitioner{Contiguous(), ByNorm()} {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"optimus/internal/conetree"
 	"optimus/internal/core"
 	"optimus/internal/dataset"
 	"optimus/internal/faulty"
@@ -34,14 +33,14 @@ func model(t testing.TB, name string, scale float64) *dataset.Model {
 	return m
 }
 
-// factories is the sub-solver matrix the equivalence cells sweep — the four
-// floor-capable solvers, so every wave schedule stays eligible over the wire.
+// factories is the sub-solver matrix the equivalence cells sweep — the three
+// served solvers, so every wave schedule stays eligible over the wire (a
+// dialed worker boots from a snapshot, which a baseline does not write).
 func factories() map[string]mips.Factory {
 	return map[string]mips.Factory{
-		"BMM":      func() mips.Solver { return core.NewBMM(core.BMMConfig{}) },
-		"MAXIMUS":  func() mips.Solver { return core.NewMaximus(core.MaximusConfig{Seed: 3}) },
-		"LEMP":     func() mips.Solver { return lemp.New(lemp.Config{Seed: 3}) },
-		"ConeTree": func() mips.Solver { return conetree.New(conetree.Config{}) },
+		"BMM":     func() mips.Solver { return core.NewBMM(core.BMMConfig{}) },
+		"MAXIMUS": func() mips.Solver { return core.NewMaximus(core.MaximusConfig{Seed: 3}) },
+		"LEMP":    func() mips.Solver { return lemp.New(lemp.Config{Seed: 3}) },
 	}
 }
 

@@ -97,21 +97,23 @@ type QueryOptions = mips.QueryOptions
 // returned), RemoveItems deletes and compacts (survivors keep relative
 // order, renumbered densely), and Generation stamps the catalog version.
 // After any interleaving of mutations, query results are entry-for-entry
-// identical to a fresh Build over the mutated corpus. Every solver
-// implements it: BMM and Naive append/compact, MAXIMUS patches its bound
-// lists and shared blocks, LEMP splices its norm-sorted buckets, the cone
-// tree inserts at leaves with bound repair (rebuilding on imbalance), and
-// FEXIPRO falls back to a rebuild. Sharded routes mutations to the owning
-// shards only — see NewSharded. Mutation must be serialized against
-// in-flight queries; Server.Mutate does this for online deployments.
+// identical to a fresh Build over the mutated corpus. The served solvers and
+// Naive implement it: BMM and Naive append/compact, MAXIMUS patches its bound
+// lists and shared blocks, LEMP splices its norm-sorted buckets. The
+// baselines (the cone tree, FEXIPRO) do not; Sharded routes mutations to
+// the owning shards only and rebuilds a shard whose sub-solver cannot patch
+// itself, so any solver is mutable as a composite — see NewSharded.
+// Mutation must be serialized against in-flight queries; Server.Mutate does
+// this for online deployments.
 type ItemMutator = mips.ItemMutator
 
 // UserAdder is the optional Solver refinement for dynamic user arrival
 // (§III-E): AddUsers appends user vectors (ids [n, n+m) are returned) while
-// queries stay exact for old and new users. Every solver implements it —
-// MAXIMUS with the paper's assign-to-nearest-centroid path plus θb
+// queries stay exact for old and new users. The served solvers implement
+// it — MAXIMUS with the paper's assign-to-nearest-centroid path plus θb
 // maintenance, the others by growing their query-side state — and Sharded
-// broadcasts arrivals to every shard.
+// broadcasts arrivals to every shard, rebuilding the shards whose
+// sub-solver is not a UserAdder.
 type UserAdder = mips.UserAdder
 
 // VerifyMutation is the mutable-corpus oracle: it checks that the mutated
@@ -453,8 +455,8 @@ type MutationHandle = mutlog.Handle
 // corpus has drifted from the snapshot it was last (re)structured for:
 // add/remove churn, partition-size imbalance, arrival-routing skew against
 // the build-time norm cutoffs, and the scan/user rate against a locked
-// baseline. The Sharded composite, the cone tree, and the Server all report
-// it (the adapt.Reporter surface).
+// baseline. The Sharded composite and the Server report it (the
+// adapt.Reporter surface).
 type DriftStats = adapt.DriftStats
 
 // DriftPolicy is the configurable trigger rule set deciding when drift
