@@ -1,8 +1,8 @@
 // Serving: the online deployment from §II-A of the paper — "a model serving
 // system like Clipper that collects tens of requests at once". Concurrent
 // clients issue single-user top-K requests; the server executes them in
-// micro-batches so MAXIMUS's shared block multiply (and BMM's GEMM, if BMM
-// were chosen) amortizes across the batch. Nothing waits for a timer: a batch
+// micro-batches so MAXIMUS's shared walk multiplies (and BMM's GEMM, if BMM
+// were chosen) amortize across the batch. Nothing waits for a timer: a batch
 // is whatever queued up while the previous solver call ran, so the batch
 // sizes printed below come from the clients' concurrency alone. The example
 // also exercises the §III-E dynamic path: a new user signs up mid-flight and

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"optimus/internal/mat"
@@ -21,8 +20,8 @@ import (
 //     than any existing member, which would invalidate the Equation 3 bound.
 //     If the new angle exceeds the cluster's θb, the bound is recomputed and
 //     the cluster's item list re-sorted (lazily, only for affected clusters).
-//  2. Block membership: the cluster's cached member matrix grows, so the
-//     shared block multiply keeps covering every member.
+//  2. Block sizing: a cluster whose list was re-sorted, or that had no
+//     sized first segment, has it re-sized from the grown membership.
 
 // AddUsers appends new user vectors to a built index and returns their
 // assigned ids (contiguous, starting at the previous user count). The items
@@ -37,8 +36,7 @@ func (m *Maximus) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 	}
 
 	base := m.users.Rows()
-	// Grow the user matrix. The backing array is reallocated; per-cluster
-	// member matrices are refreshed below for affected clusters only.
+	// Grow the user matrix. The backing array is reallocated.
 	grown := mat.New(base+newUsers.Rows(), m.users.Cols())
 	copy(grown.Data(), m.users.Data())
 	copy(grown.Data()[base*m.users.Cols():], newUsers.Data())
@@ -61,18 +59,15 @@ func (m *Maximus) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 		}
 	}
 
-	// Re-derive the Equation 3 lists for clusters whose θb widened; refresh
-	// cached member matrices for every touched cluster.
-	for c := range dirty {
-		m.rebuildClusterList(c)
-	}
+	// Re-derive the Equation 3 lists for clusters whose θb widened, and
+	// re-size the first segment of those and of every touched cluster that
+	// had none sized (a previously empty or short-walk cluster).
 	for c := range touched {
-		if m.blocks[c] != nil {
-			m.memberVecs[c] = m.users.SelectRows(m.members[c])
-		} else if !m.cfg.DisableItemBlocking && len(m.members[c]) > 0 && m.blocks[c] == nil {
-			// A previously empty or unblocked cluster gained members; give
-			// the cost-estimation rule another chance.
-			m.resizeBlock(c)
+		if dirty[c] {
+			m.rebuildClusterList(c)
+		}
+		if dirty[c] || m.blocks[c] == 0 {
+			m.blocks[c] = m.blockLength(c)
 		}
 	}
 	return ids, nil
@@ -97,8 +92,7 @@ func (m *Maximus) nearestCentroid(u []float64) int {
 }
 
 // rebuildClusterList recomputes cluster c's Equation 3 bounds and sorted
-// item list after its θb grew, then refreshes the shared block (the old
-// block may no longer hold the list's head).
+// item list after its θb grew.
 func (m *Maximus) rebuildClusterList(c int) {
 	nItems := m.items.Rows()
 	cnorm := mat.Norm(m.centroids.Row(c))
@@ -115,60 +109,11 @@ func (m *Maximus) rebuildClusterList(c int) {
 	for pos, id := range ids {
 		m.bounds[c][pos] = bound[id]
 	}
-	if m.blocks[c] != nil {
-		m.resizeBlock(c)
-	}
-}
-
-// resizeBlock re-runs the cost-estimation sizing for one cluster.
-func (m *Maximus) resizeBlock(c int) {
-	m.blocks[c] = nil
-	m.memberVecs[c] = nil
-	if m.cfg.DisableItemBlocking || len(m.members[c]) == 0 {
-		return
-	}
-	bl := m.cfg.BlockSize
-	if bl <= 0 {
-		step := 1
-		if len(m.members[c]) > blockSampleUsers {
-			step = len(m.members[c]) / blockSampleUsers
-		}
-		floors := m.estFloors
-		if len(floors) != m.users.Rows() {
-			floors = nil
-		}
-		var visited, sampled int
-		for i := 0; i < len(m.members[c]); i += step {
-			u := m.members[c][i]
-			seed := math.Inf(-1)
-			if floors != nil {
-				seed = floors[u]
-			}
-			visited += m.walkLength(u, c, seed)
-			sampled++
-		}
-		bl = visited / (2 * sampled)
-		if bl > maxBlockSize {
-			bl = maxBlockSize
-		}
-		if bl < 8 {
-			return
-		}
-	}
-	if bl > m.items.Rows() {
-		bl = m.items.Rows()
-	}
-	sel := make([]int, bl)
-	for p := 0; p < bl; p++ {
-		sel[p] = int(m.lists[c][p])
-	}
-	m.blocks[c] = m.items.SelectRows(sel)
-	m.memberVecs[c] = m.users.SelectRows(m.members[c])
 }
 
 // Item mutation (the mutable-corpus lifecycle). MAXIMUS's item-side state is
 // exactly what AddUsers already maintains per cluster — the Equation 3 bound
-// list and the shared block — so item churn mirrors that bookkeeping:
+// list — so item churn mirrors that bookkeeping:
 //
 //   - AddItems computes each new item's Equation 3 bound against every
 //     centroid and splices (id, bound) into the cluster's bound-sorted list —
@@ -178,10 +123,8 @@ func (m *Maximus) resizeBlock(c int) {
 //   - RemoveItems filters the lists, renumbering surviving ids under the
 //     compaction contract (the renumbering is monotone, so the bound-then-id
 //     sort order is preserved without comparisons).
-//   - A cluster's shared block is re-selected only when the mutation touched
-//     its blocked prefix — the first BlockSizes()[c] list positions; its
-//     length is kept (block sizing is a Build-time cost decision, not a
-//     correctness input).
+//   - A cluster's first-segment length is kept, clipped to the list
+//     (block sizing is a Build-time cost decision, not a correctness input).
 //
 // The expensive Build stages — k-means, the |C|×|I| centroid GEMM, the full
 // list sorts, the sampled walk lengths — are all skipped.
@@ -219,13 +162,8 @@ func (m *Maximus) AddItems(newItems *mat.Matrix) ([]int, error) {
 		n := len(m.lists[c])
 		list := make([]int32, 0, n+add)
 		bounds := make([]float64, 0, n+add)
-		blockLen := 0
-		if m.blocks[c] != nil {
-			blockLen = m.blocks[c].Rows()
-		}
-		touchedBlock := false
 		i, j := 0, 0
-		for w := 0; w < n+add; w++ {
+		for range n + add {
 			if i < n && (j >= add || m.bounds[c][i] >= bnds[order[j]]) {
 				list = append(list, m.lists[c][i])
 				bounds = append(bounds, m.bounds[c][i])
@@ -234,15 +172,9 @@ func (m *Maximus) AddItems(newItems *mat.Matrix) ([]int, error) {
 			}
 			list = append(list, int32(base+order[j]))
 			bounds = append(bounds, bnds[order[j]])
-			if w < blockLen {
-				touchedBlock = true
-			}
 			j++
 		}
 		m.lists[c], m.bounds[c] = list, bounds
-		if touchedBlock {
-			m.reselectBlock(c, blockLen)
-		}
 	}
 	m.gen++
 	return mips.IDRange(base, add), nil
@@ -273,18 +205,10 @@ func (m *Maximus) RemoveItems(ids []int) error {
 	}
 	m.items = mat.RemoveRows(m.items, sorted)
 	for c := range m.lists {
-		blockLen := 0
-		if m.blocks[c] != nil {
-			blockLen = m.blocks[c].Rows()
-		}
-		touchedBlock := false
 		list, bounds := m.lists[c], m.bounds[c]
 		w := 0
 		for pos, id := range list {
 			if rm[id] {
-				if pos < blockLen {
-					touchedBlock = true
-				}
 				continue
 			}
 			list[w] = id - shift[id]
@@ -292,13 +216,7 @@ func (m *Maximus) RemoveItems(ids []int) error {
 			w++
 		}
 		m.lists[c], m.bounds[c] = list[:w], bounds[:w]
-		if blockLen > w {
-			blockLen = w
-			touchedBlock = true
-		}
-		if touchedBlock {
-			m.reselectBlock(c, blockLen)
-		}
+		m.blocks[c] = min(m.blocks[c], w)
 	}
 	m.gen++
 	return nil
@@ -306,25 +224,6 @@ func (m *Maximus) RemoveItems(ids []int) error {
 
 // Generation implements mips.ItemMutator.
 func (m *Maximus) Generation() uint64 { return m.gen }
-
-// reselectBlock refreshes cluster c's shared block to cover the first
-// blockLen entries of its (just-mutated) list, keeping the Build-time block
-// length. blockLen <= 0 drops the block (the cluster walks unblocked).
-func (m *Maximus) reselectBlock(c, blockLen int) {
-	if blockLen <= 0 {
-		m.blocks[c] = nil
-		m.memberVecs[c] = nil
-		return
-	}
-	sel := make([]int, blockLen)
-	for p := 0; p < blockLen; p++ {
-		sel[p] = int(m.lists[c][p])
-	}
-	m.blocks[c] = m.items.SelectRows(sel)
-	if m.memberVecs[c] == nil && len(m.members[c]) > 0 {
-		m.memberVecs[c] = m.users.SelectRows(m.members[c])
-	}
-}
 
 // Users returns the current user count (grows with AddUsers).
 func (m *Maximus) Users() int {

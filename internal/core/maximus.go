@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,15 +27,17 @@ type MaximusConfig struct {
 	Clusters int
 	// KMeansIters is i, the number of Lloyd iterations.
 	KMeansIters int
-	// BlockSize is B, the per-cluster item-blocking factor: the first B list
-	// entries are scored for all cluster users with one blocked matrix
-	// multiply (§III-D). Zero selects the adaptive default
-	// min(4096, |I|/4): the paper's fixed B = 4096 equals |I|/4.3 on its
-	// smallest item set (Netflix), and a block covering most of a smaller
-	// item set would erase the pruning benefit (the walk would degenerate
-	// into plain BMM). Set DisableItemBlocking for the Fig 8 lesion.
+	// BlockSize is B, the length of the first segment of every cluster's
+	// walk: the first B list entries are scored for the cluster's queried
+	// users with one blocked matrix multiply (§III-D), and later segments
+	// are walkSegment entries long. Zero selects the adaptive default: the
+	// cost-estimation stage walks a sample of each cluster's members and
+	// sets B_c = min(4096, w̄_c/2) from their mean walk length w̄_c, with no
+	// block below 8 entries (the paper's fixed B = 4096 would cover most of
+	// a small item set). Set DisableItemBlocking for the Fig 8 lesion.
 	BlockSize int
-	// DisableItemBlocking turns off the shared BMM prefix (lesion study).
+	// DisableItemBlocking turns off the shared multiplies (lesion study):
+	// every user walks alone, one dot product per list position.
 	DisableItemBlocking bool
 	// Spherical switches user clustering to spherical k-means (§III-A
 	// ablation; the paper ships with plain k-means).
@@ -52,7 +55,8 @@ type MaximusConfig struct {
 }
 
 // DefaultMaximusConfig returns the paper's published settings (§III-D);
-// BlockSize 0 means the adaptive min(4096, |I|/8) rule, and Threads 0 means
+// BlockSize 0 sizes each cluster's first walk segment from sampled walks
+// (min(4096, w̄_c/2), none below 8; see BlockSize), and Threads 0 means
 // "follow the package-wide parallel.Threads() default", resolved by
 // NewMaximus at construction.
 func DefaultMaximusConfig() MaximusConfig {
@@ -64,7 +68,7 @@ const maxBlockSize = 4096
 
 // MaximusTimings is the stage breakdown Fig 8 reports: clustering, index
 // construction (bounds + sorting), and cost estimation (the sampled walks
-// that size each cluster's shared block).
+// that size each cluster's first walk segment).
 type MaximusTimings struct {
 	Clustering     time.Duration
 	Construction   time.Duration
@@ -76,20 +80,17 @@ type MaximusQueryStats struct {
 	// Traversal is the wall-clock time of the index walk (Fig 8's dominant
 	// stage).
 	Traversal time.Duration
-	// BlockTime is the portion of Traversal spent in the shared blocked
-	// matrix multiplies.
-	BlockTime time.Duration
-	// ItemsVisited is the total number of list positions examined, blocked
-	// prefix included; ItemsVisited/users = w̄ from the runtime analysis
-	// (Equation 4).
+	// ItemsVisited is the total number of list positions scored, the
+	// multiplied segments' overshoot past each user's cut included;
+	// ItemsVisited/users = w̄ from the runtime analysis (Equation 4).
 	ItemsVisited int64
 }
 
 // Maximus is the paper's index (§III, Algorithm 1): users are clustered,
 // each cluster gets an item list sorted by the Equation 3 upper bound, and a
 // user's exact top-K walk early-terminates once the bound falls below the
-// current K-th score. The first BlockSize positions of each list are scored
-// for all of a cluster's users at once with a blocked matrix multiply.
+// current K-th score. The walk is scored in list segments, each with one
+// blocked matrix multiply over the cluster's queried users still walking.
 type Maximus struct {
 	cfg   MaximusConfig
 	users *mat.Matrix
@@ -103,14 +104,15 @@ type Maximus struct {
 
 	lists  [][]int32   // per cluster: item ids sorted by bound descending
 	bounds [][]float64 // aligned Equation 3 bound values (non-increasing)
-	blocks []*mat.Matrix
-	// memberVecs caches each cluster's member vectors in member order so
-	// the shared block multiply in QueryAll needs no per-call row copies.
-	memberVecs []*mat.Matrix
+	// blocks is each cluster's first walk segment length, B_c (0: none
+	// sized, the segment is k long).
+	blocks []int
 
-	// scanned accumulates ItemsVisited across queries (mips.ScanCounter):
-	// list positions scored, blocked prefix included.
+	// scanned accumulates ItemsVisited across queries (mips.ScanCounter).
 	scanned atomic.Int64
+
+	// scratches recycles the walk's per-chunk buffers (walkScratch).
+	scratches sync.Pool
 
 	// gen is the mips.ItemMutator mutation stamp (see dynamic.go).
 	gen uint64
@@ -152,7 +154,7 @@ func (m *Maximus) Name() string { return "MAXIMUS" }
 // block sizes are fixed at Build, so changing threads never changes results.
 func (m *Maximus) SetThreads(n int) { m.cfg.Threads = parallel.Resolve(n) }
 
-// Batches implements mips.Solver: the shared block multiply amortizes work
+// Batches implements mips.Solver: the walk's shared multiplies amortize work
 // across a cluster's users, so OPTIMUS must measure MAXIMUS on whole samples
 // (§IV-A: the t-test shortcut is unavailable for batching indexes).
 func (m *Maximus) Batches() bool { return true }
@@ -220,7 +222,8 @@ func (m *Maximus) Build(users, items *mat.Matrix) error {
 }
 
 // ScanStats implements mips.ScanCounter: list positions scored across
-// queries, shared blocked prefixes included (they are GEMM-scored work).
+// queries, the multiplied segments' overshoot past each user's cut included
+// (it is GEMM-scored work).
 func (m *Maximus) ScanStats() mips.ScanStats { return mips.ScanStats{Scanned: m.scanned.Load()} }
 
 // ResetScanStats implements mips.ScanCounter.
@@ -288,8 +291,7 @@ func (m *Maximus) constructLists() {
 
 	m.lists = make([][]int32, nClusters)
 	m.bounds = make([][]float64, nClusters)
-	m.blocks = make([]*mat.Matrix, nClusters)
-	m.memberVecs = make([]*mat.Matrix, nClusters)
+	m.blocks = make([]int, nClusters)
 	parallel.ForThreads(m.cfg.Threads, nClusters, 1, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			bound := make([]float64, nItems)
@@ -326,7 +328,7 @@ func sortClusterList(ids []int32, bound []float64) {
 // lower bound on user u's top score that the next Build's estimateBlocks
 // walks seed their running best with. A walk that starts at the floor
 // terminates where the served queries will actually terminate — under a high
-// floor, far earlier — so the shared block is sized for the floored regime
+// floor, far earlier — so the first segment is sized for the floored regime
 // instead of the cold one. The floors persist until replaced; a length that
 // does not match the Build's user count is ignored (the hint describes a
 // different corpus).
@@ -335,78 +337,62 @@ func (m *Maximus) SetEstimationFloors(floors []float64) {
 }
 
 // blockSampleUsers is how many members per cluster the cost-estimation stage
-// walks when sizing the shared block.
+// walks when sizing the first segment.
 const blockSampleUsers = 16
 
 // estimateBlocks is the cost-estimation stage of Build: it sizes each
-// cluster's shared block so blocked work is almost always useful work.
+// cluster's first walk segment so blocked work is almost always useful work.
 //
 // The paper fixes B = 4096 for testbed item counts of 17k–1M, observing that
 // when a user's walk ends before position B the blocked prefix is wasted
 // work (§III-D). At repo scale the item counts — and therefore the walk
 // lengths — vary by orders of magnitude across models, so a fixed B is
 // wrong somewhere for every choice. Instead, the index walks a small sample
-// of each cluster's members without blocking, measures the mean termination
-// position w̄_c, and sets B_c = min(4096, w̄_c/2): half the average walk is
-// scored with one matrix multiply, and the early-termination logic still
-// cuts the tail. Clusters whose walks are too short to amortize a GEMM get
-// no block at all. An explicit MaximusConfig.BlockSize bypasses the
-// sampling.
+// of each cluster's members, measures the mean termination position w̄_c,
+// and sets B_c = min(4096, w̄_c/2). Clusters whose walks are too short to
+// amortize a GEMM get no sized block (their first segment is k long). An
+// explicit MaximusConfig.BlockSize bypasses the sampling.
 func (m *Maximus) estimateBlocks() {
-	if m.cfg.DisableItemBlocking {
-		return
-	}
-	nClusters := m.centroids.Rows()
-	nItems := m.items.Rows()
-	// Floor-aware estimation: when the caller supplied per-user floors (the
-	// sharded executor replays each shard's observed floors before a rebuild),
-	// the sampled walks start from them, shrinking the estimated walk — and
-	// therefore the shared block — toward what floored service really scans.
-	floors := m.estFloors
-	if len(floors) != m.users.Rows() {
-		floors = nil
-	}
-	parallel.ForThreads(m.cfg.Threads, nClusters, 1, func(lo, hi int) {
+	parallel.ForThreads(m.cfg.Threads, m.centroids.Rows(), 1, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
-			if len(m.members[c]) == 0 {
-				continue
-			}
-			bl := m.cfg.BlockSize
-			if bl <= 0 {
-				step := 1
-				if len(m.members[c]) > blockSampleUsers {
-					step = len(m.members[c]) / blockSampleUsers
-				}
-				var visited, sampled int
-				for i := 0; i < len(m.members[c]); i += step {
-					u := m.members[c][i]
-					seed := math.Inf(-1)
-					if floors != nil {
-						seed = floors[u]
-					}
-					visited += m.walkLength(u, c, seed)
-					sampled++
-				}
-				bl = visited / (2 * sampled)
-				if bl > maxBlockSize {
-					bl = maxBlockSize
-				}
-				const minBlock = 8 // below this a GEMM cannot beat plain dots
-				if bl < minBlock {
-					continue
-				}
-			}
-			if bl > nItems {
-				bl = nItems
-			}
-			sel := make([]int, bl)
-			for p := 0; p < bl; p++ {
-				sel[p] = int(m.lists[c][p])
-			}
-			m.blocks[c] = m.items.SelectRows(sel)
-			m.memberVecs[c] = m.users.SelectRows(m.members[c])
+			m.blocks[c] = m.blockLength(c)
 		}
 	})
+}
+
+// blockLength sizes cluster c's first walk segment (see estimateBlocks); 0
+// means none. Floor-aware estimation: when the caller supplied per-user
+// floors (the sharded executor replays each shard's observed floors before a
+// rebuild), the sampled walks start from them, shrinking the estimated walk —
+// and therefore the block — toward what floored service really scans.
+func (m *Maximus) blockLength(c int) int {
+	members := m.members[c]
+	if m.cfg.DisableItemBlocking || len(members) == 0 {
+		return 0
+	}
+	bl := m.cfg.BlockSize
+	if bl <= 0 {
+		floors := m.estFloors
+		if len(floors) != m.users.Rows() {
+			floors = nil
+		}
+		step := max(1, len(members)/blockSampleUsers)
+		var visited, sampled int
+		for i := 0; i < len(members); i += step {
+			seed := math.Inf(-1)
+			if floors != nil {
+				seed = floors[members[i]]
+			}
+			visited += m.walkLength(members[i], c, seed)
+			sampled++
+		}
+		bl = min(visited/(2*sampled), maxBlockSize)
+		const minBlock = 8 // below this a GEMM cannot beat plain dots
+		if bl < minBlock {
+			return 0
+		}
+	}
+	return min(bl, m.items.Rows())
 }
 
 // walkLength runs the unblocked K=1 walk for user u in cluster c and returns
@@ -430,18 +416,9 @@ func (m *Maximus) walkLength(u, c int, floor float64) int {
 	return len(list)
 }
 
-// BlockSizes returns the per-cluster shared-block lengths chosen by the
-// cost-estimation stage (0 = that cluster walks unblocked). Only meaningful
-// after Build.
-func (m *Maximus) BlockSizes() []int {
-	out := make([]int, len(m.blocks))
-	for c, b := range m.blocks {
-		if b != nil {
-			out[c] = b.Rows()
-		}
-	}
-	return out
-}
+// BlockSizes returns the per-cluster first-segment lengths chosen by the
+// cost-estimation stage (0 = none sized). Only meaningful after Build.
+func (m *Maximus) BlockSizes() []int { return append([]int(nil), m.blocks...) }
 
 // CBound is Equation 3: the cluster-level upper bound on the norm-scaled
 // rating r*_ci. dot is cᵀi; cnorm, inorm the vector norms; thetaB the
@@ -468,8 +445,8 @@ func CBound(dot, cnorm, inorm, thetaB float64) float64 {
 	return inorm
 }
 
-// Query implements mips.Solver: QueryIndex from Algorithm 1, with the §III-D
-// shared block multiply covering the first BlockSize list positions.
+// Query implements mips.Solver: QueryIndex from Algorithm 1, with the walk
+// scored in §III-D shared blocks.
 func (m *Maximus) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 	res, _, err := m.QueryStats(userIDs, k)
 	return res, err
@@ -482,13 +459,11 @@ func (m *Maximus) QueryStats(userIDs []int, k int) ([][]topk.Entry, MaximusQuery
 
 // QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
 // sorted-bound walk terminates as soon as the Equation 3 bound trails it —
-// before the heap fills, often right after the shared blocked prefix (whose
-// pushes the floor filters but whose GEMM still runs: block sizes are fixed
-// at Build; the construction-side answer is SetEstimationFloors). A board
-// seeds the heap the same way and is re-polled every floorPollInterval walk
-// positions, so a bound published by a concurrently finishing shard ends
-// the walk early. ctx is polled at every cluster boundary and at the same
-// cadence as the board.
+// before the heap fills, and before the first segment's multiply when even
+// the list's top bound trails it. A board seeds the heap the same way and is
+// re-polled before every walk segment, so a bound published by a
+// concurrently finishing shard ends the walk early. ctx is polled at the
+// same cadence.
 func (m *Maximus) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
@@ -496,6 +471,19 @@ func (m *Maximus) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.
 	res, _, err := m.queryStats(ctx, userIDs, k, opts.Floors, opts.Board)
 	return res, err
 }
+
+// walkSegment is the length of every walk segment after the first, and how
+// many positions a lone walker scores between polls of ctx and a live floor
+// board.
+const walkSegment = 256
+
+// walkChunkUsers is the most queried users of one cluster that walk
+// together: the row count of each segment's multiply.
+const walkChunkUsers = 64
+
+// minSharedRows is the GEMM micro-kernel's row count. A multiply over fewer
+// users never reaches the kernel, so they walk alone instead.
+const minSharedRows = 4
 
 func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, MaximusQueryStats, error) {
 	var st MaximusQueryStats
@@ -506,9 +494,11 @@ func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors [
 		return nil, st, err
 	}
 	start := time.Now()
-	// Group queried users by cluster so the block multiply is shared.
-	nClusters := m.centroids.Rows()
-	byCluster := make([][]int, nClusters) // positions into userIDs
+	// Group queried users by cluster. Each group is cut into chunks that
+	// share one walk; a cluster's chunks run in parallel, the clusters one
+	// after another, so a batch smaller than walkChunkUsers per cluster (an
+	// OPTIMUS sample) runs on one core, as BMM's multiply of it does.
+	byCluster := make([][]int, m.centroids.Rows()) // positions into userIDs
 	for qi, u := range userIDs {
 		if u < 0 || u >= m.users.Rows() {
 			return nil, st, fmt.Errorf("core: user id %d out of range [0,%d)", u, m.users.Rows())
@@ -516,159 +506,215 @@ func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors [
 		c := m.clusterOf[u]
 		byCluster[c] = append(byCluster[c], qi)
 	}
-	out := make([][]topk.Entry, len(userIDs))
-	visited := make([]int64, nClusters)
-	var blockNanos int64
-	for c := 0; c < nClusters; c++ {
-		if len(byCluster[c]) == 0 {
-			continue
-		}
-		// Cluster boundary: the natural cancellation seam — each cluster is
-		// one shared-block GEMM plus its members' walks.
-		if err := mips.CtxErr(ctx); err != nil {
+	q := &walkCall{ctx: ctx, ids: userIDs, k: k, floors: floors, board: board,
+		out: make([][]topk.Entry, len(userIDs))}
+	var visited atomic.Int64
+	for _, qs := range byCluster {
+		err := parallel.ForErrCtx(ctx, m.cfg.Threads, len(qs), walkChunkUsers, func(lo, hi int) error {
+			scr, ok := m.scratches.Get().(*walkScratch)
+			if !ok {
+				scr = new(walkScratch)
+			}
+			defer m.scratches.Put(scr)
+			n, err := m.walkChunk(q, qs[lo:hi], scr)
+			visited.Add(n)
+			return err
+		})
+		if err != nil {
 			return nil, st, err
 		}
-		bt, v := m.queryCluster(ctx, c, byCluster[c], userIDs, k, floors, board, out)
-		blockNanos += bt
-		visited[c] = v
-	}
-	// A cancellation that landed mid-cluster left truncated walks; discard.
-	if err := mips.CtxErr(ctx); err != nil {
-		return nil, st, err
 	}
 	st.Traversal = time.Since(start)
-	st.BlockTime = time.Duration(blockNanos)
-	for _, v := range visited {
-		st.ItemsVisited += v
-	}
+	st.ItemsVisited = visited.Load()
 	m.scanned.Add(st.ItemsVisited)
-	return out, st, nil
+	return q.out, st, nil
 }
 
-// floorPollInterval is how many walk positions MAXIMUS scores between
-// re-polls of a live floor board cell: frequent enough that a raised floor
-// cuts the walk promptly, sparse enough that the atomic load stays invisible
-// next to the dot products.
-const floorPollInterval = 128
-
-// queryCluster answers all queried users of one cluster; floors (static) or
-// board (live), when non-nil, are aligned with userIDs. Returns block-GEMM
-// nanoseconds and total list positions visited.
-func (m *Maximus) queryCluster(ctx context.Context, c int, queryPos []int, userIDs []int, k int, floors []float64, board *topk.FloorBoard, out [][]topk.Entry) (int64, int64) {
-	list := m.lists[c]
-	bounds := m.bounds[c]
-	nItems := len(list)
-	var blockNanos, visited int64
-
-	blockLen := 0
-	var scores *mat.Matrix
-	if m.blocks[c] != nil {
-		blockLen = m.blocks[c].Rows()
-		// Shared prefix: one GemmNT scores every queried user of the cluster
-		// against the first blockLen list entries. The full-membership case
-		// (QueryAll) reuses the cluster-user matrix cached at Build; subset
-		// queries gather their rows first.
-		qUsers := m.memberVecs[c]
-		if !m.coversMembers(c, queryPos, userIDs) {
-			qUsers = mat.New(len(queryPos), m.users.Cols())
-			for r, qi := range queryPos {
-				copy(qUsers.Row(r), m.users.Row(userIDs[qi]))
-			}
-		}
-		scores = mat.New(len(queryPos), blockLen)
-		t0 := time.Now()
-		blas.GemmNTParallel(qUsers, m.blocks[c], scores, m.cfg.Threads)
-		blockNanos = time.Since(t0).Nanoseconds()
-	}
-
-	perUser := make([]int64, len(queryPos))
-	parallel.ForThreads(m.cfg.Threads, len(queryPos), queryGrain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			// Cancelled: abandon the chunk; the truncated rows are discarded
-			// by queryStats's post-loop ctx check.
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			qi := queryPos[r]
-			u := userIDs[qi]
-			urow := m.users.Row(u)
-			unorm := m.userNorm[u]
-			floor := math.Inf(-1)
-			if floors != nil {
-				floor = floors[qi]
-			} else if board != nil {
-				floor = board.Floor(qi)
-			}
-			h := topk.NewSeeded(k, floor)
-			start := 0
-			if blockLen > 0 {
-				// Harvest the blocked prefix.
-				row := scores.Row(r)
-				for pos := 0; pos < blockLen; pos++ {
-					h.Push(int(list[pos]), row[pos])
-				}
-				start = blockLen
-				perUser[r] = int64(blockLen)
-			} else {
-				// Algorithm 1: seed the heap with the first K list entries.
-				seed := k
-				if seed > nItems {
-					seed = nItems
-				}
-				for pos := 0; pos < seed; pos++ {
-					id := int(list[pos])
-					h.Push(id, blas.Dot(urow, m.items.Row(id)))
-				}
-				start = seed
-				perUser[r] = int64(seed)
-			}
-			// Walk the remainder; terminate when the sorted bound proves no
-			// later entry can displace the heap minimum (or beat the floor:
-			// a seeded heap reports its floor before it fills). Under a live
-			// board the cell is re-polled every floorPollInterval positions.
-			poll := 0
-			for pos := start; pos < nItems; pos++ {
-				if board != nil || ctx != nil {
-					if poll == 0 {
-						if board != nil {
-							h.RaiseFloor(board.Floor(qi))
-						}
-						if ctx != nil && ctx.Err() != nil {
-							break
-						}
-						poll = floorPollInterval
-					}
-					poll--
-				}
-				if thr, ok := h.Threshold(); ok && bounds[pos]*unorm < thr-slack(thr) {
-					break
-				}
-				perUser[r]++
-				id := int(list[pos])
-				h.Push(id, blas.Dot(urow, m.items.Row(id)))
-			}
-			out[qi] = h.Sorted()
-		}
-	})
-	for _, v := range perUser {
-		visited += v
-	}
-	return blockNanos, visited
+// walkCall is one query call's arguments, shared by its parallel chunks.
+type walkCall struct {
+	ctx    context.Context // nil: no deadline
+	ids    []int
+	k      int
+	floors []float64        // static floors aligned with ids, or nil
+	board  *topk.FloorBoard // live floors aligned with ids, or nil
+	out    [][]topk.Entry
 }
 
-// coversMembers reports whether the queried users of cluster c are exactly
-// the cluster's membership in member order — the QueryAll fast path.
-func (m *Maximus) coversMembers(c int, queryPos []int, userIDs []int) bool {
-	members := m.members[c]
-	if len(queryPos) != len(members) {
-		return false
+// walker is one user of a chunk walk.
+type walker struct {
+	qi    int // position in the call's ids
+	user  []float64
+	unorm float64
+	h     *topk.Heap
+}
+
+// poll raises w's floor to its live board cell, if the call has a board.
+func (q *walkCall) poll(w *walker) {
+	if q.board != nil {
+		w.h.RaiseFloor(q.board.Floor(w.qi))
 	}
-	for i, qi := range queryPos {
-		if userIDs[qi] != members[i] {
-			return false
+}
+
+// cut reports whether the Equation 3 bound at a list position, scaled by the
+// user's norm, proves that no entry from there on can enter w's heap.
+func (w *walker) cut(bound float64) bool {
+	thr, ok := w.h.Threshold()
+	return ok && bound*w.unorm < thr-slack(thr)
+}
+
+// walkChunk answers one chunk: at most walkChunkUsers queried users of one
+// cluster, walking the cluster's bound-sorted list together one segment at a
+// time — B_c positions first (at least k), walkSegment after that. Before
+// each segment the users whose cut fires at its first position leave; the
+// rest score the segment with one multiply and harvest it threshold-first,
+// each stopping at its own cut. Once fewer than minSharedRows users remain
+// (from the start under the DisableItemBlocking lesion), each finishes alone.
+// The multiply sums every score in DotFrom's order, so no answer depends on
+// the segments, the chunk or the thread count. Returns the list positions
+// scored, the multiplied segments' overshoot included.
+func (m *Maximus) walkChunk(q *walkCall, qs []int, scr *walkScratch) (int64, error) {
+	c := m.clusterOf[q.ids[qs[0]]]
+	list, bounds := m.lists[c], m.bounds[c]
+	scr.walkers = scr.walkers[:0]
+	for _, qi := range qs {
+		u := q.ids[qi]
+		floor := math.Inf(-1)
+		if q.floors != nil {
+			floor = q.floors[qi]
+		} else if q.board != nil {
+			floor = q.board.Floor(qi)
+		}
+		scr.walkers = append(scr.walkers, walker{qi: qi, user: m.users.Row(u), unorm: m.userNorm[u], h: topk.NewSeeded(q.k, floor)})
+	}
+	active := scr.active[:0]
+	for i := range scr.walkers {
+		active = append(active, &scr.walkers[i])
+	}
+	var scanned int64
+	pos, seg := 0, max(m.blocks[c], q.k)
+	for !m.cfg.DisableItemBlocking && pos < len(list) {
+		if err := mips.CtxErr(q.ctx); err != nil {
+			return scanned, err
+		}
+		live := active[:0]
+		for _, w := range active {
+			q.poll(w)
+			if !w.cut(bounds[pos]) {
+				live = append(live, w)
+			}
+		}
+		if active = live; len(active) < minSharedRows {
+			break
+		}
+		end := min(pos+seg, len(list))
+		scores := scr.multiply(m.items, list[pos:end], active)
+		scanned += int64(len(active) * (end - pos))
+		live = active[:0]
+		for r, w := range active {
+			if w.harvest(scores.Row(r), list[pos:end], bounds[pos:end]) {
+				live = append(live, w)
+			}
+		}
+		active, pos, seg = live, end, walkSegment
+	}
+	for _, w := range active {
+		n, err := m.walkAlone(q, w, list, bounds, pos)
+		scanned += n
+		if err != nil {
+			return scanned, err
+		}
+	}
+	scr.active = active[:0]
+	for i := range scr.walkers {
+		w := &scr.walkers[i]
+		q.out[w.qi] = w.h.Sorted()
+	}
+	return scanned, nil
+}
+
+// harvest offers w's scores for one list segment (ids, with their aligned
+// bounds) to its heap threshold-first, and reports whether w walks on: false
+// once its cut fires inside the segment. A score tying the threshold is left
+// to Push, which breaks the tie by id.
+func (w *walker) harvest(scores []float64, ids []int32, bounds []float64) bool {
+	thr, ok := w.h.Threshold()
+	cut := thr - slack(thr)
+	for p, v := range scores {
+		if ok {
+			if bounds[p]*w.unorm < cut {
+				return false
+			}
+			if v < thr {
+				continue
+			}
+		}
+		if w.h.Push(int(ids[p]), v) {
+			thr, ok = w.h.Threshold()
+			cut = thr - slack(thr)
 		}
 	}
 	return true
+}
+
+// walkAlone finishes w's walk from list position pos, one DotFrom per
+// position, polling ctx and the board every walkSegment positions. Returns
+// the positions scored.
+func (m *Maximus) walkAlone(q *walkCall, w *walker, list []int32, bounds []float64, pos int) (int64, error) {
+	from := pos
+	for ; pos < len(list); pos++ {
+		if (pos-from)%walkSegment == 0 {
+			if err := mips.CtxErr(q.ctx); err != nil {
+				return int64(pos - from), err
+			}
+			q.poll(w)
+		}
+		if w.cut(bounds[pos]) {
+			break
+		}
+		id := int(list[pos])
+		w.h.Push(id, blas.DotFrom(0, w.user, m.items.Row(id)))
+	}
+	return int64(pos - from), nil
+}
+
+// walkScratch holds one chunk walk's temporaries, recycled across chunks and
+// calls through Maximus.scratches.
+type walkScratch struct {
+	walkers []walker
+	active  []*walker
+	a, b, c []float64 // backing of the segment multiply's operands
+	packed  blas.Packed
+}
+
+// multiply scores the active users against the items ids with one
+// GemmNTPacked; row r of the result holds active[r]'s scores.
+func (scr *walkScratch) multiply(items *mat.Matrix, ids []int32, active []*walker) *mat.Matrix {
+	f := items.Cols()
+	a := view(&scr.a, len(active), f)
+	for r, w := range active {
+		copy(a.Row(r), w.user)
+	}
+	b := view(&scr.b, len(ids), f)
+	for p, id := range ids {
+		copy(b.Row(p), items.Row(int(id)))
+	}
+	scores := view(&scr.c, len(active), len(ids))
+	blas.Repack(&scr.packed, b, len(active))
+	blas.GemmNTPacked(a, &scr.packed, scores, 1)
+	return scores
+}
+
+// view returns a rows×cols matrix over *buf, growing the buffer when it is
+// too small.
+func view(buf *[]float64, rows, cols int) *mat.Matrix {
+	if cap(*buf) < rows*cols {
+		*buf = make([]float64, rows*cols)
+	}
+	v, err := mat.FromSlice(rows, cols, (*buf)[:rows*cols])
+	if err != nil {
+		panic(err) // unreachable: the slice has exactly rows*cols elements
+	}
+	return v
 }
 
 // QueryAll implements mips.Solver.
@@ -680,7 +726,8 @@ func (m *Maximus) QueryAll(k int) ([][]topk.Entry, error) {
 }
 
 // MeanItemsVisited runs an instrumented QueryAll and returns w̄, the average
-// number of list positions visited per user (Equation 4's key quantity).
+// number of list positions scored per user (Equation 4's key quantity), the
+// multiplied segments' overshoot past each user's cut included.
 func (m *Maximus) MeanItemsVisited(k int) (float64, error) {
 	if m.users == nil {
 		return 0, fmt.Errorf("core: MAXIMUS MeanItemsVisited before Build")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"optimus/internal/mat"
 	"optimus/internal/mips"
 	"optimus/internal/persist"
 )
@@ -21,8 +20,7 @@ func init() {
 // per-cluster block sizes the cost-estimation stage measured — so Load
 // restores the paper's §III index without re-running k-means or the sample
 // walks. Cheap deterministic projections of that state (user norms, member
-// lists, the shared block matrices themselves) are re-derived at Load
-// instead of stored.
+// lists) are re-derived at Load instead of stored.
 func (m *Maximus) Save(w io.Writer) error {
 	if m.users == nil {
 		return fmt.Errorf("core: MAXIMUS Save before Build")
@@ -146,20 +144,7 @@ func (m *Maximus) Load(r io.Reader) error {
 	for u, c := range clusterOf {
 		m.members[c] = append(m.members[c], u)
 	}
-	m.blocks = make([]*mat.Matrix, nClusters)
-	m.memberVecs = make([]*mat.Matrix, nClusters)
-	for c := 0; c < nClusters; c++ {
-		bl := blockSizes[c]
-		if bl == 0 || len(m.members[c]) == 0 {
-			continue
-		}
-		sel := make([]int, bl)
-		for p := 0; p < bl; p++ {
-			sel[p] = int(lists[c][p])
-		}
-		m.blocks[c] = items.SelectRows(sel)
-		m.memberVecs[c] = users.SelectRows(m.members[c])
-	}
+	m.blocks = blockSizes
 	m.timings = MaximusTimings{}
 	m.scanned.Store(0)
 	return nil

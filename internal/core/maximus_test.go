@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,14 +190,119 @@ func TestItemBlockingLesionSameAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := range a {
-		if err := mips.VerifyTopK(users.Row(u), items, a[u], 5, 1e-9); err != nil {
-			t.Fatalf("blocked user %d: %v", u, err)
+	naive := mips.NewNaive()
+	if err := naive.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	want, err := naive.QueryAll(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRows(t, "blocked", want, a)
+	requireSameRows(t, "lesion", want, b)
+}
+
+// requireSameRows fails unless got equals want entry for entry: the same
+// items in the same order, with scores equal to the bit.
+func requireSameRows(t *testing.T, label string, want, got [][]topk.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !topk.Equal(got[i], want[i], 0) {
+			t.Fatalf("%s: row %d is %+v, want %+v", label, i, got[i], want[i])
 		}
-		// Score sequences must agree (items may swap among fp-exact ties).
-		for r := range a[u] {
-			if math.Abs(a[u][r].Score-b[u][r].Score) > 1e-9 {
-				t.Fatalf("user %d rank %d: %v vs %v", u, r, a[u][r].Score, b[u][r].Score)
+	}
+}
+
+// TestMaximusBitIdenticalToNaive: every MAXIMUS score is summed in Naive's
+// order, so an answer equals Naive's entry for entry, whatever the block
+// length, the lesion, the query subset, its chunking, the floors or the
+// thread count.
+func TestMaximusBitIdenticalToNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	// Four clusters of ~75 users: full queries cut chunks of 64 and a
+	// remainder; lists of 1200 items span several 256-entry segments.
+	users, items := testModel(rng, 300, 1200, 12)
+	naive := mips.NewNaive()
+	if err := naive.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	all := mips.AllUserIDs(users.Rows())
+	subsets := [][]int{
+		{7},
+		{3, 3, 299, 0},
+		{12, 16, 20, 24, 28},         // one cluster: starts shared, floors below drop it under 4
+		rng.Perm(users.Rows())[:150], // chunks of every cluster, in arbitrary order
+		append(append([]int(nil), all...), all...), // every user twice: chunks crossing 64
+	}
+	for _, k := range []int{1, 10, 50} {
+		want, err := naive.QueryAll(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []MaximusConfig{
+			{Clusters: 4, Seed: 2},
+			{Clusters: 4, Seed: 2, BlockSize: 3},
+			{Clusters: 4, Seed: 2, DisableItemBlocking: true},
+		} {
+			cfg.Threads = 1
+			m := NewMaximus(cfg)
+			if err := m.Build(users, items); err != nil {
+				t.Fatal(err)
+			}
+			for _, threads := range []int{1, 3} {
+				m.SetThreads(threads)
+				label := fmt.Sprintf("k=%d block=%d lesion=%v threads=%d", k, cfg.BlockSize, cfg.DisableItemBlocking, threads)
+				got, err := m.QueryAll(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameRows(t, label+" full", want, got)
+				for si, ids := range subsets {
+					wantRows := make([][]topk.Entry, len(ids))
+					floors := make([]float64, len(ids))
+					floored := make([][]topk.Entry, len(ids))
+					for i, u := range ids {
+						wantRows[i] = want[u]
+						// Unfloored, tied with the k-th score, tied with the
+						// top score, and above it (an empty row).
+						switch i % 4 {
+						case 0:
+							floors[i] = math.Inf(-1)
+						case 1:
+							floors[i] = want[u][k-1].Score
+						case 2:
+							floors[i] = want[u][0].Score
+						default:
+							floors[i] = want[u][0].Score + 1
+						}
+						cut := 0
+						for cut < k && want[u][cut].Score >= floors[i] {
+							cut++
+						}
+						floored[i] = want[u][:cut]
+					}
+					sub := fmt.Sprintf("%s subset %d", label, si)
+					got, err := m.Query(ids, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameRows(t, sub, wantRows, got)
+					got, err = m.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameRows(t, sub+" floors", floored, got)
+					board := topk.NewFloorBoard(len(ids))
+					board.Fill(floors)
+					got, err = m.QueryCtx(context.Background(), ids, k, mips.QueryOptions{Board: board})
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameRows(t, sub+" board", floored, got)
+				}
 			}
 		}
 	}
@@ -500,9 +607,7 @@ func TestMaximusFloorsContract(t *testing.T) {
 		t.Fatal("floor/user length mismatch must fail")
 	}
 
-	// Cross-shard-style floors must shorten the sorted-bound walks. The
-	// shared blocked prefix is sized at Build and stays scanned, so the
-	// reduction shows in the post-block walk.
+	// Cross-shard-style floors must shorten the sorted-bound walks.
 	high := make([]float64, len(ids))
 	for i := range high {
 		high[i] = want[i][0].Score

@@ -113,12 +113,12 @@ type Sized interface {
 
 // FloorAwareEstimator is the optional interface for solvers whose *build*
 // includes a cost-estimation stage that simulates query walks — MAXIMUS's
-// estimateBlocks sizes each cluster's shared blocked prefix from sampled
+// estimateBlocks sizes each cluster's first shared walk segment from sampled
 // walk lengths. SetEstimationFloors supplies per-user floors (indexed by
 // user row, len = users.Rows(), -Inf for "no bound") that the next Build's
 // estimation walks may seed their running best with, modelling the floors
 // the index will actually serve under: a tail shard that mostly sees high
-// floors walks shorter and deserves a smaller (or no) shared block. The
+// floors walks shorter and deserves a smaller (or no) first segment. The
 // floors are a performance hint only — they never reach the query path — so
 // a mismatched length is ignored rather than an error, and they persist
 // until replaced. The sharded executor records the floors each shard

@@ -20,10 +20,13 @@
 // results are identical — same items, same order — to the unsharded
 // solver's, at every shard count. The per-shard id mappings are kept
 // ascending in global id precisely so shard-local tie-breaking agrees with
-// global tie-breaking. (Scores agree to within the kernels' floating-point
-// rounding: a sub-matrix places items at different offsets inside the
-// blocked GEMM's unrolled edges, which can move the last ulp — the same
-// noise floor the repository's cross-solver agreement tests tolerate.)
+// global tie-breaking. BMM, LEMP and MAXIMUS score every candidate in
+// blas.DotFrom's order — the order the GEMM sums each element in, wherever
+// the item sits in the multiply — so Sharded over them matches the
+// unsharded solver to the bit. Only the cone tree (blas.Dot's four chains)
+// and FEXIPRO (scores in its rotated basis, which each shard derives from
+// its own items) sum differently; their scores can differ from Naive's,
+// and FEXIPRO's from its unsharded self, in the last ulp.
 //
 // # Cross-shard threshold propagation (the two-wave query)
 //

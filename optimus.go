@@ -98,8 +98,8 @@ type QueryOptions = mips.QueryOptions
 // order, renumbered densely), and Generation stamps the catalog version.
 // After any interleaving of mutations, query results are entry-for-entry
 // identical to a fresh Build over the mutated corpus. The served solvers and
-// Naive implement it: BMM and Naive append/compact, MAXIMUS patches its bound
-// lists and shared blocks, LEMP splices its norm-sorted buckets. The
+// Naive implement it: BMM and Naive append/compact, MAXIMUS splices its bound
+// lists, LEMP splices its norm-sorted buckets. The
 // baselines (the cone tree, FEXIPRO) do not; Sharded routes mutations to
 // the owning shards only and rebuilds a shard whose sub-solver cannot patch
 // itself, so any solver is mutable as a composite — see NewSharded.
