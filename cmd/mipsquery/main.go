@@ -367,22 +367,21 @@ func workerDialer(name string) (shard.WorkerDialer, *transport.Loopback, error) 
 }
 
 func loadSnapshot(path string, threads int, dialer shard.WorkerDialer) (mips.Solver, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	// Under a worker transport, load through a dialing composite: each shard
 	// section of the manifest ships to (and boots) its dialed worker. A
 	// non-sharded snapshot fails the manifest's kind check with a clear error.
 	if dialer != nil {
 		sh := shard.New(shard.Config{Threads: threads, WorkerDialer: dialer})
-		if err := sh.Load(bufio.NewReader(f)); err != nil {
+		if err := sh.Load(persist.FromBytes(data)); err != nil {
 			return nil, fmt.Errorf("-transport: %w (a worker transport needs a sharded snapshot)", err)
 		}
 		return sh, nil
 	}
-	ls, err := persist.LoadAny(bufio.NewReader(f))
+	ls, err := persist.LoadAny(persist.FromBytes(data))
 	if err != nil {
 		return nil, err
 	}

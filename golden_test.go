@@ -19,11 +19,27 @@ package optimus
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"testing/iotest"
+
+	"optimus/internal/persist"
 )
+
+// snapshotSources are the three ways a load gets its bytes: parsed in place
+// (persist.FromBytes), one exactly sized read from a reader that reports its
+// length, and io.ReadAll over a reader that hides it.
+var snapshotSources = []struct {
+	name string
+	open func([]byte) io.Reader
+}{
+	{"FromBytes", persist.FromBytes},
+	{"bytes.Reader", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"length-hiding", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+}
 
 func goldenCorpus() (*Matrix, *Matrix) {
 	return lcgMatrix(20, 8, 7), lcgMatrix(48, 8, 13)
@@ -87,19 +103,30 @@ func TestGoldenSnapshots(t *testing.T) {
 				t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
 			}
 
-			// Property 1: the committed bytes still load, and the loaded
-			// index answers exactly like a fresh build of the same corpus.
-			loaded, err := LoadSolver(bytes.NewReader(golden))
-			if err != nil {
-				t.Fatalf("golden snapshot no longer loads — wire format break: %v", err)
-			}
-			got, err := loaded.QueryAll(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameEntries(t, want, got)
-			if err := VerifyAll(users, items, got, k, 1e-8); err != nil {
-				t.Fatal(err)
+			// Property 1: the committed bytes still load, through every
+			// source a load reads from, the loaded index answers exactly
+			// like a fresh build of the same corpus, and it re-saves to the
+			// committed bytes.
+			for _, src := range snapshotSources {
+				loaded, err := LoadSolver(src.open(golden))
+				if err != nil {
+					t.Fatalf("%s: golden snapshot no longer loads — wire format break: %v", src.name, err)
+				}
+				got, err := loaded.QueryAll(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameEntries(t, want, got)
+				if err := VerifyAll(users, items, got, k, 1e-8); err != nil {
+					t.Fatal(err)
+				}
+				var resave bytes.Buffer
+				if err := SaveSolver(&resave, loaded); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(resave.Bytes(), golden) {
+					t.Fatalf("%s: re-saving the loaded golden gave %d bytes, not the committed %d", src.name, resave.Len(), len(golden))
+				}
 			}
 
 			// Property 2: the writer reproduces the committed bytes. Index

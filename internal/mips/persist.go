@@ -19,7 +19,8 @@ import (
 //
 // Load follows the same fresh-backing rule as the mutation contract: the
 // restored state never aliases the reader's buffers, so callers may reuse
-// or mutate the source bytes after Load returns. Corrupted, truncated, or
+// or mutate the source bytes after Load returns. Load reads r to EOF, so
+// nothing after the snapshot can be read from it. Corrupted, truncated, or
 // version-skewed streams return errors — never a panic, never a solver that
 // silently answers from bad state.
 //

@@ -19,7 +19,15 @@
 // bit flips surface as errors before any decoded value reaches a solver.
 // Matrices inside sections use the OMXA aligned layout (internal/mat): the
 // writer threads the absolute stream offset through, so float64 payloads
-// land on 8-byte file offsets and a future reader may map them in place.
+// land on 8-byte file offsets.
+//
+// A load holds the whole stream as one byte slice. NewReader and LoadAny
+// read their stream to EOF, once (not at all for a FromBytes source), and
+// every section body is a view of that slice, so a snapshot nested inside a
+// section (a server's solver, a composite's shards) is parsed in place
+// through FromBytes rather than copied at each level. Decoded values
+// (matrices, slices, strings) are fresh copies: no loaded solver aliases its
+// stream. Only Decoder.Bytes hands out a view.
 //
 // The version is bumped when the framing or any solver's section layout
 // changes incompatibly; version-1 readers reject higher versions outright
@@ -27,7 +35,6 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -49,8 +56,9 @@ const (
 	// maxCount bounds every element count a decoder will allocate for
 	// before the per-read remaining-bytes check applies. Large enough for
 	// any real index, small enough that count*size arithmetic cannot
-	// overflow int64.
-	maxCount = 1 << 40
+	// overflow int64, and never above the platform's int, so a count
+	// converts to int unchanged on 32-bit builds too.
+	maxCount = min(1<<40, math.MaxInt)
 )
 
 // Writer emits one snapshot stream. Sections are buffered in memory, so a
@@ -123,46 +131,88 @@ func (w *Writer) Section(name string, fill func(*Encoder)) {
 // Close reports the first error encountered while writing sections.
 func (w *Writer) Close() error { return w.err }
 
-// Reader consumes one snapshot stream.
+// Reader parses one snapshot held in memory as a single byte slice.
 type Reader struct {
-	r    *bufio.Reader
+	data []byte // the whole stream; pos is also the absolute stream offset
+	pos  int
 	kind string
-	off  int64
 	err  error
 }
 
-// NewReader validates the stream header and returns the section reader.
-// wantKind "" accepts any kind (the caller inspects Kind()); otherwise the
-// stream's kind must match exactly.
-func NewReader(r io.Reader, wantKind string) (*Reader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+// FromBytes returns a stream over an in-memory snapshot that NewReader and
+// LoadAny parse in place: no byte of data is copied, and section bodies are
+// views of it. data must not change while a load runs. Any other reader of
+// the returned stream sees data's bytes as usual.
+func FromBytes(data []byte) io.Reader { return &inPlace{data: data} }
+
+type inPlace struct{ data []byte }
+
+func (s *inPlace) Read(p []byte) (int, error) {
+	if len(s.data) == 0 {
+		return 0, io.EOF
 	}
-	var hdr [10]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("persist: read header: %w", err)
+	n := copy(p, s.data)
+	s.data = s.data[n:]
+	return n, nil
+}
+
+// readAll takes the rest of r as one slice: a FromBytes source as is, a
+// reader that reports its remaining length (*bytes.Reader, *bytes.Buffer)
+// with one exactly sized read, anything else with io.ReadAll, whose
+// allocation is bounded by the bytes actually present.
+func readAll(r io.Reader) ([]byte, error) {
+	switch s := r.(type) {
+	case *inPlace:
+		data := s.data
+		s.data = nil
+		return data, nil
+	case interface{ Len() int }:
+		data := make([]byte, s.Len())
+		_, err := io.ReadFull(r, data)
+		return data, err
 	}
-	if string(hdr[:4]) != Magic {
-		return nil, fmt.Errorf("persist: bad magic %q, want %q", hdr[:4], Magic)
+	return io.ReadAll(r)
+}
+
+// parseHeader validates the stream header and returns the kind and the
+// header's length.
+func parseHeader(data []byte) (string, int, error) {
+	if len(data) < 10 {
+		return "", 0, fmt.Errorf("persist: read header: %d of 10 bytes", len(data))
 	}
-	version := binary.LittleEndian.Uint32(hdr[4:8])
-	if version != Version {
-		return nil, fmt.Errorf("persist: unsupported snapshot version %d (reader supports %d)", version, Version)
+	if string(data[:4]) != Magic {
+		return "", 0, fmt.Errorf("persist: bad magic %q, want %q", data[:4], Magic)
 	}
-	kindLen := int(binary.LittleEndian.Uint16(hdr[8:10]))
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != Version {
+		return "", 0, fmt.Errorf("persist: unsupported snapshot version %d (reader supports %d)", v, Version)
+	}
+	kindLen := int(binary.LittleEndian.Uint16(data[8:10]))
 	if kindLen == 0 || kindLen > maxKindLen {
-		return nil, fmt.Errorf("persist: kind length %d out of range", kindLen)
+		return "", 0, fmt.Errorf("persist: kind length %d out of range", kindLen)
 	}
-	kindBuf := make([]byte, kindLen)
-	if _, err := io.ReadFull(br, kindBuf); err != nil {
-		return nil, fmt.Errorf("persist: read kind: %w", err)
+	if len(data) < 10+kindLen {
+		return "", 0, fmt.Errorf("persist: read kind: %d of %d bytes", len(data)-10, kindLen)
 	}
-	kind := string(kindBuf)
+	return string(data[10 : 10+kindLen]), 10 + kindLen, nil
+}
+
+// NewReader takes r to EOF, validates the stream header and returns the
+// section reader. wantKind "" accepts any kind (the caller inspects Kind());
+// otherwise the stream's kind must match exactly. Pass FromBytes to parse an
+// in-memory snapshot without copying it; any other stream is read once.
+func NewReader(r io.Reader, wantKind string) (*Reader, error) {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("persist: read stream: %w", err)
+	}
+	kind, n, err := parseHeader(data)
+	if err != nil {
+		return nil, err
+	}
 	if wantKind != "" && kind != wantKind {
 		return nil, fmt.Errorf("persist: snapshot kind %q, want %q", kind, wantKind)
 	}
-	return &Reader{r: br, kind: kind, off: int64(10 + kindLen)}, nil
+	return &Reader{data: data, pos: n, kind: kind}, nil
 }
 
 // Kind returns the stream's kind string.
@@ -184,54 +234,37 @@ func (r *Reader) Section(name string) *Decoder {
 	return dec
 }
 
+// section checks the next section's name, that its body and checksum fit in
+// the bytes remaining, and its CRC, then returns a Decoder over a view of
+// the body whose capacity ends at the body.
 func (r *Reader) section(name string) (*Decoder, error) {
-	var nl [2]byte
-	if _, err := io.ReadFull(r.r, nl[:]); err != nil {
-		return nil, fmt.Errorf("persist: section %q: read header: %w", name, err)
+	rest := r.data[r.pos:]
+	if len(rest) < 2 {
+		return nil, fmt.Errorf("persist: section %q: read header: %w", name, io.ErrUnexpectedEOF)
 	}
-	nameLen := int(binary.LittleEndian.Uint16(nl[:]))
+	nameLen := int(binary.LittleEndian.Uint16(rest))
 	if nameLen == 0 || nameLen > maxSectionLen {
 		return nil, fmt.Errorf("persist: section name length %d out of range", nameLen)
 	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r.r, nameBuf); err != nil {
-		return nil, fmt.Errorf("persist: section %q: read name: %w", name, err)
+	lo := 2 + nameLen + 8
+	if len(rest) < lo {
+		return nil, fmt.Errorf("persist: section %q: read header: %w", name, io.ErrUnexpectedEOF)
 	}
-	if string(nameBuf) != name {
-		return nil, fmt.Errorf("persist: section %q, want %q", nameBuf, name)
+	if got := rest[2 : 2+nameLen]; string(got) != name {
+		return nil, fmt.Errorf("persist: section %q, want %q", got, name)
 	}
-	var bl [8]byte
-	if _, err := io.ReadFull(r.r, bl[:]); err != nil {
-		return nil, fmt.Errorf("persist: section %q: read length: %w", name, err)
+	bodyLen := binary.LittleEndian.Uint64(rest[2+nameLen:])
+	if avail := len(rest) - lo; bodyLen > uint64(avail) || avail-int(bodyLen) < 4 {
+		return nil, fmt.Errorf("persist: section %q: body of %d bytes and checksum overrun the %d bytes left", name, bodyLen, avail)
 	}
-	bodyLen := binary.LittleEndian.Uint64(bl[:])
-	if bodyLen > math.MaxInt64 {
-		return nil, fmt.Errorf("persist: section %q: length %d out of range", name, bodyLen)
-	}
-	// Read the body in bounded chunks: a corrupt length field claiming
-	// terabytes fails at EOF after reading what is actually there, instead
-	// of attempting a giant up-front allocation.
-	const chunk = 1 << 20
-	body := make([]byte, 0, min64(bodyLen, chunk))
-	for uint64(len(body)) < bodyLen {
-		n := min64(bodyLen-uint64(len(body)), chunk)
-		start := len(body)
-		body = append(body, make([]byte, n)...)
-		if _, err := io.ReadFull(r.r, body[start:]); err != nil {
-			return nil, fmt.Errorf("persist: section %q: read body: %w", name, err)
-		}
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r.r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("persist: section %q: read checksum: %w", name, err)
-	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
+	hi := lo + int(bodyLen)
+	body := rest[lo:hi:hi]
+	want := binary.LittleEndian.Uint32(rest[hi:])
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("persist: section %q: checksum mismatch (got %08x, want %08x)", name, got, want)
 	}
-	hdrLen := int64(2+nameLen) + 8
-	base := r.off + hdrLen
-	r.off += hdrLen + int64(bodyLen) + 4
+	base := int64(r.pos + lo)
+	r.pos += hi + 4
 	return &Decoder{buf: body, base: base}, nil
 }
 
@@ -241,17 +274,13 @@ func (r *Reader) section(name string) (*Decoder, error) {
 // probes for an *optional trailing* section a newer writer may have
 // appended: an absent section is not an error (Close's trailing-section
 // tolerance, made selective), while a present one is fully validated exactly
-// like Section. The peek needs 2+len(name) buffered bytes, comfortably
-// inside the bufio default for any legal section name.
+// like Section.
 func (r *Reader) SectionIf(name string) (*Decoder, bool) {
 	if r.err != nil || len(name) == 0 || len(name) > maxSectionLen {
 		return nil, false
 	}
-	hdr, err := r.r.Peek(2 + len(name))
-	if err != nil {
-		return nil, false // EOF (or short stream): section absent
-	}
-	if int(binary.LittleEndian.Uint16(hdr[:2])) != len(name) || string(hdr[2:]) != name {
+	hdr := r.data[r.pos:]
+	if len(hdr) < 2+len(name) || int(binary.LittleEndian.Uint16(hdr)) != len(name) || string(hdr[2:2+len(name)]) != name {
 		return nil, false
 	}
 	dec, err := r.section(name)
@@ -266,13 +295,6 @@ func (r *Reader) SectionIf(name string) (*Decoder, bool) {
 // stream to be fully consumed: trailing sections a newer writer appended are
 // ignored, which is the forward-compatibility escape hatch within a version.
 func (r *Reader) Close() error { return r.err }
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Encoder accumulates one section body. All integers are little-endian.
 // Errors stick; Writer.Section surfaces them.
@@ -435,7 +457,7 @@ func (d *Decoder) take(n int) []byte {
 		d.fail("section body truncated: want %d bytes, have %d", n, d.Remaining())
 		return nil
 	}
-	b := d.buf[d.pos : d.pos+n]
+	b := d.buf[d.pos : d.pos+n : d.pos+n]
 	d.pos += n
 	return b
 }
@@ -551,20 +573,12 @@ func (d *Decoder) F64s() []float64 {
 	return v
 }
 
-// Bytes reads a count-prefixed []byte. The result is a fresh copy, never a
-// view into the section body.
+// Bytes reads a count-prefixed []byte as a view of the section body (its
+// capacity ends at its length), not a copy: it is how a nested snapshot is
+// handed on, to be parsed in place through FromBytes. A caller that keeps
+// the bytes beyond the load clones them, or they pin the whole stream.
 func (d *Decoder) Bytes() []byte {
-	n := d.count(1)
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return d.take(d.count(1))
 }
 
 // Matrix reads one OMXA record. The returned matrix owns fresh backing.

@@ -2,11 +2,27 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"optimus/internal/mat"
 )
+
+// sources are the three ways a load gets its bytes: parsed in place, one
+// exactly sized read from a reader that reports its length, and io.ReadAll
+// over a reader that hides it.
+var sources = []struct {
+	name string
+	open func([]byte) io.Reader
+}{
+	{"FromBytes", FromBytes},
+	{"bytes.Reader", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"length-hiding", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+}
 
 func testMatrix(rows, cols int) *mat.Matrix {
 	m := mat.New(rows, cols)
@@ -176,7 +192,7 @@ func TestSectionErrors(t *testing.T) {
 
 // TestTrailingSectionsIgnored pins the forward-compatibility rule: within a
 // version, a reader that consumed its known sections tolerates trailing
-// sections appended by a newer writer.
+// sections appended by a newer writer, whatever its source.
 func TestTrailingSectionsIgnored(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, "Test")
@@ -188,56 +204,118 @@ func TestTrailingSectionsIgnored(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), "Test")
-	if err != nil {
+	for _, src := range sources {
+		r, err := NewReader(src.open(buf.Bytes()), "Test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := r.Section("known")
+		if v := d.Int(); v != 1 || d.Err() != nil {
+			t.Fatalf("%s: known section: %d, %v", src.name, v, d.Err())
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("%s: trailing section broke Close: %v", src.name, err)
+		}
+	}
+}
+
+// TestHugeSectionLength: a section header claiming 1 TB over a 100-byte
+// stream fails on the length check, before anything is sized from the
+// header.
+func TestHugeSectionLength(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewWriter(&buf, "Test"); err != nil {
 		t.Fatal(err)
 	}
-	d := r.Section("known")
-	if v := d.Int(); v != 1 || d.Err() != nil {
-		t.Fatalf("known section: %d, %v", v, d.Err())
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("trailing section broke Close: %v", err)
+	raw := binary.LittleEndian.AppendUint16(buf.Bytes(), 1)
+	raw = append(raw, 's')
+	raw = binary.LittleEndian.AppendUint64(raw, 1<<40)
+	raw = append(raw, make([]byte, 100-len(raw))...)
+	for _, src := range sources {
+		load := func() {
+			r, err := NewReader(src.open(raw), "Test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := r.Section("s"); d.Err() == nil {
+				t.Fatalf("%s: a 1 TB section over a 100-byte stream was accepted", src.name)
+			}
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, load)
+		runtime.ReadMemStats(&after)
+		perLoad := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		if perLoad >= 64<<10 {
+			t.Fatalf("%s: the failing load allocated %d bytes in %.0f allocations", src.name, perLoad, allocs)
+		}
 	}
 }
 
 // TestCountGuards pins the corrupt-count defense: a count claiming more
-// elements than the section holds fails before allocation.
+// elements than the section holds fails before allocation. 1<<32-1 is a
+// count a 32-bit int would read as -1.
 func TestCountGuards(t *testing.T) {
+	for _, count := range []uint64{1 << 50, 1<<32 - 1} {
+		var buf bytes.Buffer
+		w, _ := NewWriter(&buf, "Test")
+		w.Section("s", func(e *Encoder) {
+			e.U64(count) // an absurd count with no payload behind it
+		})
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, decode := range map[string]func(*Decoder) bool{
+			"Ints":  func(d *Decoder) bool { return d.Ints() != nil },
+			"I32s":  func(d *Decoder) bool { return d.I32s() != nil },
+			"F64s":  func(d *Decoder) bool { return d.F64s() != nil },
+			"Bytes": func(d *Decoder) bool { return d.Bytes() != nil },
+		} {
+			r, err := NewReader(bytes.NewReader(buf.Bytes()), "Test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := r.Section("s")
+			if decode(d) || d.Err() == nil {
+				t.Fatalf("%s: count %d decoded, err %v", name, count, d.Err())
+			}
+		}
+	}
+}
+
+// TestDecoderBytesView: Bytes is a view of the section body whose capacity
+// ends at its length, so an append to it cannot reach the bytes after it.
+// Only a FromBytes source is parsed in place; any other stream is read into
+// a buffer of the reader's own, so the view never aliases the caller's bytes.
+func TestDecoderBytesView(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, "Test")
 	w.Section("s", func(e *Encoder) {
-		e.U64(1 << 50) // an absurd count with no payload behind it
+		e.Bytes([]byte{1, 2, 3})
+		e.U8(9)
 	})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), "Test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := r.Section("s")
-	if v := d.F64s(); v != nil || d.Err() == nil {
-		t.Fatalf("giant count decoded: %v, err %v", v, d.Err())
-	}
-}
-
-func TestDecoderBytesFreshCopy(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "Test")
-	w.Section("s", func(e *Encoder) { e.Bytes([]byte{1, 2, 3}) })
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	r, _ := NewReader(bytes.NewReader(raw), "Test")
-	d := r.Section("s")
-	got := d.Bytes()
-	for i := range raw {
-		raw[i] = 0xff
-	}
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("decoded bytes alias the stream: %v", got)
+	for _, src := range sources {
+		raw := bytes.Clone(buf.Bytes())
+		r, _ := NewReader(src.open(raw), "Test")
+		d := r.Section("s")
+		got := d.Bytes()
+		if len(got) != 3 || cap(got) != 3 {
+			t.Fatalf("%s: view len %d cap %d, want 3 and 3", src.name, len(got), cap(got))
+		}
+		_ = append(got, 0xff)
+		if v := d.U8(); v != 9 || d.Err() != nil {
+			t.Fatalf("%s: the byte after the view reads %d (%v)", src.name, v, d.Err())
+		}
+		for i := range raw {
+			raw[i] = 0xff
+		}
+		if aliased := got[0] == 0xff; aliased != (src.name == "FromBytes") {
+			t.Fatalf("%s: view aliases the caller's bytes: %v", src.name, aliased)
+		}
 	}
 }
 
@@ -323,35 +401,39 @@ func TestMatrixAlignment(t *testing.T) {
 // clean EOF) leaves the stream untouched for the next strict Section call.
 func TestSectionIf(t *testing.T) {
 	raw := writeSample(t)
-	r, err := NewReader(bytes.NewReader(raw), "Test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.SectionIf("beta"); ok {
-		t.Fatal("probe for the wrong name must not consume")
-	}
-	if _, ok := r.SectionIf(""); ok {
-		t.Fatal("empty name must not match")
-	}
-	if _, ok := r.SectionIf(strings.Repeat("x", 300)); ok {
-		t.Fatal("overlong name must not match")
-	}
-	d, ok := r.SectionIf("alpha")
-	if !ok {
-		t.Fatal("probe for the actual next section must hit")
-	}
-	if v := d.U8(); v != 7 || d.Err() != nil {
-		t.Fatalf("alpha via SectionIf: %d, %v", v, d.Err())
-	}
-	// The rest of the stream reads on, strictly.
-	d = r.Section("beta")
-	if m := d.Matrix(); d.Err() != nil || m.At(2, 3) != testMatrix(3, 4).At(2, 3) {
-		t.Fatalf("beta after SectionIf: %v", d.Err())
-	}
-	if _, ok := r.SectionIf("gamma"); ok {
-		t.Fatal("probe at clean EOF must miss")
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			r, err := NewReader(src.open(raw), "Test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := r.SectionIf("beta"); ok {
+				t.Fatal("probe for the wrong name must not consume")
+			}
+			if _, ok := r.SectionIf(""); ok {
+				t.Fatal("empty name must not match")
+			}
+			if _, ok := r.SectionIf(strings.Repeat("x", 300)); ok {
+				t.Fatal("overlong name must not match")
+			}
+			d, ok := r.SectionIf("alpha")
+			if !ok {
+				t.Fatal("probe for the actual next section must hit")
+			}
+			if v := d.U8(); v != 7 || d.Err() != nil {
+				t.Fatalf("alpha via SectionIf: %d, %v", v, d.Err())
+			}
+			// The rest of the stream reads on, strictly.
+			d = r.Section("beta")
+			if m := d.Matrix(); d.Err() != nil || m.At(2, 3) != testMatrix(3, 4).At(2, 3) {
+				t.Fatalf("beta after SectionIf: %v", d.Err())
+			}
+			if _, ok := r.SectionIf("gamma"); ok {
+				t.Fatal("probe at clean EOF must miss")
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

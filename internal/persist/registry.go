@@ -1,8 +1,6 @@
 package persist
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -60,15 +58,16 @@ func Kinds() []string {
 	return out
 }
 
-// LoadAny peeks the stream's kind, constructs the matching solver through
-// the registry, and loads it. The solver's own Load re-reads and
-// re-validates the header, so the peek consumes nothing.
+// LoadAny takes r to EOF, constructs the solver of the stream's kind through
+// the registry, and loads it from the same bytes in place (FromBytes), so
+// the stream is copied at most once. Nothing after the snapshot may be read
+// from r.
 func LoadAny(r io.Reader) (LoadSaver, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("persist: read stream: %w", err)
 	}
-	kind, err := PeekKind(br)
+	kind, _, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -76,32 +75,8 @@ func LoadAny(r io.Reader) (LoadSaver, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Load(br); err != nil {
+	if err := s.Load(FromBytes(data)); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// PeekKind reads the snapshot kind from the stream header without consuming
-// any input.
-func PeekKind(br *bufio.Reader) (string, error) {
-	hdr, err := br.Peek(10)
-	if err != nil {
-		return "", fmt.Errorf("persist: peek header: %w", err)
-	}
-	if string(hdr[:4]) != Magic {
-		return "", fmt.Errorf("persist: bad magic %q, want %q", hdr[:4], Magic)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != Version {
-		return "", fmt.Errorf("persist: unsupported snapshot version %d (reader supports %d)", v, Version)
-	}
-	kindLen := int(binary.LittleEndian.Uint16(hdr[8:10]))
-	if kindLen == 0 || kindLen > maxKindLen {
-		return "", fmt.Errorf("persist: kind length %d out of range", kindLen)
-	}
-	full, err := br.Peek(10 + kindLen)
-	if err != nil {
-		return "", fmt.Errorf("persist: peek kind: %w", err)
-	}
-	return string(full[10:]), nil
 }

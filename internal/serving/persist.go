@@ -94,7 +94,7 @@ func Restore(r io.Reader, solver mips.Solver, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	if solver == nil {
-		ls, err := persist.LoadAny(bytes.NewReader(payload))
+		ls, err := persist.LoadAny(persist.FromBytes(payload))
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +108,7 @@ func Restore(r io.Reader, solver mips.Solver, cfg Config) (*Server, error) {
 	if !ok {
 		return nil, fmt.Errorf("serving: solver %s does not support snapshots (mips.Persister)", solver.Name())
 	}
-	if err := p.Load(bytes.NewReader(payload)); err != nil {
+	if err := p.Load(persist.FromBytes(payload)); err != nil {
 		return nil, err
 	}
 	return newRestored(solver, cfg, gen, appliedSeq)

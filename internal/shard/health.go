@@ -25,7 +25,6 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -359,7 +358,7 @@ func (s *Sharded) reviveShard(si int) bool {
 // snapshot bytes (the same nested stream Save embeds), validating the item
 // count and aligning threads.
 func (s *Sharded) loadShardSnapshot(snap []byte, count int) (mips.Solver, error) {
-	ls, err := persist.LoadAny(bytes.NewReader(snap))
+	ls, err := persist.LoadAny(persist.FromBytes(snap))
 	if err != nil {
 		return nil, err
 	}

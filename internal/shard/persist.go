@@ -160,7 +160,7 @@ func (s *Sharded) Load(r io.Reader) error {
 	if s.cfg.RetainShardSnapshots {
 		// The nested per-shard streams are exactly the snapshot sections the
 		// background reviver (health.go) restores from; retaining them at
-		// Load is free — no re-serialization.
+		// Load costs a copy, not a re-serialization.
 		snaps = make([][]byte, nShards)
 	}
 	for i := 0; i < nShards; i++ {
@@ -206,7 +206,7 @@ func (s *Sharded) Load(r io.Reader) error {
 			}
 			continue
 		}
-		ls, err := persist.LoadAny(bytes.NewReader(nested))
+		ls, err := persist.LoadAny(persist.FromBytes(nested))
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -228,7 +228,9 @@ func (s *Sharded) Load(r io.Reader) error {
 			sh.attach(NewWorker(sub))
 		}
 		if snaps != nil {
-			snaps[i] = nested
+			// nested is a view of the whole restored stream; a clone pins
+			// only this shard's bytes.
+			snaps[i] = bytes.Clone(nested)
 		}
 		ids := sh.ids
 		if ids == nil {

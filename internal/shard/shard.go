@@ -188,8 +188,11 @@ type Config struct {
 	// per-shard section of the persistence manifest) in memory after Build
 	// and Load, letting the background reviver (health.go) restore a
 	// quarantined shard without rebuilding it. Costs one serialized copy of
-	// each sub-solver; mutations invalidate the touched shards' copies, and
-	// revival falls back to a rebuild wherever no snapshot is retained.
+	// each sub-solver: Load clones each shard's section out of the restored
+	// stream, so a retained copy never pins the rest of that stream (the
+	// corpus section, the other shards). Mutations invalidate the touched
+	// shards' copies, and revival falls back to a rebuild wherever no
+	// snapshot is retained.
 	RetainShardSnapshots bool
 	// DriftWindowUsers is the number of served users over which the
 	// build-time scan/user baseline locks in after every (re)structure

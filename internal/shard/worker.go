@@ -85,7 +85,9 @@ type Worker interface {
 // section — the dialed side boots by persist.LoadAny-ing it. A dialer is
 // called at Build (from a fresh snapshot of the just-built sub-solver), at
 // Load (from the manifest's stored section), and at revival (from the
-// retained snapshot or a rebuild). Dial errors fail the operation that
+// retained snapshot or a rebuild). At Load the section is a view of the
+// restored stream, so a dialer that keeps it past the call clones it, or it
+// pins the whole stream. Dial errors fail the operation that
 // triggered them; at query time a dialed worker's failures route through the
 // ordinary quarantine machinery.
 type WorkerDialer func(shard int, section []byte) (Worker, error)

@@ -22,7 +22,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -109,7 +108,7 @@ type Handler struct {
 // section's solver kind must be registered (importing the root optimus
 // package registers all repository kinds).
 func NewHandler(section []byte) (*Handler, error) {
-	ls, err := persist.LoadAny(bytes.NewReader(section))
+	ls, err := persist.LoadAny(persist.FromBytes(section))
 	if err != nil {
 		return nil, fmt.Errorf("transport: booting worker: %w", err)
 	}
@@ -394,7 +393,9 @@ func decodeIDs(payload []byte) ([]int, error) {
 }
 
 // Snapshot implements shard.Worker: the worker serializes its own — possibly
-// remote — state, so the manifest always records what the shard serves.
+// remote — state, so the manifest always records what the shard serves. The
+// result is a view of the reply frame, which holds nothing but a status
+// byte, a length and the snapshot, so keeping it pins only its own bytes.
 func (c *Client) Snapshot() ([]byte, error) {
 	payload, err := roundTrip(c.conn, context.Background(), OpSnapshot, nil)
 	if err != nil {

@@ -6,12 +6,16 @@ package optimus
 // that crashes when queried. Seeds cover the interesting neighborhoods:
 // valid snapshots of every kind, truncations at framing boundaries, bit
 // flips (caught by the section CRCs or the structural validators), and
-// version skew. CI runs both targets with -fuzztime on every push.
+// version skew. Every input loads through both reader paths — parsed in
+// place, and read to EOF from a stream — and the two must agree. CI runs
+// both targets with -fuzztime on every push.
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
+	"optimus/internal/persist"
 	"optimus/internal/shard"
 )
 
@@ -51,16 +55,27 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// fuzzCheck loads data through load; on success the solver must answer a
-// query batch that passes the exactness oracle against its own corpus —
-// i.e. any stream the reader accepts yields an internally consistent index.
-func fuzzCheck(t *testing.T, data []byte, load func([]byte) (Solver, error)) {
+// fuzzCheck loads data through load twice: parsed in place (persist.FromBytes)
+// and read to EOF from a stream that hides its length (io.ReadAll). The two
+// must agree — both fail, or both load and re-save the same bytes. A loaded
+// solver must then answer a query batch: any stream the reader accepts
+// yields an internally consistent index.
+func fuzzCheck(t *testing.T, data []byte, load func(io.Reader) (Solver, error)) {
 	if len(data) > 1<<20 {
 		return // bound fuzz memory; real snapshots at this corpus are ~KB
 	}
-	s, err := load(data)
+	s, err := load(persist.FromBytes(data))
+	streamed, errStreamed := load(struct{ io.Reader }{bytes.NewReader(data)}) // hides Len
+	if (err == nil) != (errStreamed == nil) {
+		t.Fatalf("in-place load: %v; streamed load: %v", err, errStreamed)
+	}
 	if err != nil {
 		return
+	}
+	var a, b bytes.Buffer
+	errA, errB := SaveSolver(&a, s), SaveSolver(&b, streamed)
+	if (errA == nil) != (errB == nil) || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("re-saves differ: in place %d bytes (%v), streamed %d bytes (%v)", a.Len(), errA, b.Len(), errB)
 	}
 	res, err := s.QueryAll(2)
 	if err != nil {
@@ -74,9 +89,7 @@ func FuzzLoadSolver(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzCheck(t, data, func(b []byte) (Solver, error) {
-			return LoadSolver(bytes.NewReader(b))
-		})
+		fuzzCheck(t, data, LoadSolver)
 	})
 }
 
@@ -89,13 +102,13 @@ func FuzzLoadManifest(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzCheck(t, data, func(b []byte) (Solver, error) {
+		fuzzCheck(t, data, func(r io.Reader) (Solver, error) {
 			sh := NewSharded(ShardedConfig{
 				Shards:      2,
 				Partitioner: shard.ByNorm(),
 				Factory:     func() Solver { return NewLEMP(LEMPConfig{Seed: 1}) },
 			})
-			if err := sh.Load(bytes.NewReader(b)); err != nil {
+			if err := sh.Load(r); err != nil {
 				return nil, err
 			}
 			return sh, nil
