@@ -180,8 +180,12 @@ func main() {
 			fmt.Printf("optimus chose %s (sample %d users, overhead %v)\n",
 				dec.Winner, dec.SampleSize, dec.Overhead.Round(time.Microsecond))
 			for _, e := range dec.Estimates {
-				fmt.Printf("  estimate %-12s total=%v build=%v examined=%d\n",
-					e.Solver, e.Total.Round(time.Microsecond), e.BuildTime.Round(time.Microsecond), e.Examined)
+				total := "total="
+				if e.Cut { // a lower bound: the sample race stopped it
+					total = "cut, total>="
+				}
+				fmt.Printf("  estimate %-12s %s%v build=%v examined=%d\n",
+					e.Solver, total, e.Total.Round(time.Microsecond), e.BuildTime.Round(time.Microsecond), e.Examined)
 			}
 		} else {
 			s, err := newSolver(*solver, *threads, *seed)

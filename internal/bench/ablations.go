@@ -8,6 +8,7 @@ import (
 	"optimus/internal/fexipro"
 	"optimus/internal/kmeans"
 	"optimus/internal/mips"
+	"optimus/internal/parallel"
 )
 
 // AblationClustering reproduces the §III-A comparison behind MAXIMUS's
@@ -193,17 +194,21 @@ func (r *Runner) AblationCostModel() error {
 	if err := bmm.Build(m.Users, m.Items); err != nil {
 		return err
 	}
+	threads := time.Duration(parallel.Resolve(r.opt.Threads))
 	for _, k := range []int{1, 50} {
 		_, st, err := bmm.QueryStats(mips.AllUserIDs(m.Users.Rows()), k)
 		if err != nil {
 			return err
 		}
+		// BMMStats sums each stage over the workers that ran it; divided by
+		// the thread count it is the stage's share of the wall clock, which
+		// is what the model predicts.
+		gemm, heap := st.GemmTime/threads, st.HarvestTime/threads
 		pred := model.PredictGemm(m.Users.Rows(), m.Items.Rows(), m.Config.Factors)
-		gemmErr := cost.RelativeError(pred, st.GemmTime)
-		total := st.GemmTime + st.HarvestTime
-		heapFrac := st.HarvestTime.Seconds() / total.Seconds()
+		gemmErr := cost.RelativeError(pred, gemm)
+		heapFrac := heap.Seconds() / (gemm + heap).Seconds()
 		r.printf("K=%-3d predictedGEMM=%sms measuredGEMM=%sms err=%.1f%%  heapStage=%sms (%.1f%% of total)\n",
-			k, ms(pred), ms(st.GemmTime), gemmErr*100, ms(st.HarvestTime), heapFrac*100)
+			k, ms(pred), ms(gemm), gemmErr*100, ms(heap), heapFrac*100)
 	}
 	r.printf("-- calibrated rate: %.2f GFLOP/s\n", model.FlopsPerSecond/1e9)
 	return nil

@@ -174,11 +174,15 @@ func Repack(p *Packed, b *mat.Matrix, aRows int) {
 	}
 	p.panels = p.panels[:n8*f]
 	for j0 := 0; j0 < n8; j0 += kernelCols {
+		// Write each panel front to back, reading its kernelCols (eight) rows
+		// in step.
 		panel := p.panels[j0*f : (j0+kernelCols)*f]
-		for lane := 0; lane < kernelCols; lane++ {
-			for k, v := range b.Row(j0 + lane) {
-				panel[k*kernelCols+lane] = v
-			}
+		r0, r1, r2, r3 := b.Row(j0)[:f], b.Row(j0 + 1)[:f], b.Row(j0 + 2)[:f], b.Row(j0 + 3)[:f]
+		r4, r5, r6, r7 := b.Row(j0 + 4)[:f], b.Row(j0 + 5)[:f], b.Row(j0 + 6)[:f], b.Row(j0 + 7)[:f]
+		for k := range f {
+			d := panel[k*kernelCols : k*kernelCols+kernelCols]
+			d[0], d[1], d[2], d[3] = r0[k], r1[k], r2[k], r3[k]
+			d[4], d[5], d[6], d[7] = r4[k], r5[k], r6[k], r7[k]
 		}
 	}
 }

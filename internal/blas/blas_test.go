@@ -233,7 +233,7 @@ func TestKernelBitIdenticalToScalarTile(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	check := func(m, n, f, th int) {
 		t.Helper()
-		// A is a row view into a larger matrix, as BMM's slabs are.
+		// A is a row view into a larger matrix, as BMM's chunks are.
 		off := rng.Intn(3)
 		a := randomMatrix(rng, m+off+1, f).RowSlice(off, off+m)
 		b := randomMatrix(rng, n, f)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSolversSameAnswersOnScalarPath runs the two solvers that multiply
-// through GemmNT — BMM (slab GEMM) and MAXIMUS (centroid × items at Build,
+// through GemmNT — BMM (chunked GEMM) and MAXIMUS (centroid × items at Build,
 // block multiplies at query) — once on the default path and once on the
 // scalar tile, and requires the same items with == scores: the kernel may
 // change how fast an answer arrives, never one bit of it.
@@ -24,12 +24,12 @@ func TestSolversSameAnswersOnScalarPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 10 // 480 users × 178 items (n%8 = 2), f = 50; BMM below cuts them into six slabs
+	const k = 10 // 480 users × 178 items (n%8 = 2), f = 50; BMM cuts them into eight chunks
 	for _, tc := range []struct {
 		name string
 		make func() mips.Solver
 	}{
-		{"BMM", func() mips.Solver { return core.NewBMM(core.BMMConfig{Threads: 2, SlabBytes: 128 << 10}) }},
+		{"BMM", func() mips.Solver { return core.NewBMM(core.BMMConfig{Threads: 2}) }},
 		{"MAXIMUS", func() mips.Solver { return core.NewMaximus(core.MaximusConfig{Seed: 1, Threads: 2}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

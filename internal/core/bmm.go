@@ -6,6 +6,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,28 +19,18 @@ import (
 
 // BMMConfig controls the blocked-matrix-multiply solver.
 type BMMConfig struct {
-	// Threads parallelizes both the GEMM and the top-K harvest; 0 (the
-	// zero value) defers to the package-wide parallel.Threads() default,
-	// normally all cores.
+	// Threads is the number of workers that multiply and harvest the
+	// query's row chunks; 0 (the zero value) defers to the package-wide
+	// parallel.Threads() default, normally all cores. Answers do not depend
+	// on it.
 	Threads int
-	// SlabBytes bounds the size of one scores slab (users-batch × |I| × 8
-	// bytes). The paper computes "ratings for users in a series of batches
-	// that each occupy the entirety of memory"; we default to 64 MiB so the
-	// working set stays cache-and-RAM friendly at repo scale.
-	SlabBytes int
 }
 
-// DefaultBMMConfig returns the defaults described above. Threads stays 0 —
-// "follow the package-wide parallel.Threads() default" — which NewBMM
-// resolves at construction, so a later SetThreads still takes effect on
-// configs created before it.
-func DefaultBMMConfig() BMMConfig {
-	return BMMConfig{SlabBytes: 64 << 20}
-}
-
-// BMM is the blocked matrix multiply brute-force solver: one GemmNT per user
-// slab followed by per-row heap selection. No pruning, maximal hardware
-// efficiency — the strategy §II-B shows can beat the indexes outright.
+// BMM is the blocked matrix multiply brute-force solver: the query's user
+// rows are multiplied against every item bmmChunkRows rows at a time, and
+// each chunk's scores are harvested by per-row heap selection as soon as they
+// are computed. No pruning, maximal hardware efficiency — the strategy §II-B
+// shows can beat the indexes outright.
 type BMM struct {
 	cfg   BMMConfig
 	users *mat.Matrix
@@ -53,9 +44,20 @@ type BMM struct {
 	scanned atomic.Int64
 }
 
+// bmmPacked and bmmScores recycle BMM's working memory across calls and
+// solvers: the packed items (*blas.Packed) and the per-chunk score buffers
+// (*[]float64). A call then reuses memory a previous one has already
+// faulted in, which matters most for the short OPTIMUS samples: allocated
+// afresh per call, a 75-user sample over 1,200 items took ~1.6× as long and
+// could lose to MAXIMUS on a corpus BMM should win.
+var bmmPacked, bmmScores sync.Pool
+
 // BMMStats reports where a query's time went, for the offline cost model
 // validation (§IV-A): the GEMM stage is analytically predictable, the heap
-// harvest is data-dependent.
+// harvest is data-dependent. Each stage time is summed over the workers that
+// ran it, so with T threads busy it reads about T times the stage's
+// wall-clock share; divide by the thread count before comparing a stage
+// with a wall-clock prediction.
 type BMMStats struct {
 	GemmTime    time.Duration
 	HarvestTime time.Duration
@@ -65,9 +67,6 @@ type BMMStats struct {
 // to defaults.
 func NewBMM(cfg BMMConfig) *BMM {
 	cfg.Threads = parallel.Resolve(cfg.Threads)
-	if cfg.SlabBytes <= 0 {
-		cfg.SlabBytes = DefaultBMMConfig().SlabBytes
-	}
 	return &BMM{cfg: cfg}
 }
 
@@ -177,8 +176,9 @@ func (b *BMM) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 // is seeded, so below-floor scores never enter it, sift work collapses on
 // heavily floored rows, and a row whose every score trails its floor
 // allocates nothing. A live board is snapshotted into static floors (valid:
-// cells only rise). ctx is polled at every score slab and every harvest
-// chunk — the natural units of the GEMM.
+// cells only rise). ctx is polled before every chunk of bmmChunkRows query
+// rows, so a cancellation lands within about one chunk's multiply and
+// harvest.
 func (b *BMM) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
@@ -229,65 +229,52 @@ func (b *BMM) QueryAll(k int) ([][]topk.Entry, error) {
 	return out, b.process(nil, b.users, out, k, nil, &st)
 }
 
-// process scores the rows of `queries` against all items slab-by-slab,
-// harvesting top-k rows into out. floors, when non-nil, is aligned with the
-// query rows and seeds each row's harvest heap.
-func (b *BMM) process(ctx context.Context, queries *mat.Matrix, out [][]topk.Entry, k int, floors []float64, st *BMMStats) error {
-	m := queries.Rows()
-	n := b.items.Rows()
-	slabRows := b.cfg.SlabBytes / (8 * n)
-	if slabRows < 1 {
-		slabRows = 1
-	}
-	if slabRows > m {
-		slabRows = m
-	}
-	scores := mat.New(slabRows, n)
-	// Packed once for every slab of the query and dropped on return: the
-	// solver retains no copy of the items.
-	items := blas.Pack(b.items, m)
-	for lo := 0; lo < m; lo += slabRows {
-		// Slab boundary: one GEMM + one harvest is the natural cancellation
-		// unit for a monolithic multiply.
-		if err := mips.CtxErr(ctx); err != nil {
-			return err
-		}
-		hi := lo + slabRows
-		if hi > m {
-			hi = m
-		}
-		slab := scores.RowSlice(0, hi-lo)
-		t0 := time.Now()
-		blas.GemmNTPacked(queries.RowSlice(lo, hi), items, slab, b.cfg.Threads)
-		t1 := time.Now()
-		st.GemmTime += t1.Sub(t0)
-		var slabFloors []float64
-		if floors != nil {
-			slabFloors = floors[lo:hi]
-		}
-		harvest(ctx, slab, out[lo:hi], slabFloors, k, b.cfg.Threads)
-		st.HarvestTime += time.Since(t1)
-	}
-	b.scanned.Add(int64(m) * int64(n))
-	return mips.CtxErr(ctx)
-}
+// bmmChunkRows is how many query rows one worker multiplies and harvests at
+// a time: the parallel grain, the cancellation unit, and the height of the
+// per-worker score buffer (bmmChunkRows × |I| float64s).
+const bmmChunkRows = 64
 
-// harvest extracts top-k from every row of a scores slab, in parallel. One
-// heap is reused per worker chunk (topk.SelectRowInto) instead of allocated
-// per row — the GC-churn fix for the BMM hot loop. floors, when non-nil,
-// seeds the heap per row. ctx, when non-nil, is polled per row; abandoned
-// rows are discarded by process's final ctx check.
-func harvest(ctx context.Context, scores *mat.Matrix, out [][]topk.Entry, floors []float64, k, threads int) {
-	parallel.ForThreads(threads, scores.Rows(), queryGrain, func(lo, hi int) {
+// process scores the rows of `queries` against all items, one chunk of
+// bmmChunkRows rows per worker step: the chunk is multiplied into a pooled
+// chunk-sized buffer and its rows are harvested into out straight away,
+// while the scores are still in cache. floors, when non-nil, is aligned
+// with the query rows and seeds each row's harvest heap. Every score is
+// summed in DotFrom's order, so no answer depends on the chunking or the
+// thread count.
+func (b *BMM) process(ctx context.Context, queries *mat.Matrix, out [][]topk.Entry, k int, floors []float64, st *BMMStats) error {
+	m, n := queries.Rows(), b.items.Rows()
+	// Packed once for every chunk of the query, into a pooled buffer rather
+	// than one the solver keeps.
+	items, ok := bmmPacked.Get().(*blas.Packed)
+	if !ok {
+		items = new(blas.Packed)
+	}
+	defer bmmPacked.Put(items)
+	blas.Repack(items, b.items, m)
+	var gemmNs, harvestNs atomic.Int64
+	err := parallel.ForErrCtx(ctx, b.cfg.Threads, m, bmmChunkRows, func(lo, hi int) error {
+		buf, ok := bmmScores.Get().(*[]float64)
+		if !ok {
+			buf = new([]float64)
+		}
+		defer bmmScores.Put(buf)
+		scores := view(buf, hi-lo, n)
+		t0 := time.Now()
+		blas.GemmNTPacked(queries.RowSlice(lo, hi), items, scores, 1)
+		t1 := time.Now()
 		h := topk.New(k)
 		for r := lo; r < hi; r++ {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
 			if floors != nil {
 				h.SetFloor(floors[r])
 			}
-			out[r] = topk.SelectRowInto(h, scores.Row(r), 0)
+			out[r] = topk.SelectRowInto(h, scores.Row(r-lo), 0)
 		}
+		gemmNs.Add(int64(t1.Sub(t0)))
+		harvestNs.Add(int64(time.Since(t1)))
+		b.scanned.Add(int64(hi-lo) * int64(n))
+		return nil
 	})
+	st.GemmTime += time.Duration(gemmNs.Load())
+	st.HarvestTime += time.Duration(harvestNs.Load())
+	return err
 }

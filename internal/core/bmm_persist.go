@@ -16,7 +16,7 @@ func init() {
 }
 
 // Save implements mips.Persister. BMM's entire index is its two matrices
-// plus the mutation stamp; runtime knobs (Threads, SlabBytes) stay with the
+// plus the mutation stamp; runtime knobs (Threads) stay with the
 // receiver — they shape execution, not results.
 func (b *BMM) Save(w io.Writer) error {
 	if b.users == nil {

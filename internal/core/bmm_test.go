@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -127,29 +132,147 @@ func TestBMMMatchesNaiveTiesExactly(t *testing.T) {
 	}
 }
 
-func TestBMMSlabbingMatchesSingleSlab(t *testing.T) {
+// TestBMMChunksBitIdenticalToNaive: BMM multiplies and harvests the query in
+// chunks of bmmChunkRows rows, and every score is summed in Naive's order, so
+// an answer equals Naive's entry for entry for any query height — one row,
+// fewer rows than the kernel's tile, either side of a chunk boundary — at any
+// thread count, with and without floors.
+func TestBMMChunksBitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	users, items := testModel(rng, 100, 50, 8)
-	big := NewBMM(BMMConfig{SlabBytes: 1 << 30})
-	tiny := NewBMM(BMMConfig{SlabBytes: 8 * 50}) // one user row per slab
-	if err := big.Build(users, items); err != nil {
+	users, items := testModel(rng, 200, 203, 12) // 203 items: the kernel's columns and a scalar edge
+	naive := mips.NewNaive()
+	if err := naive.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
-	if err := tiny.Build(users, items); err != nil {
-		t.Fatal(err)
-	}
-	a, err := big.QueryAll(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tiny.QueryAll(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range a {
-		if !topk.Equal(a[u], b[u], 0) {
-			t.Fatalf("user %d: slab size changed the answer", u)
+	const k = 7
+	for _, m := range []int{1, 3, 63, 64, 65, 200} {
+		ids := rng.Perm(users.Rows())[:m]
+		want, err := naive.Query(ids, k)
+		if err != nil {
+			t.Fatal(err)
 		}
+		floors := make([]float64, m)
+		for i := range floors {
+			switch i % 3 {
+			case 0:
+				floors[i] = math.Inf(-1)
+			case 1:
+				floors[i] = want[i][k/2].Score
+			default:
+				floors[i] = want[i][0].Score + 1
+			}
+		}
+		wantFloored, err := naive.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 2, 3} {
+			b := NewBMM(BMMConfig{Threads: threads})
+			if err := b.Build(users, items); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("m=%d threads=%d", m, threads)
+			got, err := b.Query(ids, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRows(t, label, want, got)
+			got, err = b.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRows(t, label+" floors", wantFloored, got)
+		}
+	}
+}
+
+// TestBMMConcurrentCallsShareBuffers: BMM recycles its packed items and
+// chunk buffers through package-wide pools, so concurrent calls — on one
+// solver and on two over different items — must never see each other's
+// scores.
+func TestBMMConcurrentCallsShareBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	users, items := testModel(rng, 150, 203, 8)
+	_, items2 := testModel(rng, 1, 97, 8)
+	const k = 4
+	var solvers []*BMM
+	var wants [][][]topk.Entry
+	for _, it := range []*mat.Matrix{items, items2} {
+		naive := mips.NewNaive()
+		if err := naive.Build(users, it); err != nil {
+			t.Fatal(err)
+		}
+		want, err := naive.QueryAll(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBMM(BMMConfig{Threads: 2})
+		if err := b.Build(users, it); err != nil {
+			t.Fatal(err)
+		}
+		solvers, wants = append(solvers, b), append(wants, want)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b, want := solvers[g%2], wants[g%2]
+			for rep := 0; rep < 5; rep++ {
+				got, err := b.QueryAll(k)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				for u := range want {
+					if !topk.Equal(got[u], want[u], 0) {
+						errs[g] = fmt.Errorf("goroutine %d: user %d is %+v, want %+v", g, u, got[u], want[u])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// pollLimitCtx is a live context whose Err starts reporting Canceled after
+// a fixed number of polls: a cancellation that lands mid-call at a known
+// point, with no clock involved.
+type pollLimitCtx struct {
+	context.Context
+	left atomic.Int32
+}
+
+func (c *pollLimitCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBMMCancelMidCall: ctx is polled before every chunk, so a cancellation
+// after two chunks returns the ctx error having multiplied only those two.
+func TestBMMCancelMidCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	users, items := testModel(rng, 200, 90, 8)
+	b := NewBMM(BMMConfig{Threads: 1})
+	if err := b.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &pollLimitCtx{Context: context.Background()}
+	ctx.left.Store(2)
+	if _, err := b.QueryCtx(ctx, mips.AllUserIDs(users.Rows()), 5, mips.QueryOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got, want := b.ScanStats().Scanned, int64(2*bmmChunkRows*items.Rows()); got != want {
+		t.Fatalf("scanned %d after a cancel at the third chunk, want %d (two chunks)", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"optimus/internal/mat"
 	"optimus/internal/mips"
@@ -102,9 +101,6 @@ func (m *Maximus) rebuildClusterList(c int) {
 		bound[i] = CBound(mat.Dot(m.centroids.Row(c), irow), cnorm, mat.Norm(irow), m.thetaB[c])
 	}
 	ids := m.lists[c]
-	for i := range ids {
-		ids[i] = int32(i)
-	}
 	sortClusterList(ids, bound)
 	for pos, id := range ids {
 		m.bounds[c][pos] = bound[id]
@@ -145,16 +141,15 @@ func (m *Maximus) AddItems(newItems *mat.Matrix) ([]int, error) {
 	add := newItems.Rows()
 	m.items = mat.AppendRows(m.items, newItems)
 	newNorms := newItems.RowNorms()
-	order := make([]int, add)
+	order := make([]int32, add)
 	bnds := make([]float64, add)
 	for c := range m.lists {
 		crow := m.centroids.Row(c)
 		cnorm := mat.Norm(crow)
 		for r := 0; r < add; r++ {
 			bnds[r] = CBound(mat.Dot(crow, newItems.Row(r)), cnorm, newNorms[r], m.thetaB[c])
-			order[r] = r
 		}
-		sort.SliceStable(order, func(a, b int) bool { return bnds[order[a]] > bnds[order[b]] })
+		sortClusterList(order, bnds)
 
 		// Merge old with sorted arrivals; on a bound tie the old entry goes
 		// first (every arrival's id exceeds every existing id) and tied
@@ -170,7 +165,7 @@ func (m *Maximus) AddItems(newItems *mat.Matrix) ([]int, error) {
 				i++
 				continue
 			}
-			list = append(list, int32(base+order[j]))
+			list = append(list, int32(base)+order[j])
 			bounds = append(bounds, bnds[order[j]])
 			j++
 		}

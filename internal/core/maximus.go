@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -299,9 +298,6 @@ func (m *Maximus) constructLists() {
 				bound[i] = CBound(dots.At(c, i), centroidNorm[c], itemNorm[i], m.thetaB[c])
 			}
 			ids := make([]int32, nItems)
-			for i := range ids {
-				ids[i] = int32(i)
-			}
 			sortClusterList(ids, bound)
 			sortedBounds := make([]float64, nItems)
 			for pos, id := range ids {
@@ -313,15 +309,63 @@ func (m *Maximus) constructLists() {
 	})
 }
 
-// sortClusterList orders item ids by descending Equation 3 bound, breaking
-// ties toward the lower id for determinism.
+// sortClusterList fills ids with the item ids 0..len(bound)-1 ordered by
+// descending bound[id], ties toward the lower id — the walk order of a
+// cluster list. It is one stable LSD radix sort over an order-preserving
+// key of the bound: ids start ascending, so equal keys keep id order, and
+// −0 shares +0's key because the two compare equal. Byte positions that
+// every key shares are skipped.
 func sortClusterList(ids []int32, bound []float64) {
-	sort.Slice(ids, func(a, b int) bool {
-		if bound[ids[a]] != bound[ids[b]] {
-			return bound[ids[a]] > bound[ids[b]]
+	n := len(bound)
+	keys := make([]uint64, n)
+	var counts [8][256]int
+	for i, b := range bound {
+		k := descendingKey(b)
+		keys[i] = k
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
 		}
-		return ids[a] < ids[b]
-	})
+		ids[i] = int32(i)
+	}
+	if n < 2 {
+		return
+	}
+	srcK, srcI := keys, ids
+	dstK, dstI := make([]uint64, n), make([]int32, n)
+	for d := range counts {
+		cnt := &counts[d]
+		if cnt[byte(keys[0]>>(8*d))] == n {
+			continue
+		}
+		sum := 0
+		for b, c := range cnt {
+			cnt[b], sum = sum, sum+c
+		}
+		for i, k := range srcK {
+			b := byte(k >> (8 * d))
+			dstK[cnt[b]], dstI[cnt[b]] = k, srcI[i]
+			cnt[b]++
+		}
+		srcK, dstK = dstK, srcK
+		srcI, dstI = dstI, srcI
+	}
+	copy(ids, srcI)
+}
+
+// descendingKey maps a bound to a uint64 whose ascending order is the
+// bound's descending order: the IEEE-754 bits with negatives flipped and
+// positives offset above them, then complemented. −0 maps to +0's key.
+func descendingKey(x float64) uint64 {
+	if x == 0 {
+		x = 0 // −0 → +0
+	}
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		b = ^b
+	} else {
+		b |= 1 << 63
+	}
+	return ^b
 }
 
 // SetEstimationFloors implements mips.FloorAwareEstimator: floors[u] is a

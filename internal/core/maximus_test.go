@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -671,5 +673,51 @@ func TestBMMFloorsContract(t *testing.T) {
 	}
 	if _, err := b.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors[:2]}); err == nil {
 		t.Fatal("floor/user length mismatch must fail")
+	}
+}
+
+// TestSortClusterListMatchesSortOracle: the radix sort orders a cluster list
+// exactly as a comparison sort on (bound descending, id ascending) does —
+// with ties, ±0, negative and infinite bounds, all-equal input, and lists
+// short enough to skip the sort.
+func TestSortClusterListMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	negZero := math.Copysign(0, -1)
+	inputs := [][]float64{
+		{},
+		{3},
+		{negZero, 0, negZero, 0},
+		{2, 2, 2, 2, 2, 2},
+		{-1, -1e-300, negZero, 0, 1e-300, 1, math.Inf(1), math.Inf(-1), -5, 5},
+	}
+	pool := []float64{-2.5, -1, negZero, 0, 0.25, 1, 7, math.MaxFloat64, -math.MaxFloat64}
+	for _, n := range []int{2, 17, 300, 5000} {
+		tied := make([]float64, n)
+		spread := make([]float64, n)
+		for i := range tied {
+			tied[i] = pool[rng.Intn(len(pool))]
+			spread[i] = rng.NormFloat64() * math.Exp(rng.NormFloat64()*4)
+		}
+		inputs = append(inputs, tied, spread)
+	}
+	for ii, bound := range inputs {
+		want := make([]int32, len(bound))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		sort.Slice(want, func(a, b int) bool {
+			if bound[want[a]] != bound[want[b]] {
+				return bound[want[a]] > bound[want[b]]
+			}
+			return want[a] < want[b]
+		})
+		got := make([]int32, len(bound))
+		for i := range got {
+			got[i] = -1
+		}
+		sortClusterList(got, bound)
+		if !slices.Equal(got, want) {
+			t.Fatalf("input %d (n=%d): radix order differs from the sort oracle\ngot  %v\nwant %v", ii, len(bound), got[:min(len(got), 20)], want[:min(len(want), 20)])
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -25,8 +27,10 @@ type OptimusConfig struct {
 	L2CacheBytes int
 	// Alpha is the t-test significance threshold for early stopping.
 	Alpha float64
-	// DisableTTest turns off early stopping (ablation A3); the full sample
-	// is then always measured.
+	// DisableTTest turns off early stopping of every kind (ablation A3):
+	// point-query indexes skip the incremental t-test, and the sample race
+	// that cuts a batching candidate — BMM included — once it has lost is
+	// off, so every strategy is measured on the whole sample.
 	DisableTTest bool
 	// MinTTestObservations is the minimum per-user measurements before the
 	// t-test may stop early.
@@ -59,16 +63,25 @@ type Estimate struct {
 	Solver string
 	// BuildTime is the measured index construction cost (zero for BMM).
 	BuildTime time.Duration
-	// SampleTime is the measured query time over the examined sample users.
+	// SampleTime is the measured query time over the examined sample users;
+	// for a Cut estimate, the time spent up to the cut.
 	SampleTime time.Duration
-	// Examined is how many sample users were actually measured (can be less
-	// than the sample size when the t-test stopped early).
+	// Examined is how many sample users were actually measured: less than
+	// the sample size when the t-test stopped early, and 0 when the
+	// candidate was Cut (a batching query answers all or nothing).
 	Examined int
-	// Total is the extrapolated full-population query time.
+	// Total is the extrapolated full-population query time. For a Cut
+	// estimate it is only a lower bound — SampleTime extrapolated as if the
+	// whole sample had finished by the cut.
 	Total time.Duration
-	// EarlyStopped reports whether the incremental t-test cut measurement
-	// short.
+	// EarlyStopped reports whether measurement stopped before the whole
+	// sample: the incremental t-test separated a point-query index from
+	// the reference, or the estimate was Cut.
 	EarlyStopped bool
+	// Cut reports the sample race stopped this batching candidate: its
+	// sample ran past the fastest completed sample, so it had already
+	// lost. A cut estimate never wins, whatever its Total reads.
+	Cut bool
 	// Synthesized reports the estimate was derived from a shared baseline
 	// rate (MeasureShared) instead of a fresh sample query.
 	Synthesized bool
@@ -110,8 +123,9 @@ type Decision struct {
 	// SampleSize is the number of users drawn (≥ the L2 minimum).
 	SampleSize int
 	// Overhead is the optimization cost not recouped by the winner: building
-	// losing indexes plus measuring losing strategies. (The winner's sampled
-	// results are reused, so its measurement is useful work.)
+	// losing indexes plus measuring losing strategies, a cut one up to its
+	// cut. (The winner's sampled results are reused, so its measurement is
+	// useful work.)
 	Overhead time.Duration
 	// Elapsed is the total wall-clock of the Run call, measurement and final
 	// execution included.
@@ -133,6 +147,17 @@ func (d *Decision) EstimateFor(name string) (Estimate, bool) {
 // Fig 4), measures each strategy on a small user sample, extrapolates, then
 // completes the batch job with the winner, reusing the winner's sampled
 // results.
+//
+// Every strategy is measured on the same sample, so a batching strategy has
+// lost as soon as its sample takes longer than the fastest completed one.
+// The measurement is a race that stops it there: batching indexes run first
+// in the given order, each after the first under a deadline equal to the
+// fastest completed sample so far; BMM runs next under the same deadline;
+// point-query indexes run last, per user, with the fastest completed
+// per-user time as the t-test reference. Stopping a loser changes no
+// decision, only its cost. DisableTTest turns the race off, and so does a
+// MeasureShared call that fills an empty cache, which needs BMM's
+// full-sample rate.
 type Optimus struct {
 	cfg     OptimusConfig
 	bmm     *BMM
@@ -318,88 +343,95 @@ func (o *Optimus) measure(users, items *mat.Matrix, k int, shared *SharedMeasure
 		buildTimes[i] = time.Since(t0)
 	}
 
+	// Estimates[0] is BMM's, then one per index in the given order, whatever
+	// order they are measured in.
+	estimates := make([]Estimate, 1+len(o.indexes))
 	sampleResults := make(map[string][][]topk.Entry, 1+len(o.indexes))
+	filling := shared != nil && shared.BMMSecondsPerUserItem <= 0
+	race := &sampleRace{on: !o.cfg.DisableTTest && !filling}
+	measureBatch := func(i int, s mips.Solver) error {
+		est, res, err := race.run(s, sampleIDs, k)
+		if err != nil {
+			return err
+		}
+		est.Solver = s.Name()
+		est.Total = time.Duration(stats.Extrapolate(est.SampleTime.Seconds(), sampleSize, n) * float64(time.Second))
+		if i > 0 {
+			est.BuildTime = buildTimes[i-1]
+		}
+		estimates[i] = est
+		sampleResults[s.Name()] = res
+		return nil
+	}
+
+	// Batching indexes amortize across users; per-user times are not
+	// i.i.d., so each is measured on the whole sample at once (§IV-A).
+	for i, idx := range o.indexes {
+		if idx.Batches() {
+			if err := measureBatch(1+i, idx); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+	}
 
 	// BMM on the whole sample (it must batch to show hardware effects) — or,
 	// with a warm shared cache, its estimate synthesized from the stored
 	// per-(user·item) rate scaled to this run's item count.
-	var bmmSample time.Duration
-	synthesized := shared != nil && shared.BMMSecondsPerUserItem > 0
-	if synthesized {
-		bmmSample = time.Duration(shared.BMMSecondsPerUserItem *
+	if shared != nil && !filling {
+		sample := time.Duration(shared.BMMSecondsPerUserItem *
 			float64(sampleSize) * float64(items.Rows()) * float64(time.Second))
+		estimates[0] = Estimate{
+			Solver:      o.bmm.Name(),
+			SampleTime:  sample,
+			Examined:    sampleSize,
+			Total:       time.Duration(stats.Extrapolate(sample.Seconds(), sampleSize, n) * float64(time.Second)),
+			Synthesized: true,
+		}
+		race.finish(sample)
 	} else {
-		t0 := time.Now()
-		bmmRes, err := o.bmm.Query(sampleIDs, k)
-		if err != nil {
+		if err := measureBatch(0, o.bmm); err != nil {
 			return nil, nil, nil, err
 		}
-		bmmSample = time.Since(t0)
-		sampleResults[o.bmm.Name()] = bmmRes
-		if shared != nil {
-			shared.BMMSecondsPerUserItem = bmmSample.Seconds() /
+		if filling {
+			shared.BMMSecondsPerUserItem = estimates[0].SampleTime.Seconds() /
 				(float64(sampleSize) * float64(items.Rows()))
 		}
 	}
-	bmmPerUser := bmmSample.Seconds() / float64(sampleSize)
-
-	estimates := []Estimate{{
-		Solver:      o.bmm.Name(),
-		SampleTime:  bmmSample,
-		Examined:    sampleSize,
-		Total:       time.Duration(stats.Extrapolate(bmmSample.Seconds(), sampleSize, n) * float64(time.Second)),
-		Synthesized: synthesized,
-	}}
 
 	for i, idx := range o.indexes {
-		est := Estimate{Solver: idx.Name(), BuildTime: buildTimes[i]}
-		var res [][]topk.Entry
-		var err error
 		if idx.Batches() {
-			// Batch indexes amortize across users; per-user times are not
-			// i.i.d., so measure the whole sample at once (§IV-A).
-			t0 := time.Now()
-			res, err = idx.Query(sampleIDs, k)
+			continue
+		}
+		// Point-query index: per-user measurement with the incremental
+		// one-sample t-test against the fastest completed per-user time.
+		est := Estimate{Solver: idx.Name(), BuildTime: buildTimes[i]}
+		tt := stats.NewTTest(race.best.Seconds()/float64(sampleSize), o.cfg.Alpha)
+		res := make([][]topk.Entry, 0, sampleSize)
+		for _, u := range sampleIDs {
+			q0 := time.Now()
+			r, err := idx.Query([]int{u}, k)
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			est.SampleTime = time.Since(t0)
-			est.Examined = sampleSize
-		} else {
-			// Point-query index: per-user measurement with the incremental
-			// one-sample t-test against BMM's mean per-user time.
-			tt := stats.NewTTest(bmmPerUser, o.cfg.Alpha)
-			res = make([][]topk.Entry, 0, sampleSize)
-			for _, u := range sampleIDs {
-				q0 := time.Now()
-				r, err := idx.Query([]int{u}, k)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				dt := time.Since(q0)
-				est.SampleTime += dt
-				res = append(res, r[0])
-				tt.Add(dt.Seconds())
-				if !o.cfg.DisableTTest && tt.N() >= o.cfg.MinTTestObservations && tt.Significant() {
-					est.EarlyStopped = true
-					break
-				}
+			dt := time.Since(q0)
+			est.SampleTime += dt
+			res = append(res, r[0])
+			tt.Add(dt.Seconds())
+			if !o.cfg.DisableTTest && tt.N() >= o.cfg.MinTTestObservations && tt.Significant() {
+				est.EarlyStopped = true
+				break
 			}
-			est.Examined = len(res)
 		}
+		est.Examined = len(res)
 		est.Total = time.Duration(stats.Extrapolate(est.SampleTime.Seconds(), est.Examined, n) * float64(time.Second))
+		if est.Examined == sampleSize {
+			race.finish(est.SampleTime)
+		}
 		sampleResults[idx.Name()] = res
-		estimates = append(estimates, est)
+		estimates[1+i] = est
 	}
 
-	// Decide: smallest projected traversal time wins (construction is sunk
-	// by decision time; it is accounted in Overhead for the losers).
-	winner := estimates[0]
-	for _, e := range estimates[1:] {
-		if e.Total < winner.Total {
-			winner = e
-		}
-	}
+	winner := estimates[choose(estimates)]
 	var overhead time.Duration
 	for _, e := range estimates {
 		if e.Solver != winner.Solver {
@@ -413,4 +445,81 @@ func (o *Optimus) measure(users, items *mat.Matrix, k int, shared *SharedMeasure
 		Overhead:   overhead,
 	}
 	return dec, sampleIDs, sampleResults, nil
+}
+
+// sampleRace times batching candidates on the whole sample. While on, each
+// candidate after the first completed one runs under a deadline equal to
+// the fastest completed sample so far, and is cut when it reaches it.
+type sampleRace struct {
+	on   bool
+	best time.Duration // fastest completed sample; 0 until one completes
+}
+
+// run measures s on the sample ids. A candidate stopped by the deadline
+// comes back Cut and EarlyStopped with no results; any other error is
+// returned as is.
+func (r *sampleRace) run(s mips.Solver, ids []int, k int) (Estimate, [][]topk.Entry, error) {
+	var ctx context.Context // nil: never cancelled
+	if r.on && r.best > 0 {
+		at := time.Now().Add(r.best)
+		timed, cancel := context.WithDeadline(context.TODO(), at)
+		defer cancel()
+		ctx = clockDeadline{timed, at}
+	}
+	t0 := time.Now()
+	res, err := s.QueryCtx(ctx, ids, k, mips.QueryOptions{})
+	est := Estimate{SampleTime: time.Since(t0)}
+	if err != nil {
+		if ctx != nil && ctx.Err() != nil && errors.Is(err, context.DeadlineExceeded) {
+			est.Cut, est.EarlyStopped = true, true
+			return est, nil, nil
+		}
+		return est, nil, err
+	}
+	est.Examined = len(ids)
+	r.finish(est.SampleTime)
+	return est, res, nil
+}
+
+// finish records a completed sample's time.
+func (r *sampleRace) finish(d time.Duration) {
+	if r.best == 0 || d < r.best {
+		r.best = d
+	}
+}
+
+// clockDeadline is a deadline context whose Err reads the clock, so a
+// solver polling it sees the deadline the moment it passes. A timer context
+// alone reports it only once its timer has run, which on a single busy core
+// can be a scheduler quantum later than the chunk that should have stopped.
+// Done still closes when the embedded context's timer runs.
+type clockDeadline struct {
+	context.Context
+	at time.Time
+}
+
+func (c clockDeadline) Err() error {
+	if err := c.Context.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(c.at) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// choose returns the position of the winning estimate: the smallest
+// projected traversal time among those not cut (construction is sunk by
+// decision time; it is accounted in Overhead for the losers), the earlier
+// estimate on a tie. A cut estimate's Total is only a lower bound, so it is
+// never a candidate. The race never cuts the first batching strategy it
+// measures, nor a point-query index, so one estimate is always eligible.
+func choose(estimates []Estimate) int {
+	w := -1
+	for i, e := range estimates {
+		if !e.Cut && (w < 0 || e.Total < estimates[w].Total) {
+			w = i
+		}
+	}
+	return w
 }

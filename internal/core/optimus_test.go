@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"optimus/internal/lemp"
 	"optimus/internal/mat"
 	"optimus/internal/mips"
+	"optimus/internal/topk"
 )
 
 // indexFriendlyModel: tight user clusters + heavy norm skew, so pruning
@@ -358,5 +361,133 @@ func TestMeasureSharedReusesBaseline(t *testing.T) {
 	}
 	if shared.Users != moreUsers.Rows() {
 		t.Fatalf("cache rebuilt for %d users, want %d", shared.Users, moreUsers.Rows())
+	}
+}
+
+// answerStub is a batching index that answers top-k queries from a table
+// Naive filled at Build, after an optional sleep: an instant rival, or a
+// slow one, for the sample race.
+type answerStub struct {
+	*mips.Naive
+	k     int
+	delay time.Duration
+	rows  [][]topk.Entry // every user's top k
+}
+
+func newAnswerStub(k int, delay time.Duration) *answerStub {
+	return &answerStub{Naive: mips.NewNaive(), k: k, delay: delay}
+}
+
+func (s *answerStub) Name() string  { return "STUB" }
+func (s *answerStub) Batches() bool { return true }
+
+func (s *answerStub) Build(users, items *mat.Matrix) error {
+	if err := s.Naive.Build(users, items); err != nil {
+		return err
+	}
+	var err error
+	s.rows, err = s.Naive.QueryAll(s.k)
+	return err
+}
+
+func (s *answerStub) Query(ids []int, k int) ([][]topk.Entry, error) {
+	return s.QueryCtx(nil, ids, k, mips.QueryOptions{})
+}
+
+func (s *answerStub) QueryCtx(ctx context.Context, ids []int, k int, _ mips.QueryOptions) ([][]topk.Entry, error) {
+	time.Sleep(s.delay)
+	if err := mips.CtxErr(ctx); err != nil {
+		return nil, err
+	}
+	if k != s.k {
+		return nil, fmt.Errorf("answerStub holds top-%d answers, asked for %d", s.k, k)
+	}
+	out := make([][]topk.Entry, len(ids))
+	for i, u := range ids {
+		out[i] = append([]topk.Entry(nil), s.rows[u]...)
+	}
+	return out, nil
+}
+
+// TestOptimusRaceCutsLosingBMM: against an index that answers its sample at
+// once, BMM's sample (a 256 × 2000 × 16 multiply) runs past the deadline and
+// is cut; the cut estimate is flagged, answers nobody, and the stub wins.
+func TestOptimusRaceCutsLosingBMM(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	users, items := bmmFriendlyModel(rng, 512, 2000, 16)
+	o := NewOptimus(OptimusConfig{SampleFraction: 0.5, L2CacheBytes: 1, Seed: 4}, newAnswerStub(5, 0))
+	dec, res, err := o.Run(users, items, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bmm, _ := dec.EstimateFor("BMM")
+	if !bmm.Cut || !bmm.EarlyStopped || bmm.Examined != 0 {
+		t.Fatalf("BMM estimate %+v, want cut with nobody examined", bmm)
+	}
+	if dec.Winner != "STUB" {
+		t.Fatalf("winner %s, want STUB", dec.Winner)
+	}
+	if err := mips.VerifyAll(users, items, res, 5, 1e-9); err != nil {
+		t.Fatal(err)
+	}
+	if dec.Overhead < bmm.SampleTime {
+		t.Fatalf("overhead %v does not count BMM's %v up to its cut", dec.Overhead, bmm.SampleTime)
+	}
+}
+
+// TestOptimusRaceSlowRivalLetsBMMWin: an index whose sample takes 50 ms
+// sets a deadline BMM's small sample meets; BMM completes and wins.
+func TestOptimusRaceSlowRivalLetsBMMWin(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	users, items := bmmFriendlyModel(rng, 200, 120, 8)
+	o := NewOptimus(OptimusConfig{SampleFraction: 0.25, L2CacheBytes: 1, Seed: 4}, newAnswerStub(5, 50*time.Millisecond))
+	dec, res, err := o.Run(users, items, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bmm, _ := dec.EstimateFor("BMM")
+	if bmm.Cut || bmm.EarlyStopped || bmm.Examined != dec.SampleSize {
+		t.Fatalf("BMM estimate %+v, want the whole sample of %d", bmm, dec.SampleSize)
+	}
+	if dec.Winner != "BMM" {
+		t.Fatalf("winner %s, want BMM", dec.Winner)
+	}
+	if err := mips.VerifyAll(users, items, res, 5, 1e-9); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOptimusDisableTTestMeasuresBMMInFull: the A3 lesion turns the race off,
+// so even against an instant rival BMM is examined on the whole sample.
+func TestOptimusDisableTTestMeasuresBMMInFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	users, items := bmmFriendlyModel(rng, 512, 2000, 16)
+	o := NewOptimus(OptimusConfig{SampleFraction: 0.5, L2CacheBytes: 1, Seed: 4, DisableTTest: true}, newAnswerStub(5, 0))
+	dec, err := o.Measure(users, items, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bmm, _ := dec.EstimateFor("BMM")
+	if bmm.Cut || bmm.EarlyStopped || bmm.Examined != dec.SampleSize {
+		t.Fatalf("BMM estimate %+v, want the whole sample of %d", bmm, dec.SampleSize)
+	}
+}
+
+// TestChooseNeverPicksCutEstimate: the choice step excludes a cut estimate
+// by its flag, not by its time — a lower bound reading below every complete
+// estimate still loses.
+func TestChooseNeverPicksCutEstimate(t *testing.T) {
+	ests := []Estimate{
+		{Solver: "BMM", Total: time.Nanosecond, Cut: true, EarlyStopped: true},
+		{Solver: "MAXIMUS", Total: 3 * time.Second, Examined: 10},
+		{Solver: "LEMP", Total: 2 * time.Second, Examined: 10},
+		{Solver: "X", Total: 0, Cut: true, EarlyStopped: true},
+	}
+	if got := choose(ests); got != 2 {
+		t.Fatalf("choose = %d (%s), want 2 (LEMP)", got, ests[got].Solver)
+	}
+	ests[2].Total = 3 * time.Second
+	if got := choose(ests); got != 1 {
+		t.Fatalf("tie: choose = %d, want the earlier estimate 1", got)
 	}
 }

@@ -1,5 +1,5 @@
 // Package topk implements the bounded min-heap used by every MIPS solver to
-// extract the K largest ratings, plus slab helpers for harvesting top-K rows
+// extract the K largest ratings, plus helpers for harvesting top-K rows
 // out of the dense score matrices that blocked matrix multiply produces.
 //
 // Ordering convention (shared repository-wide): results are ranked by higher
@@ -10,6 +10,7 @@ package topk
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -179,9 +180,19 @@ func (h *Heap) Sorted() []Entry {
 	return out
 }
 
-// sortEntries ranks entries best-first in place.
+// sortEntries ranks entries best-first in place. less is a total order over
+// a heap's entries (distinct items), so any correct sort gives the same
+// output; slices.SortFunc avoids sort.Slice's reflection.
 func sortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool { return less(es[j], es[i]) })
+	slices.SortFunc(es, func(a, b Entry) int {
+		switch {
+		case less(b, a):
+			return -1
+		case less(a, b):
+			return 1
+		}
+		return 0
+	})
 }
 
 func (h *Heap) siftUp(i int) {
@@ -216,7 +227,7 @@ func (h *Heap) siftDown(i int) {
 
 // SelectRow returns the top-k entries of one dense score row, where the item
 // id of scores[j] is itemBase+j. This is the harvesting step that follows a
-// BMM slab: the paper notes its cost is why BMM's runtime varies with K.
+// BMM multiply: the paper notes its cost is why BMM's runtime varies with K.
 // Allocation-sensitive callers harvesting many rows should reuse one heap
 // with SelectRowInto instead; floor-aware harvesting seeds that heap first.
 func SelectRow(scores []float64, itemBase, k int) []Entry {

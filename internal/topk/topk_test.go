@@ -2,7 +2,9 @@ package topk
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -116,6 +118,37 @@ func TestHeapMatchesSortReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSortedMatchesSortSliceOracle: Heap.Sorted ranks the retained entries
+// exactly as sort.Slice under the package's order does — ties in score, ±0,
+// negative and infinite scores, the insertion-sort sizes and the pdqsort ones.
+func TestSortedMatchesSortSliceOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	pool := []float64{-3, -1, math.Copysign(0, -1), 0, 0.5, 2, math.Inf(1), math.Inf(-1)}
+	for _, k := range []int{1, 2, 5, 12, 13, 40, 300} {
+		for trial := 0; trial < 20; trial++ {
+			h := New(k)
+			for item := 0; item < 2*k+trial; item++ {
+				score := pool[rng.Intn(len(pool))]
+				if trial%2 == 1 {
+					score = rng.NormFloat64()
+				}
+				h.Push(item, score)
+			}
+			want := append([]Entry(nil), h.entries...)
+			sort.Slice(want, func(i, j int) bool { return less(want[j], want[i]) })
+			got := h.Sorted()
+			if len(got) != len(want) {
+				t.Fatalf("k=%d trial %d: %d entries, want %d", k, trial, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] || math.Signbit(got[i].Score) != math.Signbit(want[i].Score) {
+					t.Fatalf("k=%d trial %d: position %d is %+v, want %+v", k, trial, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
