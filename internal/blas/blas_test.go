@@ -213,7 +213,7 @@ func TestGemmNTCrossesTileBoundaries(t *testing.T) {
 // scalarGemmNT is the oracle of the kernel tests: the whole product through
 // the scalar tile, the way a build without the kernel computes it.
 func scalarGemmNT(a, b, c *mat.Matrix) {
-	gemmScalar(a, b, c, 0, a.Rows(), 0, b.Rows())
+	gemmScalar(a, b, c, 0, a.Rows(), 0, b.Rows(), 0)
 }
 
 // TestKernelBitIdenticalToScalarTile is the kernel's contract: every entry
@@ -410,4 +410,151 @@ func BenchmarkGemmBlockedVsNaive(b *testing.B) {
 			GemmNTParallel(a, bb, c, runtime.GOMAXPROCS(0))
 		})
 	})
+}
+
+// TestScanMatchesScalarPredicate is Scan's oracle: for both rules, every
+// length 0–40 and every start offset 0–7 into a larger row (so the AVX2
+// body sees unaligned loads and every split between its 16-score blocks
+// and the scalar tail), the index returned is the first one the scalar
+// predicate does not skip. Scores and thresholds are drawn from NaN, ±Inf,
+// ±0, values tying the threshold and random ones. It runs on the default
+// path and on the portable loop.
+func TestScanMatchesScalarPredicate(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, -1}
+	draw := func(thr float64) float64 {
+		switch r := rng.Intn(10); {
+		case r < 2:
+			return specials[rng.Intn(len(specials))]
+		case r < 4:
+			return thr
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	skips := func(s, thr float64, rule SkipRule) bool {
+		if rule == SkipAtOrBelow {
+			return s <= thr
+		}
+		return s < thr
+	}
+	check := func(path string) {
+		for _, rule := range []SkipRule{SkipBelow, SkipAtOrBelow} {
+			for n := 0; n <= 40; n++ {
+				for off := 0; off < 8; off++ {
+					for rep := 0; rep < 12; rep++ {
+						thr := specials[rng.Intn(len(specials))]
+						if rep%2 == 0 {
+							thr = rng.NormFloat64()
+						}
+						row := make([]float64, off+n)
+						for j := range row {
+							// Mostly skippable, so the scan runs long before
+							// its first hit; sometimes every score is a hit.
+							if rep%3 == 0 {
+								row[j] = draw(thr)
+							} else {
+								row[j] = thr - 1 - rng.Float64()
+								if rng.Intn(n+1) == 0 {
+									row[j] = draw(thr)
+								}
+							}
+						}
+						scores := row[off:]
+						want := len(scores)
+						for j, s := range scores {
+							if !skips(s, thr, rule) {
+								want = j
+								break
+							}
+						}
+						if got := Scan(scores, thr, rule); got != want {
+							t.Fatalf("%s: rule %d, n=%d off=%d thr=%v: Scan = %d, want %d (scores %v)",
+								path, rule, n, off, thr, got, want, scores)
+						}
+					}
+				}
+			}
+		}
+	}
+	check("default")
+	if !WithScalarPath(func() { check("portable") }) {
+		t.Log("no AVX2 scan in this build or on this CPU: the portable loop ran twice")
+	}
+}
+
+// TestGemmNTPackedColsMatchesWhole pins the column-window multiply: every
+// window a caller may ask for, over Repack'd and PackRows'd operands, holds
+// exactly the columns of the whole product; a window that splits a panel
+// panics. The operands are packed for eight rows, so an A of 1–3 rows (or
+// the m%4 rows of a taller one) runs padded in the kernel, with f below and
+// above the padded tile's stack buffer.
+func TestGemmNTPackedColsMatchesWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, f := range []int{11, 130} {
+		for _, n := range []int{1, 7, 8, 17, 64, 130} {
+			for _, m := range []int{1, 3, 4, 9} {
+				checkPackedCols(t, rng, m, n, f)
+			}
+		}
+	}
+	p := Pack(randomMatrix(rng, 20, 3), 4)
+	for _, w := range [][2]int{{4, 8}, {0, 12}, {8, 21}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("window [%d,%d) of 20 columns did not panic", w[0], w[1])
+				}
+			}()
+			GemmNTPackedCols(mat.New(2, 3), p, mat.New(2, w[1]-w[0]), w[0])
+		}()
+	}
+}
+
+func checkPackedCols(t *testing.T, rng *rand.Rand, m, n, f int) {
+	t.Helper()
+	a := randomMatrix(rng, m, f)
+	src := randomMatrix(rng, 2*n+3, f)
+	ids := make([]int32, n)
+	for j := range ids {
+		ids[j] = int32(rng.Intn(src.Rows()))
+	}
+	b := src.SelectRows(int32sToInts(ids))
+	whole := mat.New(m, n)
+	scalarGemmNT(a, b, whole)
+	gathered := new(Packed)
+	PackRows(gathered, src, ids, 8)
+	for _, p := range []*Packed{Pack(b, 8), gathered} {
+		got := mat.New(m, n)
+		GemmNTPacked(a, p, got, 2)
+		if !got.Equal(whole, 0) {
+			t.Fatalf("m=%d n=%d f=%d: packed product differs from the scalar tile", m, n, f)
+		}
+		for j0 := 0; j0 < n; j0 += kernelCols {
+			for j1 := j0 + kernelCols; ; j1 += kernelCols {
+				j1 = min(j1, n)
+				c := mat.New(m, j1-j0)
+				GemmNTPackedCols(a, p, c, j0)
+				for i := 0; i < m; i++ {
+					for j := j0; j < j1; j++ {
+						if c.At(i, j-j0) != whole.At(i, j) {
+							t.Fatalf("m=%d n=%d f=%d window [%d,%d): C[%d][%d] = %v, want %v",
+								m, n, f, j0, j1, i, j, c.At(i, j-j0), whole.At(i, j))
+						}
+					}
+				}
+				if j1 == n {
+					break
+				}
+			}
+		}
+	}
+}
+
+func int32sToInts(ids []int32) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = int(id)
+	}
+	return out
 }

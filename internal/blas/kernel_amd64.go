@@ -17,6 +17,16 @@ var useKernel = hasAVX2()
 //go:noescape
 func kernel4x8(a, bp, c *float64, f, ldc, npanels int)
 
+// scanLT returns the first j in [0, n) with !(s[j] < thr), or n: Scan's
+// SkipBelow over the n scores from s, 16 per iteration. scanLE is the same
+// for !(s[j] <= thr). n must be a positive multiple of 16.
+//
+//go:noescape
+func scanLT(s *float64, n int, thr float64) int
+
+//go:noescape
+func scanLE(s *float64, n int, thr float64) int
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -30,6 +30,54 @@
 	VADDPD       Y14, Y6, Y6           \
 	VADDPD       Y15, Y7, Y7
 
+// The body of scanLT and scanLE: 16 scores per iteration, compared with thr
+// (Y0) under the predicate pred. VCMPPD's NLT_UQ (0x15) and NLE_UQ (0x16)
+// are "not less" and "not less or equal", true when either side is NaN,
+// so the first lane set is the first score the rule does not skip; its
+// index comes from the four lane masks joined into one 16-bit word.
+#define SCAN(pred) \
+	MOVQ         s+0(FP), SI      \
+	MOVQ         n+8(FP), CX      \
+	VBROADCASTSD thr+16(FP), Y0   \
+	XORQ         AX, AX           \
+loop:                             \
+	VMOVUPD      (SI), Y1         \
+	VMOVUPD      32(SI), Y2       \
+	VMOVUPD      64(SI), Y3       \
+	VMOVUPD      96(SI), Y4       \
+	VCMPPD       $pred, Y0, Y1, Y1 \
+	VCMPPD       $pred, Y0, Y2, Y2 \
+	VCMPPD       $pred, Y0, Y3, Y3 \
+	VCMPPD       $pred, Y0, Y4, Y4 \
+	VORPD        Y1, Y2, Y5       \
+	VORPD        Y3, Y4, Y6       \
+	VORPD        Y5, Y6, Y5       \
+	VPTEST       Y5, Y5           \
+	JNZ          hit              \
+	ADDQ         $128, SI         \
+	ADDQ         $16, AX          \
+	CMPQ         AX, CX           \
+	JB           loop             \
+	VZEROUPPER                    \
+	MOVQ         AX, ret+24(FP)   \
+	RET                           \
+hit:                              \
+	VMOVMSKPD    Y1, BX           \
+	VMOVMSKPD    Y2, DX           \
+	SHLQ         $4, DX           \
+	ORQ          DX, BX           \
+	VMOVMSKPD    Y3, DX           \
+	SHLQ         $8, DX           \
+	ORQ          DX, BX           \
+	VMOVMSKPD    Y4, DX           \
+	SHLQ         $12, DX          \
+	ORQ          DX, BX           \
+	BSFQ         BX, BX           \
+	ADDQ         BX, AX           \
+	VZEROUPPER                    \
+	MOVQ         AX, ret+24(FP)   \
+	RET
+
 // func kernel4x8(a, bp, c *float64, f, ldc, npanels int)
 TEXT ·kernel4x8(SB), NOSPLIT, $0-48
 	MOVQ a+0(FP), SI
@@ -93,6 +141,14 @@ store:
 	JNZ     panel
 	VZEROUPPER
 	RET
+
+// func scanLT(s *float64, n int, thr float64) int
+TEXT ·scanLT(SB), NOSPLIT, $0-32
+	SCAN(0x15)
+
+// func scanLE(s *float64, n int, thr float64) int
+TEXT ·scanLE(SB), NOSPLIT, $0-32
+	SCAN(0x16)
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -11,3 +11,11 @@ var useKernel = false
 func kernel4x8(a, bp, c *float64, f, ldc, npanels int) {
 	panic("blas: kernel4x8 called in a build without it")
 }
+
+func scanLT(s *float64, n int, thr float64) int {
+	panic("blas: scanLT called in a build without it")
+}
+
+func scanLE(s *float64, n int, thr float64) int {
+	panic("blas: scanLE called in a build without it")
+}

@@ -6,6 +6,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,20 +45,20 @@ type BMM struct {
 	scanned atomic.Int64
 }
 
-// bmmPacked and bmmScores recycle BMM's working memory across calls and
-// solvers: the packed items (*blas.Packed) and the per-chunk score buffers
-// (*[]float64). A call then reuses memory a previous one has already
+// bmmPacked and bmmChunks recycle BMM's working memory across calls and
+// solvers: the packed items (*blas.Packed) and each worker's score buffer
+// and heaps (*bmmChunk). A call then reuses memory a previous one has already
 // faulted in, which matters most for the short OPTIMUS samples: allocated
 // afresh per call, a 75-user sample over 1,200 items took ~1.6× as long and
 // could lose to MAXIMUS on a corpus BMM should win.
-var bmmPacked, bmmScores sync.Pool
+var bmmPacked, bmmChunks sync.Pool
 
 // BMMStats reports where a query's time went, for the offline cost model
 // validation (§IV-A): the GEMM stage is analytically predictable, the heap
-// harvest is data-dependent. Each stage time is summed over the workers that
-// ran it, so with T threads busy it reads about T times the stage's
-// wall-clock share; divide by the thread count before comparing a stage
-// with a wall-clock prediction.
+// harvest is data-dependent. Each stage time is summed over every column
+// block of every chunk, whichever worker ran it, so with T threads busy it
+// reads about T times the stage's wall-clock share; divide by the thread
+// count before comparing a stage with a wall-clock prediction.
 type BMMStats struct {
 	GemmTime    time.Duration
 	HarvestTime time.Duration
@@ -176,9 +177,9 @@ func (b *BMM) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 // is seeded, so below-floor scores never enter it, sift work collapses on
 // heavily floored rows, and a row whose every score trails its floor
 // allocates nothing. A live board is snapshotted into static floors (valid:
-// cells only rise). ctx is polled before every chunk of bmmChunkRows query
-// rows, so a cancellation lands within about one chunk's multiply and
-// harvest.
+// cells only rise). ctx is polled before every column block of every chunk
+// (bmmChunkRows query rows × bmmBlockCols items), so a cancellation lands
+// within about one block's multiply and harvest per worker.
 func (b *BMM) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
@@ -230,17 +231,33 @@ func (b *BMM) QueryAll(k int) ([][]topk.Entry, error) {
 }
 
 // bmmChunkRows is how many query rows one worker multiplies and harvests at
-// a time: the parallel grain, the cancellation unit, and the height of the
-// per-worker score buffer (bmmChunkRows × |I| float64s).
+// a time: the parallel grain, and the height of the per-worker score
+// buffer.
 const bmmChunkRows = 64
 
+// bmmBlockCols is the width of one column block of a chunk's product: the
+// cancellation unit, and with bmmChunkRows the per-worker score buffer
+// (64 × 512 float64s, 256 KiB), so a block's scores are harvested from L2
+// rather than from a buffer as wide as the catalog.
+const bmmBlockCols = 512
+
+// bmmChunk is one worker's recycled memory: the score buffer of one column
+// block and a heap per chunk row.
+type bmmChunk struct {
+	scores []float64
+	heaps  []*topk.Heap
+}
+
 // process scores the rows of `queries` against all items, one chunk of
-// bmmChunkRows rows per worker step: the chunk is multiplied into a pooled
-// chunk-sized buffer and its rows are harvested into out straight away,
-// while the scores are still in cache. floors, when non-nil, is aligned
-// with the query rows and seeds each row's harvest heap. Every score is
-// summed in DotFrom's order, so no answer depends on the chunking or the
-// thread count.
+// bmmChunkRows rows per worker step, and each chunk one column block of
+// bmmBlockCols items at a time: the block is multiplied into a pooled buffer
+// and harvested into its rows' heaps straight away, while the scores are
+// still in cache. A row's heap carries over from block to block, and item
+// ids ascend along the row, so the harvest's at-or-below skip stays exact.
+// ctx is polled before every block. floors, when non-nil, is aligned with
+// the query rows and seeds each row's heap. Every score is summed in
+// DotFrom's order, so no answer depends on the chunking, the blocking or
+// the thread count.
 func (b *BMM) process(ctx context.Context, queries *mat.Matrix, out [][]topk.Entry, k int, floors []float64, st *BMMStats) error {
 	m, n := queries.Rows(), b.items.Rows()
 	// Packed once for every chunk of the query, into a pooled buffer rather
@@ -252,29 +269,57 @@ func (b *BMM) process(ctx context.Context, queries *mat.Matrix, out [][]topk.Ent
 	defer bmmPacked.Put(items)
 	blas.Repack(items, b.items, m)
 	var gemmNs, harvestNs atomic.Int64
-	err := parallel.ForErrCtx(ctx, b.cfg.Threads, m, bmmChunkRows, func(lo, hi int) error {
-		buf, ok := bmmScores.Get().(*[]float64)
+	err := parallel.ForErrThreads(b.cfg.Threads, m, bmmChunkRows, func(lo, hi int) error {
+		ch, ok := bmmChunks.Get().(*bmmChunk)
 		if !ok {
-			buf = new([]float64)
+			ch = new(bmmChunk)
 		}
-		defer bmmScores.Put(buf)
-		scores := view(buf, hi-lo, n)
-		t0 := time.Now()
-		blas.GemmNTPacked(queries.RowSlice(lo, hi), items, scores, 1)
-		t1 := time.Now()
-		h := topk.New(k)
-		for r := lo; r < hi; r++ {
+		defer bmmChunks.Put(ch)
+		heaps := ch.heapsFor(hi-lo, k)
+		for r, h := range heaps {
+			floor := math.Inf(-1)
 			if floors != nil {
-				h.SetFloor(floors[r])
+				floor = floors[lo+r]
 			}
-			out[r] = topk.SelectRowInto(h, scores.Row(r-lo), 0)
+			h.SetFloor(floor)
 		}
-		gemmNs.Add(int64(t1.Sub(t0)))
-		harvestNs.Add(int64(time.Since(t1)))
-		b.scanned.Add(int64(hi-lo) * int64(n))
+		rows := queries.RowSlice(lo, hi)
+		for j0 := 0; j0 < n; j0 += bmmBlockCols {
+			if err := mips.CtxErr(ctx); err != nil {
+				return err
+			}
+			scores := view(&ch.scores, hi-lo, min(j0+bmmBlockCols, n)-j0)
+			t0 := time.Now()
+			blas.GemmNTPackedCols(rows, items, scores, j0)
+			t1 := time.Now()
+			for r, h := range heaps {
+				h.PushRow(scores.Row(r), j0)
+			}
+			gemmNs.Add(int64(t1.Sub(t0)))
+			harvestNs.Add(int64(time.Since(t1)))
+			b.scanned.Add(int64(hi-lo) * int64(scores.Cols()))
+		}
+		for r, h := range heaps {
+			out[lo+r] = h.Drain()
+		}
 		return nil
 	})
 	st.GemmTime += time.Duration(gemmNs.Load())
 	st.HarvestTime += time.Duration(harvestNs.Load())
 	return err
+}
+
+// heapsFor returns rows empty heaps of capacity k, reusing ch's.
+func (ch *bmmChunk) heapsFor(rows, k int) []*topk.Heap {
+	if len(ch.heaps) > 0 && ch.heaps[0].K() != k {
+		ch.heaps = ch.heaps[:0]
+	}
+	for len(ch.heaps) < rows {
+		ch.heaps = append(ch.heaps, topk.New(k))
+	}
+	heaps := ch.heaps[:rows]
+	for _, h := range heaps {
+		h.Reset() // a cancelled call leaves its heaps part-filled
+	}
+	return heaps
 }

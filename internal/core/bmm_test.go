@@ -257,22 +257,96 @@ func (c *pollLimitCtx) Err() error {
 	return nil
 }
 
-// TestBMMCancelMidCall: ctx is polled before every chunk, so a cancellation
-// after two chunks returns the ctx error having multiplied only those two.
+// TestBMMCancelMidCall: ctx is polled before every column block of every
+// chunk, so a cancellation at the (n+1)-th poll returns the ctx error having
+// multiplied exactly the first n blocks. 1100 items make blocks of 512, 512
+// and 76 columns; 200 users make chunks of 64, 64, 64 and 8 rows.
 func TestBMMCancelMidCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	users, items := testModel(rng, 200, 90, 8)
+	users, items := testModel(rng, 200, 1100, 8)
 	b := NewBMM(BMMConfig{Threads: 1})
 	if err := b.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
-	ctx := &pollLimitCtx{Context: context.Background()}
-	ctx.left.Store(2)
-	if _, err := b.QueryCtx(ctx, mips.AllUserIDs(users.Rows()), 5, mips.QueryOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	var covered []int64 // covered[n]: scores in the first n blocks
+	for lo := 0; lo < users.Rows(); lo += bmmChunkRows {
+		rows := min(lo+bmmChunkRows, users.Rows()) - lo
+		for j0 := 0; j0 < items.Rows(); j0 += bmmBlockCols {
+			cols := min(j0+bmmBlockCols, items.Rows()) - j0
+			prev := int64(0)
+			if len(covered) > 0 {
+				prev = covered[len(covered)-1]
+			}
+			covered = append(covered, prev+int64(rows*cols))
+		}
 	}
-	if got, want := b.ScanStats().Scanned, int64(2*bmmChunkRows*items.Rows()); got != want {
-		t.Fatalf("scanned %d after a cancel at the third chunk, want %d (two chunks)", got, want)
+	for _, n := range []int{0, 1, 2, 3, 4, 7, len(covered) - 1} {
+		b.ResetScanStats()
+		ctx := &pollLimitCtx{Context: context.Background()}
+		ctx.left.Store(int32(n))
+		if _, err := b.QueryCtx(ctx, mips.AllUserIDs(users.Rows()), 5, mips.QueryOptions{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
+		}
+		want := int64(0)
+		if n > 0 {
+			want = covered[n-1]
+		}
+		if got := b.ScanStats().Scanned; got != want {
+			t.Fatalf("scanned %d after a cancel at poll %d, want %d (%d blocks)", got, n+1, want, n)
+		}
+	}
+}
+
+// TestBMMColumnBlocksBitIdenticalToNaive: a row's heap carries over the
+// column blocks of its chunk, so an answer equals Naive's entry for entry
+// whether the catalog is narrower than one block, one column past a block
+// boundary or past two, with and without floors.
+func TestBMMColumnBlocksBitIdenticalToNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{7, bmmBlockCols + 1, 2*bmmBlockCols + 1} {
+		users, items := testModel(rng, 80, n, 9)
+		naive := mips.NewNaive()
+		if err := naive.Build(users, items); err != nil {
+			t.Fatal(err)
+		}
+		b := NewBMM(BMMConfig{Threads: 2})
+		if err := b.Build(users, items); err != nil {
+			t.Fatal(err)
+		}
+		const k = 5
+		for _, m := range []int{1, 3, 65} {
+			ids := rng.Perm(users.Rows())[:m]
+			want, err := naive.Query(ids, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			floors := make([]float64, m)
+			for i := range floors {
+				switch i % 3 {
+				case 0:
+					floors[i] = math.Inf(-1)
+				case 1:
+					floors[i] = want[i][k-1].Score
+				default:
+					floors[i] = want[i][1].Score
+				}
+			}
+			wantFloored, err := naive.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("n=%d m=%d", n, m)
+			got, err := b.Query(ids, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRows(t, label, want, got)
+			got, err = b.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRows(t, label+" floors", wantFloored, got)
+		}
 	}
 }
 

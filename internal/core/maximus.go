@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,9 +110,6 @@ type Maximus struct {
 
 	// scanned accumulates ItemsVisited across queries (mips.ScanCounter).
 	scanned atomic.Int64
-
-	// scratches recycles the walk's per-chunk buffers (walkScratch).
-	scratches sync.Pool
 
 	// gen is the mips.ItemMutator mutation stamp (see dynamic.go).
 	gen uint64
@@ -526,7 +524,8 @@ const walkSegment = 256
 const walkChunkUsers = 64
 
 // minSharedRows is the GEMM micro-kernel's row count. A multiply over fewer
-// users never reaches the kernel, so they walk alone instead.
+// users spends most of its kernel tile on padding, so they walk alone
+// instead.
 const minSharedRows = 4
 
 func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, MaximusQueryStats, error) {
@@ -553,14 +552,24 @@ func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors [
 	q := &walkCall{ctx: ctx, ids: userIDs, k: k, floors: floors, board: board,
 		out: make([][]topk.Entry, len(userIDs))}
 	var visited atomic.Int64
-	for _, qs := range byCluster {
+	segs, _ := walkSegs.Get().(*segCache)
+	if segs == nil {
+		segs = new(segCache)
+	}
+	defer walkSegs.Put(segs)
+	for c, qs := range byCluster {
+		if len(qs) > 0 {
+			// The first segment holds at least one position and every later
+			// one walkSegment, so this bounds the list's segment count.
+			segs.reset(len(m.lists[c])/walkSegment + 2)
+		}
 		err := parallel.ForErrCtx(ctx, m.cfg.Threads, len(qs), walkChunkUsers, func(lo, hi int) error {
-			scr, ok := m.scratches.Get().(*walkScratch)
+			scr, ok := walkScratches.Get().(*walkScratch)
 			if !ok {
 				scr = new(walkScratch)
 			}
-			defer m.scratches.Put(scr)
-			n, err := m.walkChunk(q, qs[lo:hi], scr)
+			defer walkScratches.Put(scr)
+			n, err := m.walkChunk(q, qs[lo:hi], segs, scr)
 			visited.Add(n)
 			return err
 		})
@@ -611,12 +620,13 @@ func (w *walker) cut(bound float64) bool {
 // time — B_c positions first (at least k), walkSegment after that. Before
 // each segment the users whose cut fires at its first position leave; the
 // rest score the segment with one multiply and harvest it threshold-first,
-// each stopping at its own cut. Once fewer than minSharedRows users remain
-// (from the start under the DisableItemBlocking lesion), each finishes alone.
-// The multiply sums every score in DotFrom's order, so no answer depends on
-// the segments, the chunk or the thread count. Returns the list positions
-// scored, the multiplied segments' overshoot included.
-func (m *Maximus) walkChunk(q *walkCall, qs []int, scr *walkScratch) (int64, error) {
+// each stopping at its own cut. The segment comes packed from segs, shared
+// with the cluster's other chunks. Once fewer than minSharedRows users remain (from the start under the
+// DisableItemBlocking lesion), each finishes alone. The multiply sums every
+// score in DotFrom's order, so no answer depends on the segments, the chunk
+// or the thread count. Returns the list positions scored, the multiplied
+// segments' overshoot included.
+func (m *Maximus) walkChunk(q *walkCall, qs []int, segs *segCache, scr *walkScratch) (int64, error) {
 	c := m.clusterOf[q.ids[qs[0]]]
 	list, bounds := m.lists[c], m.bounds[c]
 	scr.walkers = scr.walkers[:0]
@@ -636,7 +646,7 @@ func (m *Maximus) walkChunk(q *walkCall, qs []int, scr *walkScratch) (int64, err
 	}
 	var scanned int64
 	pos, seg := 0, max(m.blocks[c], q.k)
-	for !m.cfg.DisableItemBlocking && pos < len(list) {
+	for si := 0; !m.cfg.DisableItemBlocking && pos < len(list); si++ {
 		if err := mips.CtxErr(q.ctx); err != nil {
 			return scanned, err
 		}
@@ -651,7 +661,7 @@ func (m *Maximus) walkChunk(q *walkCall, qs []int, scr *walkScratch) (int64, err
 			break
 		}
 		end := min(pos+seg, len(list))
-		scores := scr.multiply(m.items, list[pos:end], active)
+		scores := scr.multiply(segs.packed(si, m.items, list[pos:end], scr), active)
 		scanned += int64(len(active) * (end - pos))
 		live = active[:0]
 		for r, w := range active {
@@ -678,23 +688,33 @@ func (m *Maximus) walkChunk(q *walkCall, qs []int, scr *walkScratch) (int64, err
 
 // harvest offers w's scores for one list segment (ids, with their aligned
 // bounds) to its heap threshold-first, and reports whether w walks on: false
-// once its cut fires inside the segment. A score tying the threshold is left
-// to Push, which breaks the tie by id.
+// once its cut fires inside the segment. bounds is non-increasing and the
+// user norm is not negative, so the cut, once it fires at a position, fires
+// at every later one: after each threshold change, a binary search finds
+// where it first fires, and blas.Scan passes over the scores below the
+// threshold up to there. A score tying the threshold is left to Push, which
+// breaks the tie by id.
 func (w *walker) harvest(scores []float64, ids []int32, bounds []float64) bool {
+	p := 0
 	thr, ok := w.h.Threshold()
-	cut := thr - slack(thr)
-	for p, v := range scores {
-		if ok {
-			if bounds[p]*w.unorm < cut {
-				return false
-			}
-			if v < thr {
-				continue
-			}
-		}
-		if w.h.Push(int(ids[p]), v) {
+	for ; !ok && p < len(scores); p++ { // nothing prunes yet: every score is offered
+		if w.h.Push(int(ids[p]), scores[p]) {
 			thr, ok = w.h.Threshold()
-			cut = thr - slack(thr)
+		}
+	}
+	for p < len(scores) {
+		cut := thr - slack(thr)
+		stop := p + sort.Search(len(scores)-p, func(i int) bool { return bounds[p+i]*w.unorm < cut })
+		for {
+			if p += blas.Scan(scores[p:stop], thr, blas.SkipBelow); p == stop {
+				return stop == len(scores)
+			}
+			pushed := w.h.Push(int(ids[p]), scores[p])
+			p++
+			if pushed {
+				thr, _ = w.h.Threshold()
+				break
+			}
 		}
 	}
 	return true
@@ -721,31 +741,81 @@ func (m *Maximus) walkAlone(q *walkCall, w *walker, list []int32, bounds []float
 	return int64(pos - from), nil
 }
 
-// walkScratch holds one chunk walk's temporaries, recycled across chunks and
-// calls through Maximus.scratches.
+// walkScratches and walkSegs recycle the walk's working memory across calls
+// and solvers: each chunk's temporaries (*walkScratch) and each call's shared
+// segments (*segCache). As with BMM's pools, a freshly built MAXIMUS — every
+// OPTIMUS run builds one — then samples on memory an earlier one faulted in,
+// as BMM's sample does, rather than paying the allocation in its measured time.
+var walkScratches, walkSegs sync.Pool
+
+// walkScratch holds one chunk walk's temporaries, recycled across chunks,
+// calls and solvers through walkScratches.
 type walkScratch struct {
 	walkers []walker
 	active  []*walker
-	a, b, c []float64 // backing of the segment multiply's operands
-	packed  blas.Packed
+	a, c    []float64   // backing of the segment multiply's A operand and product
+	packed  blas.Packed // a segment another chunk is still packing
 }
 
-// multiply scores the active users against the items ids with one
+// multiply scores the active users against the packed segment with one
 // GemmNTPacked; row r of the result holds active[r]'s scores.
-func (scr *walkScratch) multiply(items *mat.Matrix, ids []int32, active []*walker) *mat.Matrix {
-	f := items.Cols()
-	a := view(&scr.a, len(active), f)
+func (scr *walkScratch) multiply(seg *blas.Packed, active []*walker) *mat.Matrix {
+	a := view(&scr.a, len(active), len(active[0].user))
 	for r, w := range active {
 		copy(a.Row(r), w.user)
 	}
-	b := view(&scr.b, len(ids), f)
-	for p, id := range ids {
-		copy(b.Row(p), items.Row(int(id)))
-	}
-	scores := view(&scr.c, len(active), len(ids))
-	blas.Repack(&scr.packed, b, len(active))
-	blas.GemmNTPacked(a, &scr.packed, scores, 1)
+	scores := view(&scr.c, len(active), seg.Rows())
+	blas.GemmNTPacked(a, seg, scores, 1)
 	return scores
+}
+
+// segCache is one cluster's list segments for one call, each gathered and
+// packed by the first of the cluster's chunks to reach it and read by the
+// rest. Memory is kept across clusters, calls and solvers through walkSegs.
+type segCache struct {
+	segs []*sharedSeg
+}
+
+// sharedSeg is one packed list segment and its state: segEmpty, then
+// segPacking while one chunk packs it, then segReady.
+type sharedSeg struct {
+	state atomic.Int32
+	p     blas.Packed
+}
+
+const (
+	segEmpty int32 = iota
+	segPacking
+	segReady
+)
+
+// reset empties the first n segments for a new cluster. It must not run
+// while a chunk reads them.
+func (sc *segCache) reset(n int) {
+	for len(sc.segs) < n {
+		sc.segs = append(sc.segs, new(sharedSeg))
+	}
+	for _, s := range sc.segs[:n] {
+		s.state.Store(segEmpty)
+	}
+}
+
+// packed returns list segment si, whose item ids are ids, packed for the
+// multiply. While another chunk is still packing the segment, it packs a
+// private copy into scr rather than wait: chunks that walk in step would
+// otherwise take turns.
+func (sc *segCache) packed(si int, items *mat.Matrix, ids []int32, scr *walkScratch) *blas.Packed {
+	s := sc.segs[si]
+	if s.state.Load() == segReady {
+		return &s.p
+	}
+	if s.state.CompareAndSwap(segEmpty, segPacking) {
+		blas.PackRows(&s.p, items, ids, minSharedRows)
+		s.state.Store(segReady)
+		return &s.p
+	}
+	blas.PackRows(&scr.packed, items, ids, minSharedRows)
+	return &scr.packed
 }
 
 // view returns a rows×cols matrix over *buf, growing the buffer when it is

@@ -220,13 +220,22 @@ func requireSameRows(t *testing.T, label string, want, got [][]topk.Entry) {
 
 // TestMaximusBitIdenticalToNaive: every MAXIMUS score is summed in Naive's
 // order, so an answer equals Naive's entry for entry, whatever the block
-// length, the lesion, the query subset, its chunking, the floors or the
-// thread count.
+// length, the lesion, the query subset, its chunking, the padding of a
+// segment's multiply, whether the cluster's chunks share packed segments,
+// the floors or the thread count.
 func TestMaximusBitIdenticalToNaive(t *testing.T) {
+	// 1200 items make lists of whole panels; 1203 leave three trailing
+	// columns in the last segment for the scalar tile.
+	for _, nItems := range []int{1200, 1203} {
+		t.Run(fmt.Sprint(nItems, "items"), func(t *testing.T) { testMaximusBitIdenticalToNaive(t, nItems) })
+	}
+}
+
+func testMaximusBitIdenticalToNaive(t *testing.T, nItems int) {
 	rng := rand.New(rand.NewSource(31))
 	// Four clusters of ~75 users: full queries cut chunks of 64 and a
-	// remainder; lists of 1200 items span several 256-entry segments.
-	users, items := testModel(rng, 300, 1200, 12)
+	// remainder; lists span several 256-entry segments.
+	users, items := testModel(rng, 300, nItems, 12)
 	naive := mips.NewNaive()
 	if err := naive.Build(users, items); err != nil {
 		t.Fatal(err)
@@ -237,7 +246,7 @@ func TestMaximusBitIdenticalToNaive(t *testing.T) {
 		{3, 3, 299, 0},
 		{12, 16, 20, 24, 28},         // one cluster: starts shared, floors below drop it under 4
 		rng.Perm(users.Rows())[:150], // chunks of every cluster, in arbitrary order
-		append(append([]int(nil), all...), all...), // every user twice: chunks crossing 64
+		append(append([]int(nil), all...), all...), // every user twice: several chunks per cluster share segments
 	}
 	for _, k := range []int{1, 10, 50} {
 		want, err := naive.QueryAll(k)
@@ -248,21 +257,32 @@ func TestMaximusBitIdenticalToNaive(t *testing.T) {
 			{Clusters: 4, Seed: 2},
 			{Clusters: 4, Seed: 2, BlockSize: 3},
 			{Clusters: 4, Seed: 2, DisableItemBlocking: true},
+			{Clusters: 2, Seed: 2}, // ~150 users a cluster: three chunks share its segments
 		} {
 			cfg.Threads = 1
 			m := NewMaximus(cfg)
 			if err := m.Build(users, items); err != nil {
 				t.Fatal(err)
 			}
+			// Five, six and seven users of one cluster enter their first
+			// segment together: the GEMM pads the last one to three rows
+			// to a full kernel tile.
+			var members []int
+			for u := range users.Rows() {
+				if m.clusterOf[u] == m.clusterOf[0] {
+					members = append(members, u)
+				}
+			}
+			cases := append(subsets[:len(subsets):len(subsets)], members[:5], members[:6], members[:7])
 			for _, threads := range []int{1, 3} {
 				m.SetThreads(threads)
-				label := fmt.Sprintf("k=%d block=%d lesion=%v threads=%d", k, cfg.BlockSize, cfg.DisableItemBlocking, threads)
+				label := fmt.Sprintf("k=%d clusters=%d block=%d lesion=%v threads=%d", k, cfg.Clusters, cfg.BlockSize, cfg.DisableItemBlocking, threads)
 				got, err := m.QueryAll(k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireSameRows(t, label+" full", want, got)
-				for si, ids := range subsets {
+				for si, ids := range cases {
 					wantRows := make([][]topk.Entry, len(ids))
 					floors := make([]float64, len(ids))
 					floored := make([][]topk.Entry, len(ids))
@@ -305,6 +325,86 @@ func TestMaximusBitIdenticalToNaive(t *testing.T) {
 					}
 					requireSameRows(t, sub+" board", floored, got)
 				}
+			}
+		}
+	}
+}
+
+// TestMaximusConcurrentCallsShareNothing: two QueryCtx calls in flight on
+// one MAXIMUS, each with clusters whose chunks share packed segments, both
+// answer == Naive (run under -race, this is the segments' data-race check).
+func TestMaximusConcurrentCallsShareNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	users, items := testModel(rng, 400, 900, 10)
+	naive := mips.NewNaive()
+	if err := naive.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	want, err := naive.QueryAll(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMaximus(MaximusConfig{Clusters: 2, Seed: 3, Threads: 2})
+	if err := m.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	all := mips.AllUserIDs(users.Rows())
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() {
+			for range 5 {
+				got, err := m.QueryCtx(context.Background(), all, 10, mips.QueryOptions{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				for u := range want {
+					if !topk.Equal(got[u], want[u], 0) {
+						errs <- fmt.Errorf("user %d: %+v, want %+v", u, got[u], want[u])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMaximusScanCountPinned pins ItemsVisited for every user queried twice
+// (so each cluster's several chunks share packed segments): the count is the
+// chunk users' positions scored, overshoot included, and the rows the GEMM
+// pads a multiply with are not in it. The values are the walk's own; a
+// change to them is a change to the scan meter, not to padding or sharing.
+func TestMaximusScanCountPinned(t *testing.T) {
+	for _, tc := range []struct{ nItems, clusters, k, visited int }{
+		{1200, 4, 1, 154200},
+		{1200, 4, 10, 159600},
+		{1200, 4, 50, 187957},
+		{1200, 2, 1, 135040},
+		{1200, 2, 10, 163200},
+		{1200, 2, 50, 337216},
+		{1203, 4, 50, 187958},
+		{1203, 2, 50, 337220},
+	} {
+		rng := rand.New(rand.NewSource(31))
+		users, items := testModel(rng, 300, tc.nItems, 12)
+		all := mips.AllUserIDs(users.Rows())
+		for _, threads := range []int{1, 3} {
+			m := NewMaximus(MaximusConfig{Clusters: tc.clusters, Seed: 2, Threads: threads})
+			if err := m.Build(users, items); err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := m.QueryStats(append(append([]int(nil), all...), all...), tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ItemsVisited != int64(tc.visited) {
+				t.Errorf("%+v threads=%d: ItemsVisited = %d", tc, threads, st.ItemsVisited)
 			}
 		}
 	}

@@ -136,9 +136,7 @@ func seedPlusPlus(points *mat.Matrix, k int, rng *rand.Rand) *mat.Matrix {
 	copy(centroids.Row(0), points.Row(first))
 
 	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = sqDist(points.Row(i), centroids.Row(0))
-	}
+	lowerDists(points, centroids.Row(0), dist, true)
 	for c := 1; c < k; c++ {
 		var total float64
 		for _, d := range dist {
@@ -162,13 +160,33 @@ func seedPlusPlus(points *mat.Matrix, k int, rng *rand.Rand) *mat.Matrix {
 			}
 		}
 		copy(centroids.Row(c), points.Row(chosen))
-		for i := range dist {
-			if d := sqDist(points.Row(i), centroids.Row(c)); d < dist[i] {
-				dist[i] = d
-			}
-		}
+		lowerDists(points, centroids.Row(c), dist, false)
 	}
 	return centroids
+}
+
+// lowerDists lowers dist[i] to sqDist(points.Row(i), c) where that is
+// smaller — or, with set, stores it — scoring four points per pass over c so
+// the four distances' dependent chains overlap. Each is summed in sqDist's
+// order, and (c−p)² is (p−c)² to the bit, so dist is what one sqDist per
+// point gives, NaN included.
+func lowerDists(points *mat.Matrix, c []float64, dist []float64, set bool) {
+	lower := func(i int, d float64) {
+		if set || d < dist[i] {
+			dist[i] = d
+		}
+	}
+	n, i := points.Rows(), 0
+	for ; i+4 <= n; i += 4 {
+		d0, d1, d2, d3 := sqDist4(c, points.Row(i), points.Row(i+1), points.Row(i+2), points.Row(i+3))
+		lower(i, d0)
+		lower(i+1, d1)
+		lower(i+2, d2)
+		lower(i+3, d3)
+	}
+	for ; i < n; i++ {
+		lower(i, sqDist(points.Row(i), c))
+	}
 }
 
 // assignGrain is the chunk size of the parallel assignment step. The chunk
@@ -225,7 +243,26 @@ func assignRange(points, centroids *mat.Matrix, assign []int, lo, hi int, spheri
 	for i := lo; i < hi; i++ {
 		p := points.Row(i)
 		best, bestD := 0, math.Inf(1)
-		for c := 0; c < k; c++ {
+		c := 0
+		// Four centroids per pass over p, compared in centroid order, so
+		// the winner and its distance are what one sqDist per centroid
+		// gives.
+		for ; c+4 <= k; c += 4 {
+			d0, d1, d2, d3 := sqDist4(p, centroids.Row(c), centroids.Row(c+1), centroids.Row(c+2), centroids.Row(c+3))
+			if d0 < bestD {
+				best, bestD = c, d0
+			}
+			if d1 < bestD {
+				best, bestD = c+1, d1
+			}
+			if d2 < bestD {
+				best, bestD = c+2, d2
+			}
+			if d3 < bestD {
+				best, bestD = c+3, d3
+			}
+		}
+		for ; c < k; c++ {
 			if d := sqDist(p, centroids.Row(c)); d < bestD {
 				best, bestD = c, d
 			}
@@ -274,6 +311,20 @@ func sqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
+}
+
+// sqDist4 is sqDist(a, b0) … sqDist(a, b3) in one pass over a: four
+// independent chains, each summed in sqDist's order.
+func sqDist4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	for i, v := range a {
+		d0, d1, d2, d3 := v-b0[i], v-b1[i], v-b2[i], v-b3[i]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return s0, s1, s2, s3
 }
 
 // MaxAngle returns, for each cluster, the largest angle θuc (radians) between

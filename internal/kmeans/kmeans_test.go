@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -336,5 +337,113 @@ func TestIdenticalPointsDegenerate(t *testing.T) {
 	}
 	if r.Inertia > 1e-18 {
 		t.Fatalf("identical points should give ~0 inertia, got %v", r.Inertia)
+	}
+}
+
+// refRun is Run on the non-spherical path with the plain loops as oracle:
+// seeding and assignment score one point against one centroid at a time
+// through sqDist, and the objective is summed in the same chunks.
+func refRun(points *mat.Matrix, cfg Config) *Result {
+	n, k := points.Rows(), min(cfg.K, points.Rows())
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	centroids := mat.New(k, points.Cols())
+	copy(centroids.Row(0), points.Row(rng.Intn(n)))
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = sqDist(points.Row(i), centroids.Row(0))
+	}
+	for c := 1; c < k; c++ {
+		var total float64
+		for _, d := range dist {
+			total += d
+		}
+		chosen := n - 1
+		if total <= 0 {
+			chosen = rng.Intn(n)
+		} else {
+			target, cum := rng.Float64()*total, 0.0
+			for i, d := range dist {
+				if cum += d; cum >= target {
+					chosen = i
+					break
+				}
+			}
+		}
+		copy(centroids.Row(c), points.Row(chosen))
+		for i := range dist {
+			if d := sqDist(points.Row(i), centroids.Row(c)); d < dist[i] {
+				dist[i] = d
+			}
+		}
+	}
+	assign := make([]int, n)
+	assignRef := func() float64 {
+		var total float64
+		for lo := 0; lo < n; lo += assignGrain {
+			var obj float64
+			for i := lo; i < min(lo+assignGrain, n); i++ {
+				best, bestD := 0, math.Inf(1)
+				for c := 0; c < k; c++ {
+					if d := sqDist(points.Row(i), centroids.Row(c)); d < bestD {
+						best, bestD = c, d
+					}
+				}
+				assign[i] = best
+				obj += bestD
+			}
+			total += obj
+		}
+		return total
+	}
+	sizes := make([]int, k)
+	for range max(cfg.Iterations, 1) {
+		assignRef()
+		updateCentroids(points, centroids, assign, sizes, rng, false)
+	}
+	inertia := assignRef()
+	return &Result{Centroids: centroids, Assign: assign, Inertia: inertia}
+}
+
+// TestRunMatchesScalarReference: Run scores four centroids per pass over a
+// point and four points per pass over a new seed, yet its seeding,
+// assignments, centroids and inertia are bit-equal to the one-distance-at-a-
+// time oracle for every k around the four-way split — NaN coordinates
+// included, where the strict < comparisons keep the oracle's choices.
+func TestRunMatchesScalarReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, withNaN := range []bool{false, true} {
+		for _, k := range []int{1, 3, 4, 5, 8, 9} {
+			for _, n := range []int{k, 7, 301, 530} {
+				pts, _ := clusteredPoints(rng, n, 3, 6, 2)
+				if withNaN {
+					pts.Row(rng.Intn(n))[rng.Intn(6)] = math.NaN()
+				}
+				cfg := Config{K: k, Iterations: 3, Seed: int64(n + k)}
+				want := refRun(pts, cfg)
+				for _, threads := range []int{1, 3} {
+					cfg.Threads = threads
+					got, err := Run(pts, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := func() string {
+						return fmt.Sprintf("k=%d n=%d nan=%v threads=%d", k, n, withNaN, threads)
+					}
+					if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+						t.Fatalf("%s: inertia %v, want %v", label(), got.Inertia, want.Inertia)
+					}
+					for i, c := range want.Assign {
+						if got.Assign[i] != c {
+							t.Fatalf("%s: point %d in cluster %d, want %d", label(), i, got.Assign[i], c)
+						}
+					}
+					for i, v := range want.Centroids.Data() {
+						if math.Float64bits(got.Centroids.Data()[i]) != math.Float64bits(v) {
+							t.Fatalf("%s: centroid value %d is %v, want %v", label(), i, got.Centroids.Data()[i], v)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -469,8 +469,9 @@ type call struct {
 // heaps; their walks resume after the head. Floor-bearing users that the
 // floor already prunes inside the head walk from the first bucket, as does
 // everyone when the call has no eligible user — the head is then not even
-// packed. The multiply runs the same for one user as for eight (the scalar
-// tile when m < 4), so a user's answer does not depend on its batch-mates.
+// packed. The multiply gives the same floats for one user as for eight (a
+// lone user's row padded to a full kernel tile), so a user's answer does not
+// depend on its batch-mates.
 func (x *Index) answerChunk(c *call, lo, hi int, scr *scratch) error {
 	if err := mips.CtxErr(c.ctx); err != nil {
 		return err
@@ -532,20 +533,22 @@ func (x *Index) answerChunk(c *call, lo, hi int, scr *scratch) error {
 }
 
 // harvestHead offers one user's head scores — scores[s] is sorted item s —
-// to its heap, polling the live floor first. Once the heap prunes, a score
-// below the threshold is dropped with one compare; a tie is left to Push,
-// because norm order is not id order and the tie-break is by id.
+// to its heap, polling the live floor first. Once the heap prunes, the
+// scores below the threshold are passed over by blas.Scan; a tie is left to
+// Push, because norm order is not id order and the tie-break is by id.
 func (x *Index) harvestHead(scores []float64, h *topk.Heap, scr *scratch) {
 	if scr.board != nil {
 		h.RaiseFloor(scr.board.Floor(scr.cell))
 	}
 	scr.scanned += int64(len(scores))
 	thr, full := h.Threshold()
-	for s, v := range scores {
-		if full && v < thr {
-			continue
+	for s := 0; s < len(scores); s++ {
+		if full {
+			if s += blas.Scan(scores[s:], thr, blas.SkipBelow); s == len(scores) {
+				return
+			}
 		}
-		if h.Push(x.ids[s], v) {
+		if h.Push(x.ids[s], scores[s]) {
 			thr, full = h.Threshold()
 		}
 	}

@@ -10,7 +10,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	rows := [][]Entry{
 		{{Item: 3, Score: 1.5}, {Item: 0, Score: 1.5}, {Item: 7, Score: -2.25}},
 		nil,
-		{{Item: 1 << 40, Score: math.Inf(-1)}},
+		{{Item: math.MaxInt, Score: math.Inf(-1)}},
 		{{Item: 0, Score: 0}},
 	}
 	buf := AppendRows(nil, rows)

@@ -256,3 +256,50 @@ func TestSelectRowThresholdFirstMatchesPushLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectRowIntoFlooredMatchesSortReference: over a floored heap,
+// SelectRowInto returns the full sort's ranking truncated at k and at the
+// floor — every entry scoring at least the floor, ties at the floor kept —
+// over rows long enough for the vector scan's 16-score blocks, with ties,
+// ±0 and ±Inf. Harvesting the same row in column blocks through PushRow,
+// the heap carried from block to block, gives the same entries.
+func TestSelectRowIntoFlooredMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	specials := []float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0}
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(200)
+		scores := make([]float64, n)
+		for i := range scores {
+			switch rng.Intn(10) {
+			case 0:
+				scores[i] = specials[rng.Intn(len(specials))]
+			case 1, 2:
+				scores[i] = float64(rng.Intn(4)) // ties
+			default:
+				scores[i] = rng.NormFloat64()
+			}
+		}
+		k := 1 + rng.Intn(20)
+		floor := []float64{math.Inf(-1), 0, 1, rng.NormFloat64(), 5}[rng.Intn(5)]
+		base := rng.Intn(100)
+		var want []Entry
+		for _, e := range SortReference(scores, base, k) {
+			if e.Score >= floor {
+				want = append(want, e)
+			}
+		}
+		got := SelectRowInto(NewSeeded(k, floor), scores, base)
+		if !Equal(got, want, 0) {
+			t.Fatalf("trial %d: k=%d floor=%v scores=%v\nSelectRowInto  %+v\nSortReference %+v", trial, k, floor, scores, got, want)
+		}
+		h := NewSeeded(k, floor)
+		for j0 := 0; j0 < n; {
+			j1 := min(n, j0+1+rng.Intn(40))
+			h.PushRow(scores[j0:j1], base+j0)
+			j0 = j1
+		}
+		if blocked := h.Drain(); !Equal(blocked, want, 0) {
+			t.Fatalf("trial %d: k=%d floor=%v: PushRow by blocks %+v, want %+v", trial, k, floor, blocked, want)
+		}
+	}
+}

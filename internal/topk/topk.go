@@ -12,6 +12,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"optimus/internal/blas"
 )
 
 // Entry is one scored item.
@@ -232,45 +234,41 @@ func (h *Heap) siftDown(i int) {
 // with SelectRowInto instead; floor-aware harvesting seeds that heap first.
 func SelectRow(scores []float64, itemBase, k int) []Entry {
 	h := New(k)
-	h.pushRow(scores, itemBase)
+	h.PushRow(scores, itemBase)
 	return h.Sorted()
 }
 
-// pushRow offers scores[j] as item itemBase+j, in row order, to an empty
-// heap, and leaves in it what a Push per score would. Once the heap is full
-// a score is first compared with the running k-th score: s <= thr can be
-// dropped without a Push because the item ids ascend along the row, so a
-// score tying the root always belongs to a higher id than the root's and
-// loses the tie-break. Everything else — NaN on either side of the compare
-// included — is left to Push.
-func (h *Heap) pushRow(scores []float64, itemBase int) {
+// PushRow offers scores[j] as item itemBase+j, in row order, and leaves in h
+// what a Push per score would. Every id already in h must be below
+// itemBase, as it is for a heap that is empty or has taken the earlier
+// column blocks of the same row. The scores a Push would reject are passed
+// over by blas.Scan: below the floor while h has room, and at or below the
+// running k-th score once it is full — a tie then belongs to a higher id
+// than the k-th entry's and loses the tie-break. Everything else, NaN on
+// either side of the compare included, is left to Push.
+func (h *Heap) PushRow(scores []float64, itemBase int) {
 	j := 0
 	for ; j < len(scores) && len(h.entries) < h.k; j++ {
+		if h.seeded {
+			if j += blas.Scan(scores[j:], h.floor, blas.SkipBelow); j == len(scores) {
+				return
+			}
+		}
 		h.Push(itemBase+j, scores[j])
 	}
-	if len(h.entries) < h.k {
-		return
-	}
-	thr := h.entries[0].Score
-	for ; j < len(scores); j++ {
-		s := scores[j]
-		if s <= thr {
-			continue
+	for j < len(scores) {
+		if j += blas.Scan(scores[j:], h.entries[0].Score, blas.SkipAtOrBelow); j == len(scores) {
+			return
 		}
-		h.Push(itemBase+j, s)
-		thr = h.entries[0].Score
+		h.Push(itemBase+j, scores[j])
+		j++
 	}
 }
 
-// SelectRowInto is SelectRow over a caller-supplied heap, reusing its storage
-// across rows: h must be empty (freshly created, Reset, or left behind by a
-// previous SelectRowInto) and is left empty — with capacity and floor intact
-// — on return. The returned slice is freshly allocated and sized to the
-// retained entry count, so a seeded heap whose floor rejects a whole row
-// costs no allocation at all. This is the BMM harvest hot path: one heap per
-// worker chunk instead of one per score row.
-func SelectRowInto(h *Heap, scores []float64, itemBase int) []Entry {
-	h.pushRow(scores, itemBase)
+// Drain returns the retained entries ranked best-first in a freshly
+// allocated slice sized to their count — nil when there are none — and
+// leaves h empty, with its capacity and floor intact.
+func (h *Heap) Drain() []Entry {
 	if len(h.entries) == 0 {
 		return nil
 	}
@@ -279,6 +277,16 @@ func SelectRowInto(h *Heap, scores []float64, itemBase int) []Entry {
 	copy(out, h.entries)
 	h.Reset()
 	return out
+}
+
+// SelectRowInto is SelectRow over a caller-supplied heap, reusing its storage
+// across rows: h must be empty (freshly created, Reset, or left behind by a
+// previous SelectRowInto) and is left empty — with capacity and floor intact
+// — on return. The returned slice is Drain's, so a seeded heap whose floor
+// rejects a whole row costs no allocation at all.
+func SelectRowInto(h *Heap, scores []float64, itemBase int) []Entry {
+	h.PushRow(scores, itemBase)
+	return h.Drain()
 }
 
 // MergeInto pushes previously harvested entries into h, used when a user's
