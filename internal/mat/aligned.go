@@ -104,9 +104,26 @@ func ReadBinaryAligned(data []byte) (*Matrix, int, error) {
 		return nil, 0, fmt.Errorf("mat: aligned record wants %d bytes, have %d", need, len(data))
 	}
 	m := New(int(rows), int(cols))
-	payload := data[alignedHeaderSize+pad:]
-	for i := 0; i < elems; i++ {
-		m.data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
+	decodeFloat64s(m.data, data[alignedHeaderSize+pad:need])
 	return m, need, nil
+}
+
+// decodeFloat64s fills dst from len(src)/8 little-endian float64 bit
+// patterns (the caller sizes src to exactly 8*len(dst)). Both slices shrink
+// from the front under length guards the compiler proves every index
+// against, so the loop carries no per-element bounds check; four values per
+// step keep the slice updates off the critical path. Each value is the same
+// bit pattern the per-element decode reads, NaN payloads included.
+func decodeFloat64s(dst []float64, src []byte) {
+	for len(dst) >= 4 && len(src) >= 32 {
+		dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
+		dst[1] = math.Float64frombits(binary.LittleEndian.Uint64(src[8:16]))
+		dst[2] = math.Float64frombits(binary.LittleEndian.Uint64(src[16:24]))
+		dst[3] = math.Float64frombits(binary.LittleEndian.Uint64(src[24:32]))
+		dst, src = dst[4:], src[32:]
+	}
+	for len(dst) >= 1 && len(src) >= 8 {
+		dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(src[0:8]))
+		dst, src = dst[1:], src[8:]
+	}
 }

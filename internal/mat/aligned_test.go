@@ -2,6 +2,8 @@ package mat
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -100,6 +102,70 @@ func TestAlignedReadGuards(t *testing.T) {
 	for name, b := range cases {
 		if _, _, err := ReadBinaryAligned(b); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestAlignedDecodeMatchesPerElement is the oracle for the unrolled payload
+// decode: every value must carry exactly the bit pattern a per-element
+// binary.LittleEndian read of its 8 bytes gives — NaN payloads, signed
+// zeros, infinities and subnormals included — at every pad 0–7 and every
+// length across the four-wide step and its tail, empty matrices too. Bytes
+// after the record are not consumed, while every truncation of it, and a
+// header claiming one more row and column than the payload holds, is
+// rejected.
+func TestAlignedDecodeMatchesPerElement(t *testing.T) {
+	special := []uint64{
+		0x7ff8000000000001, // quiet NaN with a payload
+		0x7ff0000000000001, // signalling NaN
+		0xfff8deadbeef0000, // negative NaN with a payload
+		math.Float64bits(math.Copysign(0, -1)),
+		0,
+		math.Float64bits(math.Inf(1)),
+		math.Float64bits(math.Inf(-1)),
+		1,                     // smallest subnormal
+		0x000fffffffffffff,    // largest subnormal
+		0x800fffffffffffff,    // negative subnormal
+		math.Float64bits(1.5), // a normal value
+	}
+	shapes := [][2]int{{0, 0}, {0, 3}, {3, 0}, {1, 1}, {1, 3}, {1, 4}, {1, 5}, {2, 4}, {3, 3}, {1, 11}, {5, 7}}
+	for _, shape := range shapes {
+		m := New(shape[0], shape[1])
+		for i := range m.data {
+			m.data[i] = math.Float64frombits(special[i%len(special)] ^ uint64(i/len(special))<<40)
+		}
+		for base := int64(0); base < 8; base++ {
+			var buf bytes.Buffer
+			if _, err := WriteBinaryAligned(&buf, m, base); err != nil {
+				t.Fatal(err)
+			}
+			raw := append(buf.Bytes(), 0xab, 0xcd, 0xef)
+			pad := int(raw[20])
+			got, n, err := ReadBinaryAligned(raw)
+			if err != nil {
+				t.Fatalf("%dx%d pad %d: %v", shape[0], shape[1], pad, err)
+			}
+			if n != buf.Len() || got.Rows() != shape[0] || got.Cols() != shape[1] {
+				t.Fatalf("%dx%d pad %d: consumed %d of %d as %dx%d", shape[0], shape[1], pad, n, buf.Len(), got.Rows(), got.Cols())
+			}
+			payload := raw[alignedHeaderSize+pad:]
+			for i, v := range got.data {
+				want := binary.LittleEndian.Uint64(payload[8*i:])
+				if math.Float64bits(v) != want || want != math.Float64bits(m.data[i]) {
+					t.Fatalf("%dx%d pad %d elem %d: decoded %016x, per-element read %016x", shape[0], shape[1], pad, i, math.Float64bits(v), want)
+				}
+			}
+			for cut := 0; cut < n; cut++ {
+				if _, _, err := ReadBinaryAligned(raw[:cut]); err == nil {
+					t.Fatalf("%dx%d pad %d: truncation to %d of %d bytes accepted", shape[0], shape[1], pad, cut, n)
+				}
+			}
+			grown := bytes.Clone(raw[:n])
+			binary.LittleEndian.PutUint64(grown[4:12], uint64(shape[0]+1))
+			binary.LittleEndian.PutUint64(grown[12:20], uint64(shape[1]+1))
+			if _, _, err := ReadBinaryAligned(grown); err == nil {
+				t.Fatalf("%dx%d pad %d: oversized header accepted", shape[0], shape[1], pad)
+			}
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"optimus/internal/faulty"
 	"optimus/internal/mat"
 	"optimus/internal/mips"
+	"optimus/internal/persist"
 	"optimus/internal/topk"
 )
 
@@ -353,6 +354,72 @@ func TestRevivalFromSnapshot(t *testing.T) {
 				assertSameEntries(t, u, want[u], got[u])
 			}
 		})
+	}
+}
+
+// TestDialedRevivalChecksItemCount: revival under a dialer boots through the
+// same path as Load, so a retained section whose solver holds the wrong
+// number of items is refused and the shard is rebuilt instead (one more
+// build), ending entry-identical to a never-faulted composite.
+func TestDialedRevivalChecksItemCount(t *testing.T) {
+	m := model(t, "netflix-nomad-25", 0.04)
+	const k = 7
+	clean := newFaultComposite(t, m.Users, m.Items, TwoWave, false)
+	want, err := clean.QueryAll(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int64
+	sh := New(Config{
+		Shards:               4,
+		Partitioner:          ByNorm(),
+		Schedule:             TwoWave,
+		RetainShardSnapshots: true,
+		Factory:              func() mips.Solver { return core.NewBMM(core.BMMConfig{}) },
+		WorkerDialer: func(si int, section []byte) (Worker, error) {
+			dials.Add(1)
+			ls, err := persist.LoadAny(persist.FromBytes(section))
+			if err != nil {
+				return nil, err
+			}
+			return NewWorker(ls.(mips.Solver)), nil
+		},
+	})
+	if err := sh.Build(m.Users, m.Items); err != nil {
+		t.Fatal(err)
+	}
+	small := core.NewBMM(core.BMMConfig{})
+	if err := small.Build(m.Users, m.Items.SelectRows([]int{0, 1, 2})); err != nil {
+		t.Fatal(err)
+	}
+	wrong, err := mips.SnapshotBytes(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.snaps[faultTarget] = wrong
+	buildsBefore := sh.Plans()[faultTarget].Builds
+	dialsBefore := dials.Load()
+	armShard(sh, faultTarget, faulty.Plan{Faults: []faulty.Fault{{
+		Op: faulty.OpQuery, Call: 1, Kind: faulty.KindPanic,
+	}}})
+	if _, err := sh.QueryAll(k); err == nil {
+		t.Fatal("faulted query succeeded")
+	}
+	if err := sh.AwaitHealthy(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if d := dials.Load() - dialsBefore; d != 2 {
+		t.Fatalf("revival dialed %d workers, want 2 (the refused section, then the rebuild)", d)
+	}
+	if b := sh.Plans()[faultTarget].Builds; b != buildsBefore+1 {
+		t.Fatalf("builds %d -> %d, want a rebuild after the refused section", buildsBefore, b)
+	}
+	got, err := sh.QueryAll(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range want {
+		assertSameEntries(t, u, want[u], got[u])
 	}
 }
 

@@ -31,9 +31,6 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 	"time"
-
-	"optimus/internal/mips"
-	"optimus/internal/persist"
 )
 
 // PanicError is a sub-solver panic recovered at the shard boundary: the
@@ -316,16 +313,10 @@ func (s *Sharded) reviveShard(si int) bool {
 	restored := false
 	if snap != nil {
 		// The retained snapshot is the shard's persist section — the shipping
-		// unit. Under a dialer, revival re-dials a fresh worker from it; in
-		// process, it reloads the sub-solver and wraps it locally.
-		if s.cfg.WorkerDialer != nil {
-			if err := s.dialWorker(&repl, si, snap); err == nil {
-				restored = true
-			}
-		} else if solver, err := s.loadShardSnapshot(snap, sh.count); err == nil {
-			repl.attach(NewWorker(solver))
-			restored = true
-		}
+		// unit. Revival boots a fresh worker from it the way Load does:
+		// dialed under a dialer, decoded in process otherwise, and checked
+		// against the shard's item count either way.
+		restored = s.bootShard(&repl, si, snap) == nil
 	}
 	if !restored {
 		if err := s.buildShard(&repl, si, s.users, s.shardItems(&sh), nil); err != nil {
@@ -352,27 +343,6 @@ func (s *Sharded) reviveShard(si int) bool {
 		s.captureSnap(si)
 	}
 	return true
-}
-
-// loadShardSnapshot reconstructs a sub-solver from its retained per-shard
-// snapshot bytes (the same nested stream Save embeds), validating the item
-// count and aligning threads.
-func (s *Sharded) loadShardSnapshot(snap []byte, count int) (mips.Solver, error) {
-	ls, err := persist.LoadAny(persist.FromBytes(snap))
-	if err != nil {
-		return nil, err
-	}
-	sub, ok := ls.(mips.Solver)
-	if !ok {
-		return nil, fmt.Errorf("shard: retained snapshot kind is not a solver")
-	}
-	if sz, ok := sub.(mips.Sized); ok && sz.NumItems() != count {
-		return nil, fmt.Errorf("shard: retained snapshot holds %d items, shard has %d", sz.NumItems(), count)
-	}
-	if ts, ok := sub.(mips.ThreadSetter); ok {
-		ts.SetThreads(s.cfg.Threads)
-	}
-	return sub, nil
 }
 
 // captureSnaps retains a snapshot of every live shard's sub-solver (called

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"optimus/internal/mips"
+	"optimus/internal/parallel"
 	"optimus/internal/persist"
 )
 
@@ -118,6 +119,12 @@ func (s *Sharded) Save(w io.Writer) error {
 // only for future Build/mutation calls, while the restored structure
 // (including the head-first marker and routing floors) comes from the
 // manifest.
+//
+// The whole manifest is parsed and validated first, serially; then every
+// live shard boots from its section at once (Config.Threads workers), each
+// section decoded exactly once, by its worker. A failed Load closes every
+// worker it booted and leaves the receiver unchanged; when several shards
+// fail, the lowest-index shard's error is returned.
 func (s *Sharded) Load(r io.Reader) error {
 	pr, err := persist.NewReader(r, Kind)
 	if err != nil {
@@ -155,14 +162,8 @@ func (s *Sharded) Load(r io.Reader) error {
 	nItems := items.Rows()
 
 	shards := make([]shardState, nShards)
+	sections := make([][]byte, nShards)
 	parts := make([][]int, 0, nShards)
-	var snaps [][]byte
-	if s.cfg.RetainShardSnapshots {
-		// The nested per-shard streams are exactly the snapshot sections the
-		// background reviver (health.go) restores from; retaining them at
-		// Load costs a copy, not a re-serialization.
-		snaps = make([][]byte, nShards)
-	}
 	for i := 0; i < nShards; i++ {
 		d = pr.Section(fmt.Sprintf("shard%d", i))
 		sh := &shards[i]
@@ -206,32 +207,7 @@ func (s *Sharded) Load(r io.Reader) error {
 			}
 			continue
 		}
-		ls, err := persist.LoadAny(persist.FromBytes(nested))
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		sub, ok := ls.(mips.Solver)
-		if !ok {
-			return fmt.Errorf("shard %d: snapshot kind is not a solver", i)
-		}
-		if sz, ok := sub.(mips.Sized); ok && sz.NumItems() != sh.count {
-			return fmt.Errorf("shard %d: sub-solver holds %d items, manifest says %d", i, sz.NumItems(), sh.count)
-		}
-		// Placement through the manifest: each shard section is the shipping
-		// unit, so under a dialer the worker boots from exactly these bytes
-		// (the locally reconstructed solver above served as validation).
-		if s.cfg.WorkerDialer != nil {
-			if err := s.dialWorker(sh, i, nested); err != nil {
-				return err
-			}
-		} else {
-			sh.attach(NewWorker(sub))
-		}
-		if snaps != nil {
-			// nested is a view of the whole restored stream; a clone pins
-			// only this shard's bytes.
-			snaps[i] = bytes.Clone(nested)
-		}
+		sections[i] = nested
 		ids := sh.ids
 		if ids == nil {
 			ids = identityRange(sh.base, sh.base+sh.count)
@@ -276,6 +252,42 @@ func (s *Sharded) Load(r io.Reader) error {
 		return fmt.Errorf("shard: manifest carries routing floors without the head-first marker")
 	}
 
+	// Placement through the manifest: each shard section is the shipping
+	// unit, so every live shard's worker boots from exactly these bytes —
+	// dialed under a dialer, decoded in process otherwise — and nothing
+	// else decodes them.
+	var snaps [][]byte
+	if s.cfg.RetainShardSnapshots {
+		// The nested per-shard streams are exactly the snapshot sections the
+		// background reviver (health.go) restores from; retaining them at
+		// Load costs a copy, not a re-serialization.
+		snaps = make([][]byte, nShards)
+	}
+	err = parallel.ForErrThreads(s.cfg.Threads, nShards, 1, func(lo, hi int) error {
+		var first error
+		for i := lo; i < hi; i++ {
+			if sections[i] == nil {
+				continue
+			}
+			if e := s.bootShard(&shards[i], i, sections[i]); e != nil {
+				if first == nil {
+					first = e
+				}
+				continue
+			}
+			if snaps != nil {
+				// The section is a view of the whole restored stream; a
+				// clone pins only this shard's bytes.
+				snaps[i] = bytes.Clone(sections[i])
+			}
+		}
+		return first
+	})
+	if err != nil {
+		closeWorkers(shards)
+		return err
+	}
+
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	s.epoch++
@@ -290,11 +302,6 @@ func (s *Sharded) Load(r io.Reader) error {
 	s.headFirst = headFirst == 1
 	s.normFloor = normFloor
 	s.mstats = mstats
-	for i := range s.shards {
-		if w := s.shards[i].w; w != nil {
-			w.SetThreads(s.cfg.Threads)
-		}
-	}
 	// Restore the drift surface: fresh counters against the loaded shard
 	// set, the persisted baseline (if any) pre-locked so regression
 	// detection works without a fresh serving window, and the norm skew the

@@ -537,7 +537,8 @@ func makeShardStates(items *mat.Matrix, parts [][]int) ([]shardState, []*mat.Mat
 // timing measurements do not contend with each other), in parallel under a
 // Factory — optionally seeding floor-aware estimators with the given
 // per-user floors (retune staging passes the union of observed floors; nil
-// falls back to the per-shard observed boards).
+// falls back to the per-shard observed boards). A failed build closes every
+// worker the set had attached, so no dialed worker outlives it.
 func (s *Sharded) buildAll(shards []shardState, users *mat.Matrix, subItems []*mat.Matrix, seed []float64) error {
 	build := func(i int) error { return s.buildShard(&shards[i], i, users, subItems[i], seed) }
 	if s.cfg.Planner != nil {
@@ -548,12 +549,13 @@ func (s *Sharded) buildAll(shards []shardState, users *mat.Matrix, subItems []*m
 		}
 		for i := range shards {
 			if err := build(i); err != nil {
+				closeWorkers(shards)
 				return err
 			}
 		}
 		return nil
 	}
-	return parallel.ForErrThreads(s.cfg.Threads, len(shards), 1, func(lo, hi int) error {
+	err := parallel.ForErrThreads(s.cfg.Threads, len(shards), 1, func(lo, hi int) error {
 		var first error
 		for i := lo; i < hi; i++ {
 			if e := build(i); e != nil && first == nil {
@@ -562,6 +564,10 @@ func (s *Sharded) buildAll(shards []shardState, users *mat.Matrix, subItems []*m
 		}
 		return first
 	})
+	if err != nil {
+		closeWorkers(shards)
+	}
+	return err
 }
 
 // computeNormFloors derives the fixed routing cutoffs for item arrival

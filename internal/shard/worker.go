@@ -20,6 +20,7 @@ import (
 
 	"optimus/internal/mat"
 	"optimus/internal/mips"
+	"optimus/internal/persist"
 	"optimus/internal/topk"
 )
 
@@ -41,6 +42,13 @@ type WorkerCaps struct {
 	Scans bool
 	// Snapshots: Snapshot serializes the solver (mips.Persister).
 	Snapshots bool
+	// Sized: the solver reports its item count (mips.Sized), and Items is
+	// that count when the worker was created — for a worker booted from a
+	// persist section, the count the section restored, which Load and
+	// revival check against the shard's. Items does not follow later
+	// mutations.
+	Sized bool
+	Items int
 }
 
 // Worker is the per-shard execution contract. Exactly one worker serves one
@@ -80,15 +88,22 @@ type Worker interface {
 }
 
 // WorkerDialer connects one shard to a (possibly remote) worker. The section
-// argument is the shard's self-describing persist section (the `shard%d`
-// nested stream of the PR 6 manifest): shipping a shard IS sending a
-// section — the dialed side boots by persist.LoadAny-ing it. A dialer is
-// called at Build (from a fresh snapshot of the just-built sub-solver), at
-// Load (from the manifest's stored section), and at revival (from the
-// retained snapshot or a rebuild). At Load the section is a view of the
-// restored stream, so a dialer that keeps it past the call clones it, or it
-// pins the whole stream. Dial errors fail the operation that
-// triggered them; at query time a dialed worker's failures route through the
+// argument is the shard's self-describing persist section (the solver
+// snapshot nested in the manifest's `shard%d` section): shipping a shard IS
+// sending a section — the dialed side boots by persist.LoadAny-ing it. A
+// dialer is called at Build (from a fresh snapshot of the just-built
+// sub-solver), at Load (from the manifest's stored section), and at revival
+// (from the retained snapshot or a rebuild).
+//
+// At Load and revival the dialed worker is the only decoder of its section:
+// the coordinator does not rebuild the sub-solver to check it, but reads
+// the worker's capability word, whose item count (Sized, Items) must equal
+// the manifest's. Load dials its shards concurrently, so a dialer must be
+// safe to call from several goroutines. At Load the section is a view of
+// the restored stream, so a dialer that keeps it past the call clones it,
+// or it pins the whole stream. Dial errors fail the operation that
+// triggered them, and a Build or Load that fails closes every worker it had
+// dialed; at query time a dialed worker's failures route through the
 // ordinary quarantine machinery.
 type WorkerDialer func(shard int, section []byte) (Worker, error)
 
@@ -108,6 +123,9 @@ func NewWorker(solver mips.Solver) Worker {
 		UserAdds:  w.ua != nil,
 		Scans:     w.scn != nil,
 		Snapshots: w.p != nil,
+	}
+	if sz, ok := solver.(mips.Sized); ok {
+		w.caps.Sized, w.caps.Items = true, sz.NumItems()
 	}
 	return w
 }
@@ -229,18 +247,67 @@ func (s *Sharded) attachWorker(sh *shardState, si int, solver mips.Solver) error
 	if err != nil {
 		return fmt.Errorf("shard %d: snapshotting for worker dial: %w", si, err)
 	}
-	return s.dialWorker(sh, si, section)
+	w, err := s.dialWorker(si, section)
+	if err != nil {
+		return err
+	}
+	sh.attach(w)
+	return nil
 }
 
 // dialWorker connects one shard to its worker from a persist section via the
 // configured dialer.
-func (s *Sharded) dialWorker(sh *shardState, si int, section []byte) error {
+func (s *Sharded) dialWorker(si int, section []byte) (Worker, error) {
 	w, err := s.cfg.WorkerDialer(si, section)
 	if err != nil {
-		return fmt.Errorf("shard %d: dialing worker: %w", si, err)
+		return nil, fmt.Errorf("shard %d: dialing worker: %w", si, err)
 	}
+	return w, nil
+}
+
+// bootShard gives shard si a worker booted from its persist section — the
+// one path Load and revival share. Under a dialer the section goes to the
+// dialed worker, which decodes it on its side; in process it is decoded
+// here. Either way it is decoded exactly once, and the booted worker's item
+// count must match the shard's, or the worker is closed and nothing is
+// attached. Safe to run for different shards concurrently.
+func (s *Sharded) bootShard(sh *shardState, si int, section []byte) error {
+	var w Worker
+	if s.cfg.WorkerDialer != nil {
+		var err error
+		if w, err = s.dialWorker(si, section); err != nil {
+			return err
+		}
+	} else {
+		ls, err := persist.LoadAny(persist.FromBytes(section))
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", si, err)
+		}
+		sub, ok := ls.(mips.Solver)
+		if !ok {
+			return fmt.Errorf("shard %d: snapshot kind is not a solver", si)
+		}
+		w = NewWorker(sub)
+	}
+	if c := w.Caps(); c.Sized && c.Items != sh.count {
+		w.Close()
+		return fmt.Errorf("shard %d: sub-solver holds %d items, manifest says %d", si, c.Items, sh.count)
+	}
+	w.SetThreads(s.cfg.Threads)
 	sh.attach(w)
 	return nil
+}
+
+// closeWorkers releases every worker attached to shards that never became
+// the composite's — the cleanup of a Build, Load or retune candidate that
+// failed part-way. Unlike retireWorker it folds no scan meter: the workers
+// never served.
+func closeWorkers(shards []shardState) {
+	for i := range shards {
+		if w := shards[i].w; w != nil {
+			w.Close()
+		}
+	}
 }
 
 // retireWorker folds a replaced worker's scan meter into the composite's

@@ -70,7 +70,11 @@ type Conn interface {
 	Close() error
 }
 
-// capsBits packs a capability word into one wire byte.
+// capsBits packs a capability word's flags into one wire byte. The caps
+// reply carries that byte and then the item count the worker booted with
+// (WorkerCaps.Items, 0 when not Sized) as a persist Int — the count the
+// coordinator checks against its manifest without decoding the section
+// itself.
 func capsBits(c shard.WorkerCaps) byte {
 	var b byte
 	set := func(bit uint, on bool) {
@@ -83,6 +87,7 @@ func capsBits(c shard.WorkerCaps) byte {
 	set(2, c.UserAdds)
 	set(3, c.Scans)
 	set(4, c.Snapshots)
+	set(5, c.Sized)
 	return b
 }
 
@@ -93,6 +98,7 @@ func capsFromBits(b byte) shard.WorkerCaps {
 		UserAdds:  b&(1<<2) != 0,
 		Scans:     b&(1<<3) != 0,
 		Snapshots: b&(1<<4) != 0,
+		Sized:     b&(1<<5) != 0,
 	}
 }
 
@@ -180,7 +186,11 @@ func (h *Handler) Call(ctx context.Context, op Op, req []byte) ([]byte, error) {
 		h.w.SetThreads(n)
 		return []byte{statusOK}, nil
 	case OpCaps:
-		return []byte{statusOK, capsBits(h.w.Caps())}, nil
+		c := h.w.Caps()
+		return okReply(func(e *persist.Encoder) {
+			e.U8(capsBits(c))
+			e.Int(c.Items)
+		}), nil
 	case OpClose:
 		if err := h.w.Close(); err != nil {
 			return errReply(err), nil
@@ -257,16 +267,23 @@ type Client struct {
 // Compile-time check: Client is a shard.Worker.
 var _ shard.Worker = (*Client)(nil)
 
-// NewClient dials the capability word and returns the wire-backed worker.
+// NewClient dials the capability word — flags and booted item count — and
+// returns the wire-backed worker.
 func NewClient(conn Conn) (*Client, error) {
 	payload, err := roundTrip(conn, context.Background(), OpCaps, nil)
 	if err != nil {
 		return nil, fmt.Errorf("transport: fetching caps: %w", err)
 	}
-	if len(payload) != 1 {
-		return nil, fmt.Errorf("transport: caps reply has %d payload bytes, want 1", len(payload))
+	d := persist.NewDecoder(payload)
+	caps := capsFromBits(d.U8())
+	caps.Items = d.Int()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("transport: decoding caps: %w", err)
 	}
-	return &Client{conn: conn, caps: capsFromBits(payload[0])}, nil
+	if d.Remaining() != 0 {
+		return nil, fmt.Errorf("transport: caps reply has %d trailing bytes", d.Remaining())
+	}
+	return &Client{conn: conn, caps: caps}, nil
 }
 
 // roundTrip performs one exchange and unwraps the reply status.

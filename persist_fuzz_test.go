@@ -96,22 +96,46 @@ func FuzzLoadSolver(f *testing.F) {
 // FuzzLoadManifest drives the sharded composite's Load directly — the
 // manifest reader has its own validation surface (shard cutoffs, id-map
 // partition coverage, nested sub-solver streams, routing floors) beyond
-// what the registry dispatch exercises.
+// what the registry dispatch exercises. Every input also loads through a
+// loopback dialer, where each shard section is decoded only by its dialed
+// worker: the two must agree — both fail, or both load and re-save the same
+// bytes.
 func FuzzLoadManifest(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzCheck(t, data, func(r io.Reader) (Solver, error) {
+	loader := func(dialer ShardWorkerDialer) func(io.Reader) (Solver, error) {
+		return func(r io.Reader) (Solver, error) {
 			sh := NewSharded(ShardedConfig{
-				Shards:      2,
-				Partitioner: shard.ByNorm(),
-				Factory:     func() Solver { return NewLEMP(LEMPConfig{Seed: 1}) },
+				Shards:       2,
+				Partitioner:  shard.ByNorm(),
+				Factory:      func() Solver { return NewLEMP(LEMPConfig{Seed: 1}) },
+				WorkerDialer: dialer,
 			})
 			if err := sh.Load(r); err != nil {
 				return nil, err
 			}
 			return sh, nil
-		})
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzCheck(t, data, loader(nil))
+		if len(data) > 1<<20 {
+			return
+		}
+		local, err := loader(nil)(persist.FromBytes(data))
+		wired, errWired := loader(NewLoopbackTransport().Dialer())(persist.FromBytes(data))
+		if (err == nil) != (errWired == nil) {
+			t.Fatalf("in-process load: %v; loopback load: %v", err, errWired)
+		}
+		if err != nil {
+			return
+		}
+		var a, b bytes.Buffer
+		errA, errB := SaveSolver(&a, local), SaveSolver(&b, wired)
+		if (errA == nil) != (errB == nil) || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("re-saves differ: in process %d bytes (%v), loopback %d bytes (%v)", a.Len(), errA, b.Len(), errB)
+		}
+		_, _ = wired.QueryAll(2)
 	})
 }
