@@ -1,7 +1,8 @@
 package optimus
 
 // Golden snapshot compatibility: testdata/golden holds one committed
-// snapshot per kind, built from a fixed LCG corpus. The test proves two
+// snapshot per kind, built from a fixed LCG corpus, plus load-only snapshots
+// an older writer produced (TestGoldenLoadOnly). The test proves two
 // properties CI pins on every run:
 //
 //  1. Wire-format stability — today's reader loads yesterday's bytes. A
@@ -141,6 +142,63 @@ func TestGoldenSnapshots(t *testing.T) {
 				t.Fatalf("snapshot bytes diverged from %s (%d bytes written vs %d committed); "+
 					"if the format change is intentional, bump persist.Version and regenerate with UPDATE_GOLDEN=1",
 					path, buf.Len(), len(golden))
+			}
+		})
+	}
+}
+
+// TestGoldenLoadOnly loads committed snapshots that today's writer no
+// longer reproduces but whose layout it still reads: each must load through
+// every source, answer exactly like a fresh build of the golden corpus, and
+// re-save to today's golden of its kind. maximus-sampled-blocks.osnp was
+// written when MAXIMUS sized each cluster's first walk segment from sampled
+// walks, so its block-size slot holds per-cluster values ([0 15 0 9 0 0 0
+// 0]) where a fresh Save writes one constant.
+func TestGoldenLoadOnly(t *testing.T) {
+	users, items := goldenCorpus()
+	const k = 5
+	for _, g := range []struct{ file, kind string }{
+		{"maximus-sampled-blocks.osnp", "maximus"},
+	} {
+		t.Run(g.file, func(t *testing.T) {
+			var built Solver
+			for _, gs := range goldenSolvers() {
+				if gs.Name == g.kind {
+					built = gs.Make()
+				}
+			}
+			if err := built.Build(users, items); err != nil {
+				t.Fatal(err)
+			}
+			want, err := built.QueryAll(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := os.ReadFile(filepath.Join("testdata", "golden", g.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			current, err := os.ReadFile(filepath.Join("testdata", "golden", g.kind+".osnp"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range snapshotSources {
+				loaded, err := LoadSolver(src.open(old))
+				if err != nil {
+					t.Fatalf("%s: load-only golden no longer loads: %v", src.name, err)
+				}
+				got, err := loaded.QueryAll(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameEntries(t, want, got)
+				var resave bytes.Buffer
+				if err := SaveSolver(&resave, loaded); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(resave.Bytes(), current) {
+					t.Fatalf("%s: re-saving the load-only golden did not give %s.osnp", src.name, g.kind)
+				}
 			}
 		})
 	}

@@ -99,13 +99,9 @@ func (r *Runner) AblationParams() error {
 		return tm.Total(), nil
 	}
 
-	r.printf("-- block size B (0 = adaptive from sampled walk lengths):\n")
-	for _, b := range []int{0, 32, 128, 512, 2048} {
-		cfg := core.MaximusConfig{BlockSize: b}
-		if b == 0 {
-			cfg.BlockSize = 0
-		}
-		d, err := run(cfg)
+	r.printf("-- block size B (first walk segment max(k, B); default %d):\n", core.DefaultMaximusConfig().BlockSize)
+	for _, b := range []int{32, 128, 256, 512, 2048, 4096} {
+		d, err := run(core.MaximusConfig{BlockSize: b})
 		if err != nil {
 			return err
 		}

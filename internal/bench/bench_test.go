@@ -169,7 +169,7 @@ func TestFig8(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Fig 8", "cluster", "construct", "estimate", "traverse", "speedup"} {
+	for _, want := range []string{"Fig 8", "cluster", "construct", "traverse", "speedup"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fig8 output missing %q:\n%s", want, out)
 		}

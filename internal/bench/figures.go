@@ -274,13 +274,13 @@ func (r *Runner) newSolverThreads(name string, threads int) mips.Solver {
 }
 
 // Fig8 reproduces the MAXIMUS stage breakdown and the item-blocking lesion:
-// clustering, index construction, cost estimation, and traversal, with and
-// without the shared block multiply (paper: blocking improves Netflix 2.4×
+// clustering, index construction, and traversal, with and without the
+// shared block multiply (paper: blocking improves Netflix 2.4×
 // and R2 1.4×).
 func (r *Runner) Fig8() error {
 	r.printf("== Fig 8: MAXIMUS runtime breakdown, item-blocking lesion (K=1) ==\n")
-	r.printf("%-20s %-9s %11s %11s %11s %11s %9s\n",
-		"model", "blocking", "cluster", "construct", "estimate", "traverse", "speedup")
+	r.printf("%-20s %-9s %11s %11s %11s %9s\n",
+		"model", "blocking", "cluster", "construct", "traverse", "speedup")
 	for _, name := range r.modelsOrDefault([]string{"netflix-nomad-50", "r2-nomad-50"}) {
 		m, err := r.generate(name)
 		if err != nil {
@@ -326,8 +326,8 @@ func (r *Runner) Fig8() error {
 			if disable && withBlocking > 0 {
 				speedup = ratio(withoutBlocking, withBlocking)
 			}
-			r.printf("%-20s %-9s %11sms %11sms %11sms %11sms %9s\n",
-				name, label, ms(tm.Clustering), ms(tm.Construction), ms(tm.CostEstimation), ms(traverse), speedup)
+			r.printf("%-20s %-9s %11sms %11sms %11sms %9s\n",
+				name, label, ms(tm.Clustering), ms(tm.Construction), ms(traverse), speedup)
 		}
 	}
 	return nil

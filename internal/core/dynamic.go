@@ -12,15 +12,12 @@ import (
 // relatively static user set and proposes, for new arrivals, skipping the
 // clustering step: assign each new user to the centroid with the smallest L2
 // distance. The paper leaves periodic re-clustering as future work; this
-// file implements the assignment path — AddUsers — with the two pieces of
-// bookkeeping correctness demands:
-//
-//  1. θb maintenance: a new user can sit at a wider angle from its centroid
-//     than any existing member, which would invalidate the Equation 3 bound.
-//     If the new angle exceeds the cluster's θb, the bound is recomputed and
-//     the cluster's item list re-sorted (lazily, only for affected clusters).
-//  2. Block sizing: a cluster whose list was re-sorted, or that had no
-//     sized first segment, has it re-sized from the grown membership.
+// file implements the assignment path — AddUsers — with the bookkeeping
+// correctness demands, θb maintenance: a new user can sit at a wider angle
+// from its centroid than any existing member, which would invalidate the
+// Equation 3 bound. If the new angle exceeds the cluster's θb, the bound is
+// recomputed and the cluster's item list re-sorted (lazily, only for
+// affected clusters).
 
 // AddUsers appends new user vectors to a built index and returns their
 // assigned ids (contiguous, starting at the previous user count). The items
@@ -44,30 +41,21 @@ func (m *Maximus) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 
 	ids := make([]int, newUsers.Rows())
 	dirty := make(map[int]bool) // clusters whose θb grew (lists stale)
-	touched := make(map[int]bool)
 	for r := 0; r < newUsers.Rows(); r++ {
 		u := base + r
 		ids[r] = u
 		c := m.nearestCentroid(m.users.Row(u))
 		m.clusterOf = append(m.clusterOf, c)
 		m.members[c] = append(m.members[c], u)
-		touched[c] = true
 		if a := mat.Angle(m.users.Row(u), m.centroids.Row(c)); a > m.thetaB[c] {
 			m.thetaB[c] = a
 			dirty[c] = true
 		}
 	}
 
-	// Re-derive the Equation 3 lists for clusters whose θb widened, and
-	// re-size the first segment of those and of every touched cluster that
-	// had none sized (a previously empty or short-walk cluster).
-	for c := range touched {
-		if dirty[c] {
-			m.rebuildClusterList(c)
-		}
-		if dirty[c] || m.blocks[c] == 0 {
-			m.blocks[c] = m.blockLength(c)
-		}
+	// Re-derive the Equation 3 lists for clusters whose θb widened.
+	for c := range dirty {
+		m.rebuildClusterList(c)
 	}
 	return ids, nil
 }
@@ -119,11 +107,9 @@ func (m *Maximus) rebuildClusterList(c int) {
 //   - RemoveItems filters the lists, renumbering surviving ids under the
 //     compaction contract (the renumbering is monotone, so the bound-then-id
 //     sort order is preserved without comparisons).
-//   - A cluster's first-segment length is kept, clipped to the list
-//     (block sizing is a Build-time cost decision, not a correctness input).
 //
 // The expensive Build stages — k-means, the |C|×|I| centroid GEMM, the full
-// list sorts, the sampled walk lengths — are all skipped.
+// list sorts — are all skipped.
 
 // AddItems implements mips.ItemMutator (see the contract in internal/mips).
 // Each cluster absorbs the batch with one merge pass — arrivals sorted by
@@ -211,7 +197,6 @@ func (m *Maximus) RemoveItems(ids []int) error {
 			w++
 		}
 		m.lists[c], m.bounds[c] = list[:w], bounds[:w]
-		m.blocks[c] = min(m.blocks[c], w)
 	}
 	m.gen++
 	return nil

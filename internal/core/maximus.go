@@ -21,20 +21,19 @@ import (
 
 // MaximusConfig holds the index parameters from §III-D. The paper's sweep
 // found B = 4096, |C| = 8, i = 3 effective across inputs and reports all
-// results with those settings; they are the defaults here.
+// results with those settings; |C| and i are the defaults here, and B
+// defaults to walkSegment (see BlockSize).
 type MaximusConfig struct {
 	// Clusters is |C|, the number of user clusters.
 	Clusters int
 	// KMeansIters is i, the number of Lloyd iterations.
 	KMeansIters int
-	// BlockSize is B, the length of the first segment of every cluster's
-	// walk: the first B list entries are scored for the cluster's queried
-	// users with one blocked matrix multiply (§III-D), and later segments
-	// are walkSegment entries long. Zero selects the adaptive default: the
-	// cost-estimation stage walks a sample of each cluster's members and
-	// sets B_c = min(4096, w̄_c/2) from their mean walk length w̄_c, with no
-	// block below 8 entries (the paper's fixed B = 4096 would cover most of
-	// a small item set). Set DisableItemBlocking for the Fig 8 lesion.
+	// BlockSize is B, the one rule for the first segment of every cluster's
+	// walk: its first max(k, B) list entries are scored for the cluster's
+	// queried users with one blocked matrix multiply (§III-D), and later
+	// segments are walkSegment (256) entries long. Zero (or less) selects
+	// B = walkSegment; the paper's B = 4096 would cover most of a small
+	// item set. Set DisableItemBlocking for the Fig 8 lesion.
 	BlockSize int
 	// DisableItemBlocking turns off the shared multiplies (lesion study):
 	// every user walks alone, one dot product per list position.
@@ -54,25 +53,19 @@ type MaximusConfig struct {
 	Threads int
 }
 
-// DefaultMaximusConfig returns the paper's published settings (§III-D);
-// BlockSize 0 sizes each cluster's first walk segment from sampled walks
-// (min(4096, w̄_c/2), none below 8; see BlockSize), and Threads 0 means
-// "follow the package-wide parallel.Threads() default", resolved by
-// NewMaximus at construction.
+// DefaultMaximusConfig returns the paper's published |C| and i (§III-D) and
+// B = walkSegment, so every cluster's walk starts with one max(k, 256)-entry
+// multiply (see BlockSize). Threads 0 means "follow the package-wide
+// parallel.Threads() default", resolved by NewMaximus at construction.
 func DefaultMaximusConfig() MaximusConfig {
-	return MaximusConfig{Clusters: 8, KMeansIters: 3, BlockSize: 0}
+	return MaximusConfig{Clusters: 8, KMeansIters: 3, BlockSize: walkSegment}
 }
 
-// maxBlockSize is the paper's published B.
-const maxBlockSize = 4096
-
-// MaximusTimings is the stage breakdown Fig 8 reports: clustering, index
-// construction (bounds + sorting), and cost estimation (the sampled walks
-// that size each cluster's first walk segment).
+// MaximusTimings is the stage breakdown Fig 8 reports: clustering and index
+// construction (bounds + sorting).
 type MaximusTimings struct {
-	Clustering     time.Duration
-	Construction   time.Duration
-	CostEstimation time.Duration
+	Clustering   time.Duration
+	Construction time.Duration
 }
 
 // MaximusQueryStats instruments one Query call.
@@ -104,9 +97,6 @@ type Maximus struct {
 
 	lists  [][]int32   // per cluster: item ids sorted by bound descending
 	bounds [][]float64 // aligned Equation 3 bound values (non-increasing)
-	// blocks is each cluster's first walk segment length, B_c (0: none
-	// sized, the segment is k long).
-	blocks []int
 
 	// scanned accumulates ItemsVisited across queries (mips.ScanCounter).
 	scanned atomic.Int64
@@ -114,17 +104,11 @@ type Maximus struct {
 	// gen is the mips.ItemMutator mutation stamp (see dynamic.go).
 	gen uint64
 
-	// estFloors, when set via SetEstimationFloors (mips.FloorAwareEstimator),
-	// seeds the next estimateBlocks' sampled walks: per-user lower bounds on
-	// the top score, indexed by user row. A performance hint only — it never
-	// touches the query path.
-	estFloors []float64
-
 	timings MaximusTimings
 }
 
 // NewMaximus returns an unbuilt MAXIMUS index. Zero-valued fields fall back
-// to the paper's defaults (B=4096, |C|=8, i=3).
+// to DefaultMaximusConfig's (B=256, |C|=8, i=3).
 func NewMaximus(cfg MaximusConfig) *Maximus {
 	def := DefaultMaximusConfig()
 	if cfg.Clusters <= 0 {
@@ -133,8 +117,8 @@ func NewMaximus(cfg MaximusConfig) *Maximus {
 	if cfg.KMeansIters <= 0 {
 		cfg.KMeansIters = def.KMeansIters
 	}
-	if cfg.BlockSize < 0 {
-		cfg.BlockSize = 0
+	if cfg.BlockSize <= 0 {
+		cfg.BlockSize = def.BlockSize
 	}
 	cfg.Threads = parallel.Resolve(cfg.Threads)
 	if cfg.ClusterSampleFraction < 0 || cfg.ClusterSampleFraction >= 1 {
@@ -148,7 +132,7 @@ func (m *Maximus) Name() string { return "MAXIMUS" }
 
 // SetThreads implements mips.ThreadSetter: it adjusts query parallelism on
 // the built index (n <= 0 selects the package-wide default). Walk order and
-// block sizes are fixed at Build, so changing threads never changes results.
+// segments are fixed at Build, so changing threads never changes results.
 func (m *Maximus) SetThreads(n int) { m.cfg.Threads = parallel.Resolve(n) }
 
 // Batches implements mips.Solver: the walk's shared multiplies amortize work
@@ -175,10 +159,9 @@ func (m *Maximus) NumItems() int {
 // Timings returns the Build stage breakdown.
 func (m *Maximus) Timings() MaximusTimings { return m.timings }
 
-// BuildTime returns total Build cost (clustering + construction + cost
-// estimation).
+// BuildTime returns total Build cost (clustering + construction).
 func (m *Maximus) BuildTime() time.Duration {
-	return m.timings.Clustering + m.timings.Construction + m.timings.CostEstimation
+	return m.timings.Clustering + m.timings.Construction
 }
 
 // ThetaB returns the per-cluster distortion bounds (radians), exposed for
@@ -207,12 +190,6 @@ func (m *Maximus) Build(users, items *mat.Matrix) error {
 	t1 := time.Now()
 	m.constructLists()
 	m.timings.Construction = time.Since(t1)
-
-	// Stage 3: cost estimation — sample walk lengths and size the shared
-	// blocks (§III-D item blocking).
-	t2 := time.Now()
-	m.estimateBlocks()
-	m.timings.CostEstimation = time.Since(t2)
 	m.scanned.Store(0)
 	m.gen = 0
 	return nil
@@ -288,7 +265,6 @@ func (m *Maximus) constructLists() {
 
 	m.lists = make([][]int32, nClusters)
 	m.bounds = make([][]float64, nClusters)
-	m.blocks = make([]int, nClusters)
 	parallel.ForThreads(m.cfg.Threads, nClusters, 1, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			bound := make([]float64, nItems)
@@ -366,102 +342,6 @@ func descendingKey(x float64) uint64 {
 	return ^b
 }
 
-// SetEstimationFloors implements mips.FloorAwareEstimator: floors[u] is a
-// lower bound on user u's top score that the next Build's estimateBlocks
-// walks seed their running best with. A walk that starts at the floor
-// terminates where the served queries will actually terminate — under a high
-// floor, far earlier — so the first segment is sized for the floored regime
-// instead of the cold one. The floors persist until replaced; a length that
-// does not match the Build's user count is ignored (the hint describes a
-// different corpus).
-func (m *Maximus) SetEstimationFloors(floors []float64) {
-	m.estFloors = append(m.estFloors[:0], floors...)
-}
-
-// blockSampleUsers is how many members per cluster the cost-estimation stage
-// walks when sizing the first segment.
-const blockSampleUsers = 16
-
-// estimateBlocks is the cost-estimation stage of Build: it sizes each
-// cluster's first walk segment so blocked work is almost always useful work.
-//
-// The paper fixes B = 4096 for testbed item counts of 17k–1M, observing that
-// when a user's walk ends before position B the blocked prefix is wasted
-// work (§III-D). At repo scale the item counts — and therefore the walk
-// lengths — vary by orders of magnitude across models, so a fixed B is
-// wrong somewhere for every choice. Instead, the index walks a small sample
-// of each cluster's members, measures the mean termination position w̄_c,
-// and sets B_c = min(4096, w̄_c/2). Clusters whose walks are too short to
-// amortize a GEMM get no sized block (their first segment is k long). An
-// explicit MaximusConfig.BlockSize bypasses the sampling.
-func (m *Maximus) estimateBlocks() {
-	parallel.ForThreads(m.cfg.Threads, m.centroids.Rows(), 1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			m.blocks[c] = m.blockLength(c)
-		}
-	})
-}
-
-// blockLength sizes cluster c's first walk segment (see estimateBlocks); 0
-// means none. Floor-aware estimation: when the caller supplied per-user
-// floors (the sharded executor replays each shard's observed floors before a
-// rebuild), the sampled walks start from them, shrinking the estimated walk —
-// and therefore the block — toward what floored service really scans.
-func (m *Maximus) blockLength(c int) int {
-	members := m.members[c]
-	if m.cfg.DisableItemBlocking || len(members) == 0 {
-		return 0
-	}
-	bl := m.cfg.BlockSize
-	if bl <= 0 {
-		floors := m.estFloors
-		if len(floors) != m.users.Rows() {
-			floors = nil
-		}
-		step := max(1, len(members)/blockSampleUsers)
-		var visited, sampled int
-		for i := 0; i < len(members); i += step {
-			seed := math.Inf(-1)
-			if floors != nil {
-				seed = floors[members[i]]
-			}
-			visited += m.walkLength(members[i], c, seed)
-			sampled++
-		}
-		bl = min(visited/(2*sampled), maxBlockSize)
-		const minBlock = 8 // below this a GEMM cannot beat plain dots
-		if bl < minBlock {
-			return 0
-		}
-	}
-	return min(bl, m.items.Rows())
-}
-
-// walkLength runs the unblocked K=1 walk for user u in cluster c and returns
-// the number of list positions visited before early termination. floor seeds
-// the running best (-Inf for the cold walk): the global top score is >= any
-// top-k floor, so a k-th-score floor is a valid seed for the K=1 walk too.
-func (m *Maximus) walkLength(u, c int, floor float64) int {
-	list := m.lists[c]
-	bounds := m.bounds[c]
-	urow := m.users.Row(u)
-	unorm := m.userNorm[u]
-	best := floor
-	for pos := range list {
-		if pos > 0 && bounds[pos]*unorm < best-slack(best) {
-			return pos
-		}
-		if s := blas.Dot(urow, m.items.Row(int(list[pos]))); s > best {
-			best = s
-		}
-	}
-	return len(list)
-}
-
-// BlockSizes returns the per-cluster first-segment lengths chosen by the
-// cost-estimation stage (0 = none sized). Only meaningful after Build.
-func (m *Maximus) BlockSizes() []int { return append([]int(nil), m.blocks...) }
-
 // CBound is Equation 3: the cluster-level upper bound on the norm-scaled
 // rating r*_ci. dot is cᵀi; cnorm, inorm the vector norms; thetaB the
 // cluster's distortion bound.
@@ -514,9 +394,9 @@ func (m *Maximus) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.
 	return res, err
 }
 
-// walkSegment is the length of every walk segment after the first, and how
-// many positions a lone walker scores between polls of ctx and a live floor
-// board.
+// walkSegment is the length of every walk segment after the first, the
+// default B (see MaximusConfig.BlockSize), and how many positions a lone
+// walker scores between polls of ctx and a live floor board.
 const walkSegment = 256
 
 // walkChunkUsers is the most queried users of one cluster that walk
@@ -617,7 +497,7 @@ func (w *walker) cut(bound float64) bool {
 
 // walkChunk answers one chunk: at most walkChunkUsers queried users of one
 // cluster, walking the cluster's bound-sorted list together one segment at a
-// time — B_c positions first (at least k), walkSegment after that. Before
+// time — max(k, B) positions first, walkSegment after that. Before
 // each segment the users whose cut fires at its first position leave; the
 // rest score the segment with one multiply and harvest it threshold-first,
 // each stopping at its own cut. The segment comes packed from segs, shared
@@ -645,7 +525,7 @@ func (m *Maximus) walkChunk(q *walkCall, qs []int, segs *segCache, scr *walkScra
 		active = append(active, &scr.walkers[i])
 	}
 	var scanned int64
-	pos, seg := 0, max(m.blocks[c], q.k)
+	pos, seg := 0, max(q.k, m.cfg.BlockSize)
 	for si := 0; !m.cfg.DisableItemBlocking && pos < len(list); si++ {
 		if err := mips.CtxErr(q.ctx); err != nil {
 			return scanned, err

@@ -15,12 +15,12 @@ func init() {
 	persist.Register(MaximusKind, func() persist.LoadSaver { return NewMaximus(MaximusConfig{}) })
 }
 
-// Save implements mips.Persister. The snapshot stores what sampling and
-// timing produced — the clustering, the Equation 3 sorted lists, and the
-// per-cluster block sizes the cost-estimation stage measured — so Load
-// restores the paper's §III index without re-running k-means or the sample
-// walks. Cheap deterministic projections of that state (user norms, member
-// lists) are re-derived at Load instead of stored.
+// Save implements mips.Persister. The snapshot stores what sampling
+// produced — the clustering and the Equation 3 sorted lists — so Load
+// restores the paper's §III index without re-running k-means. Cheap
+// deterministic projections of that state (user norms, member lists) are
+// re-derived at Load instead of stored. The lists section ends with one
+// block-size slot per cluster, which holds B clamped to the item count.
 func (m *Maximus) Save(w io.Writer) error {
 	if m.users == nil {
 		return fmt.Errorf("core: MAXIMUS Save before Build")
@@ -45,15 +45,20 @@ func (m *Maximus) Save(w io.Writer) error {
 			e.I32s(m.lists[c])
 			e.F64s(m.bounds[c])
 		}
-		e.Ints(m.BlockSizes())
+		blocks := make([]int, len(m.lists))
+		for c := range blocks {
+			blocks[c] = min(m.cfg.BlockSize, m.items.Rows())
+		}
+		e.Ints(blocks)
 	})
 	return pw.Close()
 }
 
 // Load implements mips.Persister. The receiver keeps its runtime config
-// (Threads); index-shaping parameters are implied by the stored structure
-// itself, so a loaded index answers exactly like the saved one regardless
-// of the receiver's MaximusConfig.
+// (Threads, and B, which shapes the walk's segments but no answer); the
+// index itself is implied by the stored structure, so a loaded index
+// answers exactly like the saved one regardless of the receiver's
+// MaximusConfig. The block-size slot is range-checked and otherwise unused.
 func (m *Maximus) Load(r io.Reader) error {
 	pr, err := persist.NewReader(r, MaximusKind)
 	if err != nil {
@@ -144,7 +149,6 @@ func (m *Maximus) Load(r io.Reader) error {
 	for u, c := range clusterOf {
 		m.members[c] = append(m.members[c], u)
 	}
-	m.blocks = blockSizes
 	m.timings = MaximusTimings{}
 	m.scanned.Store(0)
 	return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 
 	"optimus/internal/mat"
 	"optimus/internal/mips"
+	"optimus/internal/persist"
 	"optimus/internal/topk"
 )
 
@@ -138,6 +140,8 @@ func TestMaximusExactness(t *testing.T) {
 		{"defaults", MaximusConfig{}},
 		{"no-blocking", MaximusConfig{DisableItemBlocking: true}},
 		{"tiny-blocks", MaximusConfig{BlockSize: 3}},
+		{"block-below-k", MaximusConfig{BlockSize: 1}},
+		{"block-above-items", MaximusConfig{BlockSize: 1000}},
 		{"one-cluster", MaximusConfig{Clusters: 1}},
 		{"many-clusters", MaximusConfig{Clusters: 16}},
 		{"spherical", MaximusConfig{Spherical: true}},
@@ -255,7 +259,8 @@ func testMaximusBitIdenticalToNaive(t *testing.T, nItems int) {
 		}
 		for _, cfg := range []MaximusConfig{
 			{Clusters: 4, Seed: 2},
-			{Clusters: 4, Seed: 2, BlockSize: 3},
+			{Clusters: 4, Seed: 2, BlockSize: 3},    // below k = 10 and 50
+			{Clusters: 4, Seed: 2, BlockSize: 5000}, // above the item count
 			{Clusters: 4, Seed: 2, DisableItemBlocking: true},
 			{Clusters: 2, Seed: 2}, // ~150 users a cluster: three chunks share its segments
 		} {
@@ -382,14 +387,14 @@ func TestMaximusConcurrentCallsShareNothing(t *testing.T) {
 // change to them is a change to the scan meter, not to padding or sharing.
 func TestMaximusScanCountPinned(t *testing.T) {
 	for _, tc := range []struct{ nItems, clusters, k, visited int }{
-		{1200, 4, 1, 154200},
-		{1200, 4, 10, 159600},
-		{1200, 4, 50, 187957},
-		{1200, 2, 1, 135040},
-		{1200, 2, 10, 163200},
-		{1200, 2, 50, 337216},
-		{1203, 4, 50, 187958},
-		{1203, 2, 50, 337220},
+		{1200, 4, 1, 153600},
+		{1200, 4, 10, 153600},
+		{1200, 4, 50, 192000},
+		{1200, 2, 1, 153600},
+		{1200, 2, 10, 153600},
+		{1200, 2, 50, 396800},
+		{1203, 4, 50, 192000},
+		{1203, 2, 50, 396288},
 	} {
 		rng := rand.New(rand.NewSource(31))
 		users, items := testModel(rng, 300, tc.nItems, 12)
@@ -529,10 +534,10 @@ func TestMaximusTimingsAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm := m.Timings()
-	if tm.Clustering <= 0 || tm.Construction <= 0 || tm.CostEstimation <= 0 {
+	if tm.Clustering <= 0 || tm.Construction <= 0 {
 		t.Fatalf("stage timings not recorded: %+v", tm)
 	}
-	if m.BuildTime() != tm.Clustering+tm.Construction+tm.CostEstimation {
+	if m.BuildTime() != tm.Clustering+tm.Construction {
 		t.Fatal("BuildTime must sum the stages")
 	}
 	_, st, err := m.QueryStats(mips.AllUserIDs(50), 3)
@@ -562,112 +567,54 @@ func TestMaximusDefaultsApplied(t *testing.T) {
 	}
 }
 
+// TestMaximusBlockSizing pins B, the one input of the first-segment rule:
+// the configured BlockSize, walkSegment when unset, and Save writes it,
+// clamped to the item count, into every cluster's block-size slot.
 func TestMaximusBlockSizing(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	// Isotropic users and flat norms: nothing prunes, walks span most of the
-	// item list, so the adaptive sizing must choose substantial blocks.
-	users := mat.New(200, 8)
-	items := mat.New(400, 8)
-	for i := range users.Data() {
-		users.Data()[i] = rng.NormFloat64()
-	}
-	for i := range items.Data() {
-		items.Data()[i] = rng.NormFloat64()
-	}
-
-	adaptive := NewMaximus(MaximusConfig{Seed: 4})
-	if err := adaptive.Build(users, items); err != nil {
-		t.Fatal(err)
-	}
-	anyBlock := false
-	for c, b := range adaptive.BlockSizes() {
-		if b < 0 || b > 400 {
-			t.Fatalf("cluster %d block size %d out of range", c, b)
-		}
-		if b > 0 {
-			anyBlock = true
-		}
-	}
-	if !anyBlock {
-		t.Fatal("adaptive sizing chose no blocks at all on a long-walk input")
-	}
-
-	// Explicit setting wins.
-	explicit := NewMaximus(MaximusConfig{BlockSize: 37, Seed: 4})
-	if err := explicit.Build(users, items); err != nil {
-		t.Fatal(err)
-	}
-	for c, b := range explicit.BlockSizes() {
-		if len(explicit.members[c]) > 0 && b != 37 {
-			t.Fatalf("cluster %d block size %d, want 37", c, b)
-		}
-	}
-
-	// Lesion: no blocks, and the cost-estimation stage is skipped.
-	lesion := NewMaximus(MaximusConfig{DisableItemBlocking: true, Seed: 4})
-	if err := lesion.Build(users, items); err != nil {
-		t.Fatal(err)
-	}
-	for c, b := range lesion.BlockSizes() {
-		if b != 0 {
-			t.Fatalf("lesioned cluster %d has block size %d", c, b)
-		}
-	}
-}
-
-func TestMaximusAdaptiveBlockTracksWalkLength(t *testing.T) {
-	// Strong pruning (tight users, heavy skew) must yield much smaller
-	// blocks than weak pruning (isotropic users, flat norms) — the whole
-	// point of sampling walk lengths at build time.
-	rng := rand.New(rand.NewSource(22))
-	nUsers, nItems, dim := 300, 800, 12
-
-	tight := mat.New(nUsers, dim)
-	center := make([]float64, dim)
-	for j := range center {
-		center[j] = rng.NormFloat64()
-	}
-	for i := 0; i < nUsers; i++ {
-		row := tight.Row(i)
-		for j := 0; j < dim; j++ {
-			row[j] = center[j] + rng.NormFloat64()*0.02
-		}
-	}
-	skewed := mat.New(nItems, dim)
-	for i := 0; i < nItems; i++ {
-		scale := math.Exp(rng.NormFloat64() * 2)
-		row := skewed.Row(i)
-		for j := 0; j < dim; j++ {
-			row[j] = rng.NormFloat64() * scale
-		}
-	}
-	iso, flat := mat.New(nUsers, dim), mat.New(nItems, dim)
-	for i := range iso.Data() {
-		iso.Data()[i] = rng.NormFloat64()
-	}
-	for i := range flat.Data() {
-		flat.Data()[i] = rng.NormFloat64()
-	}
-
-	meanBlock := func(users, items *mat.Matrix) float64 {
-		m := NewMaximus(MaximusConfig{Seed: 5})
+	users, items := testModel(rng, 200, 400, 8)
+	for _, tc := range []struct {
+		cfg  MaximusConfig
+		want int
+	}{
+		{MaximusConfig{}, walkSegment},
+		{MaximusConfig{BlockSize: -3}, walkSegment},
+		{MaximusConfig{BlockSize: 37}, 37},
+		{MaximusConfig{BlockSize: 4096}, 400},
+		{MaximusConfig{DisableItemBlocking: true}, walkSegment},
+	} {
+		tc.cfg.Seed = 4
+		m := NewMaximus(tc.cfg)
 		if err := m.Build(users, items); err != nil {
 			t.Fatal(err)
 		}
-		var sum, n float64
-		for c, b := range m.BlockSizes() {
-			if len(m.members[c]) > 0 {
-				sum += float64(b)
-				n++
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		pr, err := persist.NewReader(&buf, MaximusKind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr.Section("maximus")
+		pr.Section("clusters")
+		d := pr.Section("lists")
+		for range d.Int() {
+			d.I32s()
+			d.F64s()
+		}
+		blocks := d.Ints()
+		if err := d.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if len(blocks) != len(m.lists) {
+			t.Fatalf("%+v: %d block-size slots for %d clusters", tc.cfg, len(blocks), len(m.lists))
+		}
+		for c, b := range blocks {
+			if b != tc.want {
+				t.Fatalf("%+v: cluster %d block-size slot %d, want %d", tc.cfg, c, b, tc.want)
 			}
 		}
-		return sum / n
-	}
-	prunable := meanBlock(tight, skewed)
-	unprunable := meanBlock(iso, flat)
-	if prunable*2 > unprunable {
-		t.Fatalf("adaptive blocks do not track walk length: prunable %.0f vs unprunable %.0f",
-			prunable, unprunable)
 	}
 }
 

@@ -386,13 +386,6 @@ func (s *Solver) SetThreads(n int) {
 	}
 }
 
-// SetEstimationFloors implements mips.FloorAwareEstimator.
-func (s *Solver) SetEstimationFloors(floors []float64) {
-	if fe, ok := s.inner.(mips.FloorAwareEstimator); ok {
-		fe.SetEstimationFloors(floors)
-	}
-}
-
 // ScanStats implements mips.ScanCounter.
 func (s *Solver) ScanStats() mips.ScanStats {
 	if sc, ok := s.inner.(mips.ScanCounter); ok {
@@ -410,12 +403,11 @@ func (s *Solver) ResetScanStats() {
 
 // Interface conformance.
 var (
-	_ mips.Solver              = (*Solver)(nil)
-	_ mips.ItemMutator         = (*Solver)(nil)
-	_ mips.UserAdder           = (*Solver)(nil)
-	_ mips.Persister           = (*Solver)(nil)
-	_ mips.Sized               = (*Solver)(nil)
-	_ mips.ThreadSetter        = (*Solver)(nil)
-	_ mips.FloorAwareEstimator = (*Solver)(nil)
-	_ mips.ScanCounter         = (*Solver)(nil)
+	_ mips.Solver       = (*Solver)(nil)
+	_ mips.ItemMutator  = (*Solver)(nil)
+	_ mips.UserAdder    = (*Solver)(nil)
+	_ mips.Persister    = (*Solver)(nil)
+	_ mips.Sized        = (*Solver)(nil)
+	_ mips.ThreadSetter = (*Solver)(nil)
+	_ mips.ScanCounter  = (*Solver)(nil)
 )

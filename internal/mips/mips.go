@@ -111,22 +111,6 @@ type Sized interface {
 	NumItems() int
 }
 
-// FloorAwareEstimator is the optional interface for solvers whose *build*
-// includes a cost-estimation stage that simulates query walks — MAXIMUS's
-// estimateBlocks sizes each cluster's first shared walk segment from sampled
-// walk lengths. SetEstimationFloors supplies per-user floors (indexed by
-// user row, len = users.Rows(), -Inf for "no bound") that the next Build's
-// estimation walks may seed their running best with, modelling the floors
-// the index will actually serve under: a tail shard that mostly sees high
-// floors walks shorter and deserves a smaller (or no) first segment. The
-// floors are a performance hint only — they never reach the query path — so
-// a mismatched length is ignored rather than an error, and they persist
-// until replaced. The sharded executor records the floors each shard
-// observes in service and replays them here before dirty-shard rebuilds.
-type FloorAwareEstimator interface {
-	SetEstimationFloors(floors []float64)
-}
-
 // ScanStats counts the candidate evaluations a solver performed: one count
 // per item whose score — full, partial, or via a shared block multiply — was
 // computed against a query. It is the deterministic measure of pruning

@@ -319,7 +319,7 @@ func (s *Sharded) reviveShard(si int) bool {
 		restored = s.bootShard(&repl, si, snap) == nil
 	}
 	if !restored {
-		if err := s.buildShard(&repl, si, s.users, s.shardItems(&sh), nil); err != nil {
+		if err := s.buildShard(&repl, si, s.users, s.shardItems(&sh)); err != nil {
 			s.stateMu.RUnlock()
 			return false
 		}

@@ -145,7 +145,7 @@ func (s *Sharded) AddItems(newItems *mat.Matrix) ([]int, error) {
 		// baseline rate; an emptied-then-revived shard also lands here.
 		tmp := *sh
 		tmp.ids, tmp.count = newIDs, len(newIDs)
-		if err := s.buildShard(&tmp, si, s.users, subMatrix(items, newIDs), nil); err != nil {
+		if err := s.buildShard(&tmp, si, s.users, subMatrix(items, newIDs)); err != nil {
 			return nil, err
 		}
 		stages = append(stages, stagedShard{si: si, st: tmp, rebuild: true})
@@ -217,7 +217,7 @@ func (s *Sharded) repairShard(si int, newIDs []int, items *mat.Matrix, cause err
 	sh := &s.shards[si]
 	tmp := *sh
 	tmp.ids, tmp.count = newIDs, len(newIDs)
-	if err := s.buildShard(&tmp, si, s.users, subMatrix(items, newIDs), nil); err != nil {
+	if err := s.buildShard(&tmp, si, s.users, subMatrix(items, newIDs)); err != nil {
 		sh.ids, sh.count = newIDs, len(newIDs)
 		s.dropSnap(si)
 		s.quarantine(si, cause)
@@ -285,7 +285,7 @@ func (s *Sharded) RemoveItems(ids []int) error {
 				s.cfg.Planner != nil || s.healthOf(si) != Healthy {
 				tmp := *sh
 				tmp.ids, tmp.count = newIDs, len(newIDs)
-				if err := s.buildShard(&tmp, si, s.users, subMatrix(items, newIDs), nil); err != nil {
+				if err := s.buildShard(&tmp, si, s.users, subMatrix(items, newIDs)); err != nil {
 					return err
 				}
 				g.st, g.rebuild, g.patchLocal = tmp, true, nil
@@ -386,7 +386,7 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 			continue
 		}
 		tmp := *sh
-		if err := s.buildShard(&tmp, si, s.users, s.shardItems(sh), nil); err != nil {
+		if err := s.buildShard(&tmp, si, s.users, s.shardItems(sh)); err != nil {
 			return nil, err
 		}
 		s.retireWorker(sh.w)
@@ -413,7 +413,7 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 			continue
 		}
 		tmp := *sh
-		if err := s.buildShard(&tmp, si, grown, s.shardItems(sh), nil); err != nil {
+		if err := s.buildShard(&tmp, si, grown, s.shardItems(sh)); err != nil {
 			discard()
 			return nil, err
 		}
@@ -464,10 +464,6 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 	for _, g := range stages {
 		s.captureSnap(g.si)
 	}
-	// Grow the observed-floor boards to the new user count (waves.go);
-	// arrivals start at -Inf until a floor-bearing query reaches them.
-	// AddUsers holds the caller's exclusive lock, so no query races this.
-	s.ensureObsBoards()
 	return mips.IDRange(base, newUsers.Rows()), nil
 }
 
@@ -483,7 +479,7 @@ func (s *Sharded) rollbackUserBroadcast(upto int) error {
 			continue
 		}
 		old := sh.w
-		if err := s.buildShard(sh, si, s.users, s.shardItems(sh), nil); err != nil {
+		if err := s.buildShard(sh, si, s.users, s.shardItems(sh)); err != nil {
 			return err
 		}
 		s.retireWorker(old)

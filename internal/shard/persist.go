@@ -298,7 +298,6 @@ func (s *Sharded) Load(r io.Reader) error {
 	s.name = name
 	s.gen = gen
 	s.cfg.Schedule = schedule
-	s.obs = nil
 	s.headFirst = headFirst == 1
 	s.normFloor = normFloor
 	s.mstats = mstats

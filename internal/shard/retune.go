@@ -20,12 +20,11 @@
 // The retune path is the quarantine-revival swap (health.go) generalized
 // from one shard to the whole shard set. StageRetune runs under the state
 // lock's READ side — concurrent with queries — and builds a complete
-// replacement: re-cut the partition from the live corpus (cutParts),
+// replacement: re-cut the partition from the live corpus (cutParts) and
 // re-plan every shard (buildAll; under a Planner that re-takes the §IV
-// decision per shard, reusing the SharedMeasurement amortization), and
-// re-seed floor-aware estimators with the union of floors the old cut
-// observed. CommitRetune takes the WRITE side — the same drain boundary
-// mutations use — checks the staged epoch, and swaps the whole set in. A
+// decision per shard, reusing the SharedMeasurement amortization).
+// CommitRetune takes the WRITE side — the same drain boundary mutations
+// use — checks the staged epoch, and swaps the whole set in. A
 // mutation that lands mid-stage moves the epoch and the commit fails with
 // adapt.ErrRetuneStale; Retune (and serving.Server.Retune) re-stage
 // against the moved corpus. The corpus, the id space, and the ItemMutator
@@ -237,27 +236,6 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 	users, items := s.users, s.items
 	curS := len(s.shards)
 
-	// The union of floors the old cut's tail shards observed, re-seeded
-	// into the new cut's floor-aware estimators (buildShard): a re-cut
-	// tail shard sizes its blocks for the thresholds wave scheduling will
-	// actually feed it, not for cold heaps.
-	var seed []float64
-	for i := 1; i < len(s.obs); i++ {
-		if s.obs[i] == nil {
-			continue
-		}
-		snap := s.obs[i].Snapshot(nil)
-		if seed == nil {
-			seed = snap
-			continue
-		}
-		for u, f := range snap {
-			if f > seed[u] {
-				seed[u] = f
-			}
-		}
-	}
-
 	candidates := candidateShardCounts(req, curS, items.Rows())
 	type built struct {
 		shards    []shardState
@@ -275,7 +253,7 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 			return built{}, err
 		}
 		shards, subItems := makeShardStates(items, parts)
-		if err := s.buildAll(shards, users, subItems, seed); err != nil {
+		if err := s.buildAll(shards, users, subItems); err != nil {
 			return built{}, err
 		}
 		b := built{shards: shards, nShards: len(parts)}
@@ -298,7 +276,9 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 		// Shard-count auto-tuning: build every candidate and time it on a
 		// deterministic user sample — the OPTIMUS sample-and-measure move
 		// applied to S. The incumbent keeps its seat unless a challenger
-		// beats its measured time by >10% (retuneHysteresis).
+		// beats its measured time by >10% (retuneHysteresis). Every
+		// candidate but the staged one is closed: the losers after the
+		// pick, all built so far when a build or sample fails.
 		frac := req.SampleFraction
 		if frac <= 0 {
 			frac = DefaultRetuneSampleFraction
@@ -313,19 +293,28 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 		sample := core.SampleUserIDs(users.Rows(), frac, 16)
 		samples = make([]adapt.ShardSample, 0, len(candidates))
 		builds := make([]built, 0, len(candidates))
+		closeBuilds := func(keep int) {
+			for i := range builds {
+				if i != keep {
+					closeWorkers(builds[i].shards)
+				}
+			}
+		}
 		bestAt, incumbentAt := -1, -1
 		for _, n := range candidates {
 			b, err := buildCandidate(n)
 			if err != nil {
+				closeBuilds(-1)
 				return nil, err
 			}
+			builds = append(builds, b)
 			probe := s.measureComposite(b.shards, b.normFloor, b.normSkew, b.nShards)
 			start := time.Now()
 			if _, err := probe.Query(sample, k); err != nil {
+				closeBuilds(-1)
 				return nil, fmt.Errorf("shard: retune sample at S=%d: %w", b.nShards, err)
 			}
 			elapsed := time.Since(start)
-			builds = append(builds, b)
 			samples = append(samples, adapt.ShardSample{Shards: n, Elapsed: elapsed})
 			at := len(samples) - 1
 			if bestAt < 0 || elapsed < samples[bestAt].Elapsed {
@@ -342,6 +331,7 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 		}
 		samples[winner].Chosen = true
 		chosen = builds[winner]
+		closeBuilds(winner)
 	}
 
 	st := &stagedRetune{
@@ -422,10 +412,10 @@ func (s *Sharded) measureComposite(shards []shardState, normFloor []float64, nor
 // lock's write side — the same drain boundary mutations and revivals use.
 // It fails with adapt.ErrRetuneStale when a mutation moved the corpus
 // since the stage (the staged set describes memberships that no longer
-// exist); the caller re-stages. The corpus and the mutation generation are
-// untouched: answers are entry-for-entry identical across the swap and
-// cached positional ids stay valid, so serving's Stats.Generation
-// deliberately does not tick.
+// exist), closing the staged set's workers; the caller re-stages. The
+// corpus and the mutation generation are untouched: answers are
+// entry-for-entry identical across the swap and cached positional ids stay
+// valid, so serving's Stats.Generation deliberately does not tick.
 func (s *Sharded) CommitRetune(staged adapt.StagedRetune) error {
 	st, ok := staged.(*stagedRetune)
 	if !ok || st == nil {
@@ -437,6 +427,8 @@ func (s *Sharded) CommitRetune(staged adapt.StagedRetune) error {
 		return fmt.Errorf("shard: staged retune already committed")
 	}
 	if s.epoch != st.epoch {
+		closeWorkers(st.shards)
+		st.shards = nil
 		return adapt.ErrRetuneStale
 	}
 	for i := range s.shards {
@@ -450,10 +442,6 @@ func (s *Sharded) CommitRetune(staged adapt.StagedRetune) error {
 	s.normSkew = st.normSkew
 	s.cfg.Shards = st.nShards
 	s.name = s.composeName(st.nShards)
-	// The old cut's observed-floor boards describe memberships that no
-	// longer exist; their information already went into the staged build's
-	// estimator seeds. Fresh boards accumulate for the new cut.
-	s.obs = nil
 	s.resetHealth(len(st.shards))
 	s.captureSnaps()
 	s.retunes++

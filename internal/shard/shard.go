@@ -260,11 +260,6 @@ type Sharded struct {
 	// there is a live head and at least one live tail. Re-evaluated after
 	// every mutation (removals can empty a shard).
 	active Schedule
-	// obs holds one observed-floor board per shard when a floor-bearing
-	// schedule is active (waves.go): the tightest floors wave scheduling
-	// ever fed each shard, indexed by global user id, replayed into
-	// floor-aware sub-solvers on dirty-shard rebuilds.
-	obs []*topk.FloorBoard
 	// scratchPool and mergePool recycle the fan-out and merge scratch
 	// (waves.go), keeping the orchestration layer allocation-free per query.
 	scratchPool sync.Pool
@@ -453,17 +448,12 @@ func (s *Sharded) Build(users, items *mat.Matrix) error {
 	if !s.cfg.Schedule.valid() {
 		return fmt.Errorf("shard: invalid schedule %d", int(s.cfg.Schedule))
 	}
-	// A rebuild over a fresh corpus invalidates prior floor observations.
-	// (Under the state lock: a background revival may be reading obs.)
-	s.stateMu.Lock()
-	s.obs = nil
-	s.stateMu.Unlock()
 	parts, err := s.cutParts(items, s.cfg.Shards)
 	if err != nil {
 		return err
 	}
 	shards, subItems := makeShardStates(items, parts)
-	if err := s.buildAll(shards, users, subItems, nil); err != nil {
+	if err := s.buildAll(shards, users, subItems); err != nil {
 		return err
 	}
 
@@ -535,12 +525,10 @@ func makeShardStates(items *mat.Matrix, parts [][]int) ([]shardState, []*mat.Mat
 
 // buildAll builds every shard in the set — serially under a Planner (so
 // timing measurements do not contend with each other), in parallel under a
-// Factory — optionally seeding floor-aware estimators with the given
-// per-user floors (retune staging passes the union of observed floors; nil
-// falls back to the per-shard observed boards). A failed build closes every
-// worker the set had attached, so no dialed worker outlives it.
-func (s *Sharded) buildAll(shards []shardState, users *mat.Matrix, subItems []*mat.Matrix, seed []float64) error {
-	build := func(i int) error { return s.buildShard(&shards[i], i, users, subItems[i], seed) }
+// Factory. A failed build closes every worker the set had attached, so no
+// dialed worker outlives it.
+func (s *Sharded) buildAll(shards []shardState, users *mat.Matrix, subItems []*mat.Matrix) error {
+	build := func(i int) error { return s.buildShard(&shards[i], i, users, subItems[i]) }
 	if s.cfg.Planner != nil {
 		// Align the planner's measurements to the parallelism the shards
 		// will run at, so per-shard decisions extrapolate correctly.
@@ -622,7 +610,7 @@ func computeNormSkew(norms []float64, parts [][]int) float64 {
 // the shared path under Build (every shard), mutation (dirty shards only),
 // and revival (health.go). A panicking Planner, Factory, or sub-solver
 // Build is contained here into a typed error.
-func (s *Sharded) buildShard(sh *shardState, i int, users, subItems *mat.Matrix, seed []float64) (err error) {
+func (s *Sharded) buildShard(sh *shardState, i int, users, subItems *mat.Matrix) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("shard %d: building: %w", i, &PanicError{Value: r, Stack: debug.Stack()})
@@ -640,22 +628,6 @@ func (s *Sharded) buildShard(sh *shardState, i int, users, subItems *mat.Matrix,
 		solver = s.cfg.Factory()
 		if solver == nil {
 			return fmt.Errorf("shard %d: factory returned nil solver", i)
-		}
-		// Replay realized query thresholds into a floor-aware estimator
-		// before building, so cost estimation samples at the floors the
-		// shard will actually see (a hint: estimators ignore mismatched
-		// lengths). An explicit seed (retune staging passes the union of
-		// floors the old cut observed) wins over the shard's own observed
-		// board — a re-cut shard has no board of its own yet. The Planner
-		// path measures real queries and needs no seeding.
-		if seed != nil {
-			if fae, ok := solver.(mips.FloorAwareEstimator); ok && i > 0 {
-				fae.SetEstimationFloors(seed)
-			}
-		} else if i < len(s.obs) && s.obs[i] != nil {
-			if fae, ok := solver.(mips.FloorAwareEstimator); ok {
-				fae.SetEstimationFloors(s.obs[i].Snapshot(nil))
-			}
 		}
 		if err := solver.Build(users, subItems); err != nil {
 			return fmt.Errorf("shard %d: building %s: %w", i, solver.Name(), err)
@@ -704,7 +676,6 @@ func (s *Sharded) refreshComposite() {
 	default:
 		s.active = s.cfg.Schedule
 	}
-	s.ensureObsBoards()
 }
 
 // TwoWave reports whether the active schedule is the two-wave floor-seeded
@@ -916,11 +887,6 @@ func (s *Sharded) queryShard(ctx context.Context, si int, userIDs []int, k int, 
 	}
 	if s.healthOf(si) != Healthy {
 		return s.settle(si, sh.plan, ErrShardQuarantined, partial)
-	}
-	if s.obs != nil && floors != nil && si < len(s.obs) && s.obs[si] != nil {
-		// Record the floors this shard was fed — the construction-side
-		// feedback dirty-shard rebuilds replay (waves.go).
-		recordObserved(s.obs[si], userIDs, floors)
 	}
 	// Cauchy–Schwarz shard skip. Under a head-first cut every member of a
 	// tail shard carries a norm below normFloor[si-1] — at cut time by the

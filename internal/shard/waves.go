@@ -425,7 +425,7 @@ func (s *Sharded) queryPipelined(ctx context.Context, userIDs []int, k int, extF
 	if extFloors != nil {
 		board.Fill(extFloors)
 	}
-	err := parallel.ForErrCtx(ctx, s.cfg.Threads, len(s.shards), 1, func(lo, hi int) error {
+	return parallel.ForErrCtx(ctx, s.cfg.Threads, len(s.shards), 1, func(lo, hi int) error {
 		var first error
 		for si := lo; si < hi; si++ {
 			if e := s.queryShardLive(ctx, si, userIDs, k, board, sc, partial); e != nil && first == nil {
@@ -434,23 +434,6 @@ func (s *Sharded) queryPipelined(ctx context.Context, userIDs []int, k int, extF
 		}
 		return first
 	})
-	if err != nil {
-		return err
-	}
-	// Feed the realized floors back into the observed-floor board of every
-	// shard that answered (the serial schedules record per-shard inside
-	// queryShard; here the final board is what every answering shard would
-	// have seen given time). Skipped shards were fed nothing.
-	if s.obs != nil {
-		fin := board.Snapshot(sc.floors[:0])
-		for si := range s.shards {
-			if s.shards[si].count == 0 || s.obs[si] == nil || sc.partials[si] == nil {
-				continue
-			}
-			recordObserved(s.obs[si], userIDs, fin)
-		}
-	}
-	return nil
 }
 
 // queryShardLive is queryShard for the pipelined schedule: the floor source
@@ -495,64 +478,4 @@ func (s *Sharded) queryShardLive(ctx context.Context, si int, userIDs []int, k i
 	}
 	sc.partials[si] = res
 	return nil
-}
-
-// Observed-floor feedback (construction side of the loop). Each live shard
-// carries a FloorBoard indexed by *global* user id recording the tightest
-// floor wave scheduling ever fed it; dirty-shard rebuilds replay that board
-// into sub-solvers implementing mips.FloorAwareEstimator (buildShard), so
-// MAXIMUS's estimateBlocks samples its sizing walks at realistic
-// thresholds instead of from cold heaps.
-
-// ensureObsBoards sizes the per-shard observed-floor boards to the current
-// shard set and user count, carrying prior observations across refreshes
-// (mutations only ever grow the user dimension). SingleWave feeds no floors,
-// so it keeps no boards.
-func (s *Sharded) ensureObsBoards() {
-	if s.active == SingleWave || s.users == nil {
-		s.obs = nil
-		return
-	}
-	nu := s.users.Rows()
-	if len(s.obs) == len(s.shards) && (len(s.obs) == 0 || s.obs[0].Len() == nu) {
-		return
-	}
-	obs := make([]*topk.FloorBoard, len(s.shards))
-	for i := range obs {
-		b := topk.NewFloorBoard(nu)
-		if i < len(s.obs) && s.obs[i] != nil {
-			old := s.obs[i]
-			n := old.Len()
-			if n > nu {
-				n = nu
-			}
-			for u := 0; u < n; u++ {
-				b.Raise(u, old.Floor(u))
-			}
-		}
-		obs[i] = b
-	}
-	s.obs = obs
-}
-
-// recordObserved CAS-maxes the floors fed for userIDs into a shard's
-// observed board. Monotone and concurrency-safe, so concurrent queries
-// simply race to the tighter bound.
-func recordObserved(ob *topk.FloorBoard, userIDs []int, floors []float64) {
-	n := ob.Len()
-	for qi, u := range userIDs {
-		if u < n {
-			ob.Raise(u, floors[qi])
-		}
-	}
-}
-
-// ObservedFloors snapshots shard si's observed-floor board (one float per
-// user row, -Inf where no floor was ever fed). Nil when the shard keeps no
-// board (SingleWave, unbuilt, or si out of range).
-func (s *Sharded) ObservedFloors(si int) []float64 {
-	if si < 0 || si >= len(s.obs) || s.obs[si] == nil {
-		return nil
-	}
-	return s.obs[si].Snapshot(nil)
 }

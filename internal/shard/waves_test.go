@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"optimus/internal/mat"
@@ -419,126 +418,6 @@ func TestWaveScanStatsGrouping(t *testing.T) {
 		if sum(waves) <= 0 {
 			t.Fatalf("%v: no scans metered", sched)
 		}
-	}
-}
-
-// floorRecorder wraps a real sub-solver, recording the estimation floors the
-// composite replays into rebuilt shards (mips.FloorAwareEstimator).
-type floorRecorder struct {
-	mips.Solver
-	mu              sync.Mutex
-	floors          []float64
-	builtWithFloors bool
-}
-
-func (r *floorRecorder) SetEstimationFloors(f []float64) {
-	r.mu.Lock()
-	r.floors = append([]float64(nil), f...)
-	r.mu.Unlock()
-}
-
-func (r *floorRecorder) Build(users, items *mat.Matrix) error {
-	r.mu.Lock()
-	r.builtWithFloors = r.floors != nil
-	r.mu.Unlock()
-	return r.Solver.Build(users, items)
-}
-
-// TestObservedFloorFeedback pins the construction side of the loop: queries
-// record the floors each shard was fed (global user ids), SingleWave keeps
-// no boards, and a dirty-shard rebuild replays the observed floors into the
-// fresh sub-solver before Build.
-func TestObservedFloorFeedback(t *testing.T) {
-	m := model(t, "netflix-nomad-10", 0.04)
-	const k = 3
-	var mu sync.Mutex
-	var made []*floorRecorder
-	factory := func() mips.Solver {
-		r := &floorRecorder{Solver: factories()["LEMP"]()}
-		mu.Lock()
-		made = append(made, r)
-		mu.Unlock()
-		return r
-	}
-	sh := New(Config{Shards: 2, Partitioner: ByNorm(), Factory: factory})
-	if err := sh.Build(m.Users, m.Items); err != nil {
-		t.Fatal(err)
-	}
-	if sh.ObservedFloors(0) == nil || sh.ObservedFloors(1) == nil {
-		t.Fatal("a floor-scheduled composite must keep observed-floor boards")
-	}
-	if _, err := sh.QueryAll(k); err != nil {
-		t.Fatal(err)
-	}
-	head, tail := sh.ObservedFloors(0), sh.ObservedFloors(1)
-	for u, f := range head {
-		if !math.IsInf(f, -1) {
-			t.Fatalf("head shard fed floor %v for user %d — wave 1 runs unseeded", f, u)
-		}
-	}
-	finite := 0
-	for _, f := range tail {
-		if !math.IsInf(f, -1) {
-			finite++
-		}
-	}
-	if finite == 0 {
-		t.Fatal("tail shard observed no floors after a two-wave query")
-	}
-	want := append([]float64(nil), tail...)
-
-	// Rebuild shard 1 via a removal: the fresh sub-solver must receive the
-	// observed floors before Build.
-	victim := sh.shards[1].globalID(0)
-	mu.Lock()
-	made = nil
-	mu.Unlock()
-	if err := sh.RemoveItems([]int{victim}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	rebuilt := append([]*floorRecorder(nil), made...)
-	mu.Unlock()
-	if len(rebuilt) == 0 {
-		t.Fatal("removal must rebuild the dirty shard through the factory")
-	}
-	found := false
-	for _, r := range rebuilt {
-		r.mu.Lock()
-		if r.builtWithFloors {
-			found = true
-			if len(r.floors) != len(want) {
-				t.Fatalf("replayed %d floors, want %d (one per user row)", len(r.floors), len(want))
-			}
-			for u := range want {
-				if r.floors[u] != want[u] {
-					t.Fatalf("user %d: replayed floor %v, want observed %v", u, r.floors[u], want[u])
-				}
-			}
-		}
-		r.mu.Unlock()
-	}
-	if !found {
-		t.Fatal("no rebuilt sub-solver was built with replayed estimation floors")
-	}
-	res, err := sh.QueryAll(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mips.VerifyAll(m.Users, mat.RemoveRows(m.Items, []int{victim}), res, k, 1e-9); err != nil {
-		t.Fatal(err)
-	}
-
-	// SingleWave keeps no boards.
-	blind := New(Config{Shards: 2, Partitioner: ByNorm(), Factory: factory, Schedule: SingleWave})
-	if err := blind.Build(m.Users, m.Items); err != nil {
-		t.Fatal(err)
-	}
-	if blind.ObservedFloors(0) != nil || blind.ObservedFloors(1) != nil {
-		t.Fatal("SingleWave must keep no observed-floor boards")
-	}
-	if sh.ObservedFloors(-1) != nil || sh.ObservedFloors(99) != nil {
-		t.Fatal("out-of-range ObservedFloors must be nil")
 	}
 }
 
