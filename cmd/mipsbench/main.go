@@ -1,7 +1,7 @@
 // Command mipsbench regenerates the paper's evaluation artifacts on the
-// synthetic reference models. Each experiment id corresponds to one table or
-// figure of the paper (plus the ablation studies and the systems
-// experiments); `mipsbench -list` prints every id.
+// synthetic reference models: its tables, figures and ablations. Each
+// experiment id is one table or figure of the paper or one ablation study;
+// `mipsbench -list` prints every id.
 //
 // Usage:
 //
@@ -12,11 +12,7 @@
 //	mipsbench fig2                  # the motivating BMM-vs-index experiment
 //	mipsbench -scale 1 fig5         # full-scale headline grid
 //	mipsbench -models r2-nomad-50 fig8
-//	mipsbench sharding              # item-shard count sweep + per-shard plans
-//	mipsbench churn                 # mutable corpus: dirty-shard vs full rebuild
-//	                                # + batched mutation-log events/flush sweep
-//	mipsbench drift                 # adaptive re-structuring under norm drift:
-//	                                # tuner vs lesion arms, recovery vs fresh build
+//	mipsbench table2                # OPTIMUS end-to-end speedups
 package main
 
 import (
@@ -39,7 +35,7 @@ func main() {
 		models  = flag.String("models", "", "comma-separated registry models overriding the experiment default")
 		verify  = flag.Bool("verify", false, "verify solver exactness during runs (slower)")
 		repeats = flag.Int("repeats", 4, "measurement repetitions for variance experiments (fig7)")
-		list    = flag.Bool("list", false, "list experiments and registry models, then exit")
+		list    = flag.Bool("list", false, "list experiments, then exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: mipsbench [flags] <experiment>\nexperiments: %s all\n\nflags:\n",

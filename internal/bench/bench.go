@@ -1,8 +1,7 @@
-// Package bench is the measurement harness that regenerates every table and
-// figure of the paper's evaluation (§V) on the synthetic reference models,
-// plus the ablation studies DESIGN.md calls out. Each experiment prints the
-// same rows/series the paper reports; EXPERIMENTS.md records paper-reported
-// versus measured values.
+// Package bench is the measurement harness that regenerates the paper's
+// evaluation (§V) on the synthetic reference models: Table I, Figures 2 and
+// 4–8, Table II, and the ablation studies of its design choices. Each
+// experiment prints the same rows or series the paper reports.
 package bench
 
 import (
@@ -16,7 +15,6 @@ import (
 	"optimus/internal/lemp"
 	"optimus/internal/mips"
 	"optimus/internal/parallel"
-	"optimus/internal/topk"
 )
 
 // Options configures a harness run.
@@ -71,7 +69,6 @@ func New(opt Options) *Runner {
 func Experiments() []string {
 	return []string{
 		"table1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "table2",
-		"sharding", "waves", "loopback", "churn", "coldstart", "drift",
 		"ablation-clustering", "ablation-params", "ablation-ttest", "ablation-costmodel",
 		"ablation-conetree", "ablation-approx",
 	}
@@ -96,18 +93,6 @@ func (r *Runner) Run(id string) error {
 		return r.Fig8()
 	case "table2":
 		return r.Table2()
-	case "sharding":
-		return r.Sharding()
-	case "waves":
-		return r.Waves()
-	case "loopback":
-		return r.Loopback()
-	case "churn":
-		return r.Churn()
-	case "coldstart":
-		return r.Coldstart()
-	case "drift":
-		return r.Drift()
 	case "ablation-clustering":
 		return r.AblationClustering()
 	case "ablation-params":
@@ -182,49 +167,31 @@ func (t timing) Total() time.Duration { return t.Build + t.Query }
 // measure builds s on the model and runs QueryAll(k), verifying exactness
 // when the runner is configured to.
 func (r *Runner) measure(s mips.Solver, m *dataset.Model, k int) (timing, error) {
-	tm, _, err := r.measureResults(s, m, k)
-	return tm, err
-}
-
-// measureResults is measure, also returning the query results it already
-// computed (for experiments that post-process them, e.g. the sharding
-// identity check — re-running QueryAll just to capture entries would
-// double the experiment's query work).
-func (r *Runner) measureResults(s mips.Solver, m *dataset.Model, k int) (timing, [][]topk.Entry, error) {
 	var tm timing
 	t0 := time.Now()
 	if err := s.Build(m.Users, m.Items); err != nil {
-		return tm, nil, fmt.Errorf("%s build: %w", s.Name(), err)
+		return tm, fmt.Errorf("%s build: %w", s.Name(), err)
 	}
 	tm.Build = time.Since(t0)
-	t1 := time.Now()
-	res, err := s.QueryAll(k)
-	if err != nil {
-		return tm, nil, fmt.Errorf("%s query: %w", s.Name(), err)
-	}
-	tm.Query = time.Since(t1)
-	if r.opt.Verify {
-		if err := mips.VerifyAll(m.Users, m.Items, res, k, 1e-8); err != nil {
-			return tm, nil, fmt.Errorf("%s verification: %w", s.Name(), err)
-		}
-	}
-	return tm, res, nil
+	q, err := r.queryOnly(s, m, k)
+	tm.Query = q
+	return tm, err
 }
 
 // queryOnly runs QueryAll(k) on an already-built solver.
-func (r *Runner) queryOnly(s mips.Solver, m *dataset.Model, k int) (time.Duration, [][]topk.Entry, error) {
+func (r *Runner) queryOnly(s mips.Solver, m *dataset.Model, k int) (time.Duration, error) {
 	t0 := time.Now()
 	res, err := s.QueryAll(k)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%s query: %w", s.Name(), err)
+		return 0, fmt.Errorf("%s query: %w", s.Name(), err)
 	}
 	d := time.Since(t0)
 	if r.opt.Verify {
 		if err := mips.VerifyAll(m.Users, m.Items, res, k, 1e-8); err != nil {
-			return 0, nil, fmt.Errorf("%s verification: %w", s.Name(), err)
+			return 0, fmt.Errorf("%s verification: %w", s.Name(), err)
 		}
 	}
-	return d, res, nil
+	return d, nil
 }
 
 func (r *Runner) printf(format string, args ...any) {

@@ -48,21 +48,6 @@ func TestExperimentListMatchesDispatch(t *testing.T) {
 	}
 }
 
-func TestSharding(t *testing.T) {
-	var buf bytes.Buffer
-	// tinyRunner verifies, so a sharded-vs-unsharded entry divergence or
-	// any inexact result fails here as an error.
-	if err := tinyRunner(&buf, "netflix-nomad-25").Sharding(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Sharding", "BMM (unsharded)", "Sharded(BMM)", "per-shard OPTIMUS plan", "shard0="} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("sharding output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestTable1(t *testing.T) {
 	var buf bytes.Buffer
 	if err := tinyRunner(&buf).Table1(); err != nil {

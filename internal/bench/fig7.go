@@ -45,7 +45,7 @@ func (r *Runner) Fig7() error {
 		if err := s.Build(m.Users, m.Items); err != nil {
 			return err
 		}
-		q, _, err := r.queryOnly(s, m, 1)
+		q, err := r.queryOnly(s, m, 1)
 		if err != nil {
 			return err
 		}

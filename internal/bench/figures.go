@@ -59,7 +59,7 @@ func (r *Runner) Fig2() error {
 					build = tm.Build
 					total = tm.Total()
 				} else {
-					q, _, err := r.queryOnly(s, m, k)
+					q, err := r.queryOnly(s, m, k)
 					if err != nil {
 						return err
 					}
@@ -180,7 +180,7 @@ func (r *Runner) Fig5Rows() ([]Fig5Row, error) {
 					build = tm.Build
 					total = tm.Total()
 				} else {
-					q, _, err := r.queryOnly(s, m, k)
+					q, err := r.queryOnly(s, m, k)
 					if err != nil {
 						return nil, err
 					}

@@ -120,7 +120,7 @@ func (r *Runner) Table2Results() ([]Table2Result, error) {
 				// optimizer's accuracy.
 				best := time.Duration(1 << 62)
 				for rep := 0; rep < r.opt.Repeats; rep++ {
-					q, _, err := r.queryOnly(built[sn], m, k)
+					q, err := r.queryOnly(built[sn], m, k)
 					if err != nil {
 						return nil, err
 					}

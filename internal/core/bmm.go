@@ -186,7 +186,7 @@ func (b *BMM) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.Quer
 	}
 	floors := opts.Floors
 	if opts.Board != nil {
-		floors = opts.Board.Snapshot(nil)
+		floors = opts.Board.Snapshot()
 	}
 	res, _, err := b.queryStats(ctx, userIDs, k, floors)
 	return res, err

@@ -108,7 +108,7 @@ func TestQueryCtxForwardsFloorsAndBoard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := mips.VerifyFloorPrefix(want, got, board.Snapshot(nil)); err != nil {
+			if err := mips.VerifyFloorPrefix(want, got, board.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 			if seeded := inner.ScanStats().Scanned; seeded >= unseeded {

@@ -248,7 +248,7 @@ func New(applier Applier, cfg Config) (*Log, error) {
 }
 
 // Direct adapts a bare mutator into an Applier for using the log without a
-// serving layer (benchmarks, offline pipelines). The mutator must report its
+// serving layer (tests, offline pipelines). The mutator must report its
 // corpus size (mips.Sized — every solver in the repository does). The
 // adapter provides no query serialization; as with any bare mutator, the
 // caller keeps flushes exclusive of in-flight queries.

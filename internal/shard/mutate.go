@@ -32,8 +32,8 @@ import (
 
 // MutationStats accounts for the dirty-shard discipline: how many shards a
 // mutation actually touched, and how (incremental patch vs full
-// rebuild/re-plan). The churn benchmark reports these alongside the
-// rebuild-time savings.
+// rebuild/re-plan). The benchmark's serve-churn workload reports them as
+// shard.dirty_per_flush and shard.patched_frac.
 type MutationStats struct {
 	// Mutations counts successful AddItems/RemoveItems calls.
 	Mutations int

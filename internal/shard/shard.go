@@ -269,7 +269,7 @@ type Sharded struct {
 	// marker; normFloor[i] is shard i's minimum item norm at Build, the
 	// fixed routing cutoffs that keep the head-to-tail invariant under item
 	// arrival; gen is the mips.ItemMutator stamp; mstats the mutation
-	// accounting the churn benchmark reports.
+	// accounting behind MutationStats.
 	headFirst bool
 	normFloor []float64
 	// userNorms caches one Euclidean norm per user row, maintained alongside
@@ -391,7 +391,7 @@ func (s *Sharded) NumShards() int {
 // modify the matrix in place — they swap in fresh backing — so the returned
 // matrix is safe to read concurrently with queries; it is merely stale
 // after the next mutation. Verification flows (mips.VerifyMutation) and the
-// drift experiments read it to follow the corpus across churn.
+// drift tests read it to follow the corpus across churn.
 func (s *Sharded) Items() *mat.Matrix {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
@@ -708,8 +708,8 @@ func (s *Sharded) ResetScanStats() {
 
 // ShardScanStats returns per-shard scan counts in shard order (zero for
 // sub-solvers that do not implement mips.ScanCounter). Shard 0 is wave 1 of
-// a two-wave query; the remainder are wave 2 — the split the sharding
-// benchmark reports per wave.
+// a two-wave query; the remainder are wave 2 — the split the benchmark's
+// shard.head_scan_frac row reads.
 func (s *Sharded) ShardScanStats() []mips.ScanStats {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
@@ -755,7 +755,7 @@ func (s *Sharded) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.
 		// A live caller board becomes a static snapshot: the wave schedules
 		// own the composite's internal board, and a snapshot of a
 		// monotonically rising board is a valid floor.
-		floors = opts.Board.Snapshot(nil)
+		floors = opts.Board.Snapshot()
 	}
 	return s.query(ctx, userIDs, k, floors, nil)
 }

@@ -73,17 +73,13 @@ func (b *FloorBoard) Fill(floors []float64) {
 	}
 }
 
-// Snapshot appends every cell's current bound to dst (allocating when dst is
-// nil or short) and returns it — the bridge from a live board to the static
-// []float64 floors of a solver that does not poll live (BMM, a wire). The
-// snapshot is only a point-in-time lower bound per cell; cells may rise
-// immediately after.
-func (b *FloorBoard) Snapshot(dst []float64) []float64 {
-	if cap(dst) < len(b.cells) {
-		dst = make([]float64, len(b.cells))
-	}
-	dst = dst[:len(b.cells)]
-	for i := range b.cells {
+// Snapshot returns a fresh slice of every cell's current bound — the bridge
+// from a live board to the static []float64 floors of a solver that does not
+// poll live (BMM, a wire). The snapshot is only a point-in-time lower bound
+// per cell; cells may rise immediately after.
+func (b *FloorBoard) Snapshot() []float64 {
+	dst := make([]float64, len(b.cells))
+	for i := range dst {
 		dst[i] = b.Floor(i)
 	}
 	return dst

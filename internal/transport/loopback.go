@@ -52,7 +52,7 @@ func (l *Loopback) Dialer() shard.WorkerDialer {
 
 // Stats is a point-in-time snapshot of loopback traffic. BytesSent counts
 // request frames (op byte included), BytesReceived reply frames — the
-// bytes/query meter the loopback benchmark reports.
+// meter behind the benchmark's transport.bytes_per_user row.
 type Stats struct {
 	Dials         int64
 	Calls         int64

@@ -64,6 +64,16 @@ func assertSameEntries(t *testing.T, u int, want, got []topk.Entry) {
 	}
 }
 
+// statsSince is the traffic metered between two loopback readings.
+func statsSince(before, after transport.Stats) transport.Stats {
+	return transport.Stats{
+		Dials:         after.Dials - before.Dials,
+		Calls:         after.Calls - before.Calls,
+		BytesSent:     after.BytesSent - before.BytesSent,
+		BytesReceived: after.BytesReceived - before.BytesReceived,
+	}
+}
+
 // TestLoopbackEquivalenceMatrix is the acceptance gate for the wire path:
 // for every floor-capable sub-solver, wave schedule, and shard count, a
 // Sharded whose workers live behind the loopback transport answers
@@ -107,13 +117,26 @@ func TestLoopbackEquivalenceMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					callsBefore := lb.Stats().Calls
+					before := lb.Stats()
 					got, err := wired.QueryAll(k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if lb.Stats().Calls == callsBefore {
-						t.Fatal("loopback query made no wire calls — the wire is not in the path")
+					pass := statsSince(before, lb.Stats())
+					if pass.Calls == 0 || pass.BytesSent == 0 || pass.BytesReceived == 0 {
+						t.Fatalf("loopback query metered %+v — the wire is not in the path", pass)
+					}
+					// The traffic of a pass (transport.bytes_per_user) is
+					// deterministic on every schedule whose floors do not
+					// race shard completion.
+					if schedule != shard.Pipelined {
+						before = lb.Stats()
+						if _, err := wired.QueryAll(k); err != nil {
+							t.Fatal(err)
+						}
+						if again := statsSince(before, lb.Stats()); again != pass {
+							t.Fatalf("a repeated pass metered %+v, the first %+v", again, pass)
+						}
 					}
 					if err := mips.VerifyAll(m.Users, m.Items, got, k, 1e-9); err != nil {
 						t.Fatal(err)

@@ -332,7 +332,7 @@ func encode(fill func(*persist.Encoder)) ([]byte, error) {
 // floors before encoding — the only floor form that crosses a wire.
 func (c *Client) Query(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, error) {
 	if board != nil {
-		floors = board.Snapshot(nil)
+		floors = board.Snapshot()
 	}
 	req, err := encode(func(e *persist.Encoder) {
 		e.Ints(userIDs)
