@@ -16,7 +16,7 @@ import (
 )
 
 // TestChaosSoak is the seeded chaos suite CI runs under -race: a partial-mode
-// pipelined server over four BMM shards, every sub-solver wrapped in a
+// two-wave server over four BMM shards, every sub-solver wrapped in a
 // low-rate seeded fault injector (errors, panics, 1ms hangs on any call),
 // with concurrent degraded-mode queries racing logged catalog mutations.
 // Because revival from a retained snapshot sheds the fault wrapper, the
@@ -52,7 +52,7 @@ func chaosSoak(t *testing.T, seed int64, wire bool) {
 	cfg := ShardedConfig{
 		Shards:               4,
 		Partitioner:          ShardByNorm(),
-		Schedule:             SchedulePipelined,
+		Schedule:             ScheduleTwoWave,
 		RetainShardSnapshots: true,
 	}
 	var disarm func() // wire mode: quiets the transport before the oracle

@@ -20,11 +20,11 @@
 //
 // -shards N (N > 1) runs the chosen solver item-sharded under the by-norm
 // partitioner, and -schedule selects the wave schedule (auto | single |
-// two-wave | cascade | pipelined) — cross-shard threshold propagation.
+// two-wave) — cross-shard threshold propagation, or the blind fan-out.
 // -schedule alone also re-schedules a sharded -snapshot:
 //
-//	mipsquery -users u.omx -items i.omx -k 10 -solver lemp -shards 4 -schedule cascade
-//	mipsquery -snapshot sharded.osnp -k 10 -schedule pipelined
+//	mipsquery -users u.omx -items i.omx -k 10 -solver lemp -shards 4 -schedule two-wave
+//	mipsquery -snapshot sharded.osnp -k 10 -schedule single
 //
 // -timeout bounds the whole batch with a context deadline (the run fails
 // with a deadline error instead of overstaying), and -partial answers a
@@ -86,7 +86,7 @@ func main() {
 		snapPath  = flag.String("snapshot", "", "load a saved index snapshot instead of building (-users/-items not needed)")
 		savePath  = flag.String("save", "", "write the built index as a snapshot to this path")
 		shards    = flag.Int("shards", 0, "item-shard the solver across this many by-norm shards (0/1 = unsharded)")
-		schedule  = flag.String("schedule", "", "wave schedule for a sharded solver: auto | single | two-wave | cascade | pipelined")
+		schedule  = flag.String("schedule", "", "wave schedule for a sharded solver: auto | single | two-wave")
 		timeout   = flag.Duration("timeout", 0, "query deadline (e.g. 500ms); the batch fails with a deadline error instead of running long")
 		partial   = flag.Bool("partial", false, "degraded mode for a sharded solver: answer from healthy shards and print the coverage report")
 		retune    = flag.Bool("retune", false, "run the shard-count sweep on a sharded index before answering; prints the drift report and per-candidate timings")

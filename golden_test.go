@@ -28,6 +28,7 @@ import (
 	"testing/iotest"
 
 	"optimus/internal/persist"
+	"optimus/internal/shard"
 )
 
 // snapshotSources are the three ways a load gets its bytes: parsed in place
@@ -231,14 +232,12 @@ func TestGoldenVersionSkew(t *testing.T) {
 
 // TestGoldenScheduleEvolution pins the additive-evolution contract of the
 // wave-schedule section: the committed v1 sharded golden (written before
-// schedules existed) still loads and resolves through the auto decision
-// table (waves.go), a re-save of it stays byte-identical (the default
-// writes no schedule section), and a schedule-bearing snapshot — the same
-// stream plus one trailing section — round-trips the requested schedule
-// with identical answers. The resolution inputs are pinned for
-// determinism: the golden corpus's norm skew is fixed by its bytes (below
-// the auto threshold), and the core count is pinned to one, which the
-// decision table resolves to the serial cascade.
+// schedules existed) still loads and resolves to two-wave, a re-save of it
+// stays byte-identical (the default writes no schedule section), a
+// schedule-bearing snapshot — the same stream plus one trailing section —
+// round-trips the requested schedule with identical answers, and a stream
+// naming the retired "cascade" schedule loads as auto and answers
+// identically.
 func TestGoldenScheduleEvolution(t *testing.T) {
 	defer SetThreads(SetThreads(1))
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "sharded.osnp"))
@@ -256,8 +255,8 @@ func TestGoldenScheduleEvolution(t *testing.T) {
 	if sh.RequestedSchedule() != ScheduleAuto {
 		t.Fatalf("pre-schedule golden requests %v, want auto", sh.RequestedSchedule())
 	}
-	if sh.ActiveSchedule() != ScheduleCascade {
-		t.Fatalf("pre-schedule golden resolves to %v, want cascade (low skew on one core)", sh.ActiveSchedule())
+	if sh.ActiveSchedule() != ScheduleTwoWave {
+		t.Fatalf("pre-schedule golden resolves to %v, want two-wave", sh.ActiveSchedule())
 	}
 	const k = 5
 	want, err := sh.QueryAll(k)
@@ -275,7 +274,7 @@ func TestGoldenScheduleEvolution(t *testing.T) {
 			resave.Len(), len(golden))
 	}
 
-	if err := sh.SetSchedule(ScheduleCascade); err != nil {
+	if err := sh.SetSchedule(ScheduleSingle); err != nil {
 		t.Fatal(err)
 	}
 	var extended bytes.Buffer
@@ -290,12 +289,42 @@ func TestGoldenScheduleEvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh2 := reloaded.(*Sharded)
-	if sh2.RequestedSchedule() != ScheduleCascade || sh2.ActiveSchedule() != ScheduleCascade {
-		t.Fatalf("reloaded schedule %v/%v, want cascade/cascade",
+	if sh2.RequestedSchedule() != ScheduleSingle || sh2.ActiveSchedule() != ScheduleSingle {
+		t.Fatalf("reloaded schedule %v/%v, want single/single",
 			sh2.RequestedSchedule(), sh2.ActiveSchedule())
 	}
 	got, err := sh2.QueryAll(k)
 	if err != nil {
+		t.Fatal(err)
+	}
+	sameEntries(t, want, got)
+
+	// A snapshot written while the cascade schedule existed: the golden
+	// plus a trailing "schedule" section naming it. The section's bytes are
+	// what a writer emits after its header.
+	var hdr, withSection bytes.Buffer
+	if _, err := persist.NewWriter(&hdr, shard.Kind); err != nil {
+		t.Fatal(err)
+	}
+	pw, err := persist.NewWriter(&withSection, shard.Kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw.Section("schedule", func(e *persist.Encoder) { e.String("cascade") })
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	retired := append(bytes.Clone(golden), withSection.Bytes()[hdr.Len():]...)
+	reloaded, err = LoadSolver(bytes.NewReader(retired))
+	if err != nil {
+		t.Fatalf("a snapshot naming the retired cascade schedule must load: %v", err)
+	}
+	sh3 := reloaded.(*Sharded)
+	if sh3.RequestedSchedule() != ScheduleAuto || sh3.ActiveSchedule() != ScheduleTwoWave {
+		t.Fatalf("cascade snapshot loaded as %v/%v, want auto/two-wave",
+			sh3.RequestedSchedule(), sh3.ActiveSchedule())
+	}
+	if got, err = sh3.QueryAll(k); err != nil {
 		t.Fatal(err)
 	}
 	sameEntries(t, want, got)

@@ -273,25 +273,22 @@ func bound(n *node, u []float64, unorm float64) float64 {
 
 // Query implements mips.Solver.
 func (x *Index) Query(userIDs []int, k int) ([][]topk.Entry, error) {
-	return x.query(nil, userIDs, k, nil, nil)
+	return x.query(nil, userIDs, k, nil)
 }
 
 // QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
 // branch-and-bound descent compares node bounds against it from the root
 // down — a whole subtree whose bound trails the floor is pruned before a
-// single inner product. A board is read once, when the user's descent
-// starts, and seeds the heap the same way (static seeding, the Ram & Gray
-// bound); a floor a concurrent shard raises later is not polled, which the
-// QueryCtx contract allows. ctx is polled once per user and at every
-// internal node.
+// single inner product. ctx is polled once per user and at every internal
+// node.
 func (x *Index) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
 	}
-	return x.query(ctx, userIDs, k, opts.Floors, opts.Board)
+	return x.query(ctx, userIDs, k, opts.Floors)
 }
 
-func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, error) {
+func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
 	if x.root == nil {
 		return nil, fmt.Errorf("conetree: Query before Build")
 	}
@@ -313,8 +310,6 @@ func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float6
 			floor := math.Inf(-1)
 			if floors != nil {
 				floor = floors[qi]
-			} else if board != nil {
-				floor = board.Floor(qi)
 			}
 			h := topk.NewSeeded(k, floor)
 			x.search(ctx, x.root, urow, mat.Norm(urow), h, &scanned)

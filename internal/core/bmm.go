@@ -176,19 +176,14 @@ func (b *BMM) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 // GEMM is monolithic — but the harvest becomes floor-aware: each row's heap
 // is seeded, so below-floor scores never enter it, sift work collapses on
 // heavily floored rows, and a row whose every score trails its floor
-// allocates nothing. A live board is snapshotted into static floors (valid:
-// cells only rise). ctx is polled before every column block of every chunk
+// allocates nothing. ctx is polled before every column block of every chunk
 // (bmmChunkRows query rows × bmmBlockCols items), so a cancellation lands
 // within about one block's multiply and harvest per worker.
 func (b *BMM) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
 	}
-	floors := opts.Floors
-	if opts.Board != nil {
-		floors = opts.Board.Snapshot()
-	}
-	res, _, err := b.queryStats(ctx, userIDs, k, floors)
+	res, _, err := b.queryStats(ctx, userIDs, k, opts.Floors)
 	return res, err
 }
 

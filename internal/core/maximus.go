@@ -376,27 +376,24 @@ func (m *Maximus) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 
 // QueryStats is Query with traversal instrumentation.
 func (m *Maximus) QueryStats(userIDs []int, k int) ([][]topk.Entry, MaximusQueryStats, error) {
-	return m.queryStats(nil, userIDs, k, nil, nil)
+	return m.queryStats(nil, userIDs, k, nil)
 }
 
 // QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
 // sorted-bound walk terminates as soon as the Equation 3 bound trails it —
 // before the heap fills, and before the first segment's multiply when even
-// the list's top bound trails it. A board seeds the heap the same way and is
-// re-polled before every walk segment, so a bound published by a
-// concurrently finishing shard ends the walk early. ctx is polled at the
-// same cadence.
+// the list's top bound trails it. ctx is polled before every walk segment.
 func (m *Maximus) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
 	}
-	res, _, err := m.queryStats(ctx, userIDs, k, opts.Floors, opts.Board)
+	res, _, err := m.queryStats(ctx, userIDs, k, opts.Floors)
 	return res, err
 }
 
 // walkSegment is the length of every walk segment after the first, the
 // default B (see MaximusConfig.BlockSize), and how many positions a lone
-// walker scores between polls of ctx and a live floor board.
+// walker scores between polls of ctx.
 const walkSegment = 256
 
 // walkChunkUsers is the most queried users of one cluster that walk
@@ -408,7 +405,7 @@ const walkChunkUsers = 64
 // instead.
 const minSharedRows = 4
 
-func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, MaximusQueryStats, error) {
+func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors []float64) ([][]topk.Entry, MaximusQueryStats, error) {
 	var st MaximusQueryStats
 	if m.lists == nil {
 		return nil, st, fmt.Errorf("core: MAXIMUS Query before Build")
@@ -429,7 +426,7 @@ func (m *Maximus) queryStats(ctx context.Context, userIDs []int, k int, floors [
 		c := m.clusterOf[u]
 		byCluster[c] = append(byCluster[c], qi)
 	}
-	q := &walkCall{ctx: ctx, ids: userIDs, k: k, floors: floors, board: board,
+	q := &walkCall{ctx: ctx, ids: userIDs, k: k, floors: floors,
 		out: make([][]topk.Entry, len(userIDs))}
 	var visited atomic.Int64
 	segs, _ := walkSegs.Get().(*segCache)
@@ -468,8 +465,7 @@ type walkCall struct {
 	ctx    context.Context // nil: no deadline
 	ids    []int
 	k      int
-	floors []float64        // static floors aligned with ids, or nil
-	board  *topk.FloorBoard // live floors aligned with ids, or nil
+	floors []float64 // static floors aligned with ids, or nil
 	out    [][]topk.Entry
 }
 
@@ -479,13 +475,6 @@ type walker struct {
 	user  []float64
 	unorm float64
 	h     *topk.Heap
-}
-
-// poll raises w's floor to its live board cell, if the call has a board.
-func (q *walkCall) poll(w *walker) {
-	if q.board != nil {
-		w.h.RaiseFloor(q.board.Floor(w.qi))
-	}
 }
 
 // cut reports whether the Equation 3 bound at a list position, scaled by the
@@ -515,8 +504,6 @@ func (m *Maximus) walkChunk(q *walkCall, qs []int, segs *segCache, scr *walkScra
 		floor := math.Inf(-1)
 		if q.floors != nil {
 			floor = q.floors[qi]
-		} else if q.board != nil {
-			floor = q.board.Floor(qi)
 		}
 		scr.walkers = append(scr.walkers, walker{qi: qi, user: m.users.Row(u), unorm: m.userNorm[u], h: topk.NewSeeded(q.k, floor)})
 	}
@@ -532,7 +519,6 @@ func (m *Maximus) walkChunk(q *walkCall, qs []int, segs *segCache, scr *walkScra
 		}
 		live := active[:0]
 		for _, w := range active {
-			q.poll(w)
 			if !w.cut(bounds[pos]) {
 				live = append(live, w)
 			}
@@ -601,7 +587,7 @@ func (w *walker) harvest(scores []float64, ids []int32, bounds []float64) bool {
 }
 
 // walkAlone finishes w's walk from list position pos, one DotFrom per
-// position, polling ctx and the board every walkSegment positions. Returns
+// position, polling ctx every walkSegment positions. Returns
 // the positions scored.
 func (m *Maximus) walkAlone(q *walkCall, w *walker, list []int32, bounds []float64, pos int) (int64, error) {
 	from := pos
@@ -610,7 +596,6 @@ func (m *Maximus) walkAlone(q *walkCall, w *walker, list []int32, bounds []float
 			if err := mips.CtxErr(q.ctx); err != nil {
 				return int64(pos - from), err
 			}
-			q.poll(w)
 		}
 		if w.cut(bounds[pos]) {
 			break

@@ -322,13 +322,6 @@ func testMaximusBitIdenticalToNaive(t *testing.T, nItems int) {
 						t.Fatal(err)
 					}
 					requireSameRows(t, sub+" floors", floored, got)
-					board := topk.NewFloorBoard(len(ids))
-					board.Fill(floors)
-					got, err = m.QueryCtx(context.Background(), ids, k, mips.QueryOptions{Board: board})
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameRows(t, sub+" board", floored, got)
 				}
 			}
 		}

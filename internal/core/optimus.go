@@ -267,8 +267,10 @@ func (o *Optimus) Measure(users, items *mat.Matrix, k int) (*Decision, error) {
 // measurement (and is filled by the first run that finds it empty or
 // stale). The per-shard planner passes one cache across all its shards,
 // cutting plan time roughly in half — BMM's sample query was the one
-// measurement repeated identically per shard. A decision whose BMM arm came
-// from the cache reports Synthesized on that estimate. Unlike Run, the
+// measurement repeated identically per shard. Each batching sample it does
+// query is timed twice, keeping the faster: the rates it measures outlive
+// the call, so a one-off stall must not set them. A decision whose BMM arm
+// came from the cache reports Synthesized on that estimate. Unlike Run, the
 // shared path never reuses BMM sampled results (there are none); callers
 // querying the winner afterwards pay its full pass, which is what the
 // planner does anyway.
@@ -349,10 +351,26 @@ func (o *Optimus) measure(users, items *mat.Matrix, k int, shared *SharedMeasure
 	sampleResults := make(map[string][][]topk.Entry, 1+len(o.indexes))
 	filling := shared != nil && shared.BMMSecondsPerUserItem <= 0
 	race := &sampleRace{on: !o.cfg.DisableTTest && !filling}
+	// A shared measurement outlives the call — its BMM rate scales every
+	// later one, and the planner keeps each winner for the life of a
+	// shard — so there each batching sample is timed twice and the faster
+	// kept: one stall (a preemption, a GC pause) must not decide a plan.
+	// With the race on, the second timing is cut at the first.
+	timings := 1
+	if shared != nil {
+		timings = 2
+	}
 	measureBatch := func(i int, s mips.Solver) error {
-		est, res, err := race.run(s, sampleIDs, k)
-		if err != nil {
-			return err
+		var est Estimate
+		var res [][]topk.Entry
+		for t := 0; t < timings; t++ {
+			e, r, err := race.run(s, sampleIDs, k)
+			if err != nil {
+				return err
+			}
+			if t == 0 || !e.Cut && (est.Cut || e.SampleTime < est.SampleTime) {
+				est, res = e, r
+			}
 		}
 		est.Solver = s.Name()
 		est.Total = time.Duration(stats.Extrapolate(est.SampleTime.Seconds(), sampleSize, n) * float64(time.Second))

@@ -7,8 +7,8 @@
 //
 // The wrapper forwards every optional solver interface the repository's
 // composites probe for. Queries fire the plan's fault and then reach the
-// inner solver's own method, so QueryCtx hands floors, a live board and the
-// deadline through unchanged. Mutation and persistence calls on an incapable
+// inner solver's own method, so QueryCtx hands floors and the deadline
+// through unchanged. Mutation and persistence calls on an incapable
 // inner return errors, mirroring how the composites treat missing
 // interfaces.
 //

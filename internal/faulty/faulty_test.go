@@ -13,7 +13,6 @@ import (
 	"optimus/internal/lemp"
 	"optimus/internal/mat"
 	"optimus/internal/mips"
-	"optimus/internal/topk"
 )
 
 // built returns a LEMP index over a norm-skewed random corpus — a pruning,
@@ -76,8 +75,9 @@ func TestQueryFaultCountsEveryQueryMethod(t *testing.T) {
 }
 
 // TestQueryCtxForwardsFloorsAndBoard: the wrapper hands QueryOptions to the
-// inner solver's QueryCtx, so a floor-seeded or board-seeded call returns
-// the inner's floor prefix and prunes the inner's scans.
+// inner solver's QueryCtx, so a floor-seeded call returns the inner's floor
+// prefix and prunes the inner's scans. (Floors are the only seed left: the
+// live floor board this test also forwarded is gone.)
 func TestQueryCtxForwardsFloorsAndBoard(t *testing.T) {
 	inner, _ := built(t)
 	const k = 5
@@ -92,30 +92,20 @@ func TestQueryCtxForwardsFloorsAndBoard(t *testing.T) {
 	for i := range floors {
 		floors[i] = want[i][0].Score
 	}
-	board := topk.NewFloorBoard(len(ids))
-	board.Fill(floors)
 	s := Wrap(inner, Plan{})
-	for _, tc := range []struct {
-		name string
-		opts mips.QueryOptions
-	}{
-		{"floors", mips.QueryOptions{Floors: floors}},
-		{"board", mips.QueryOptions{Board: board}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			inner.ResetScanStats()
-			got, err := s.QueryCtx(nil, ids, k, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := mips.VerifyFloorPrefix(want, got, board.Snapshot()); err != nil {
-				t.Fatal(err)
-			}
-			if seeded := inner.ScanStats().Scanned; seeded >= unseeded {
-				t.Fatalf("seeded call scanned %d, unseeded %d — the floors did not reach the inner solver", seeded, unseeded)
-			}
-		})
-	}
+	t.Run("floors", func(t *testing.T) {
+		inner.ResetScanStats()
+		got, err := s.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mips.VerifyFloorPrefix(want, got, floors); err != nil {
+			t.Fatal(err)
+		}
+		if seeded := inner.ScanStats().Scanned; seeded >= unseeded {
+			t.Fatalf("seeded call scanned %d, unseeded %d — the floors did not reach the inner solver", seeded, unseeded)
+		}
+	})
 }
 
 // TestLatencyFaultHonorsDeadline: an injected stall races the caller's ctx,

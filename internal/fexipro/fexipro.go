@@ -330,25 +330,23 @@ func quantize(m *mat.Matrix, scale float64) ([]int32, []float64) {
 
 // Query implements mips.Solver.
 func (x *Index) Query(userIDs []int, k int) ([][]topk.Entry, error) {
-	return x.query(nil, userIDs, k, nil, nil)
+	return x.query(nil, userIDs, k, nil)
 }
 
 // QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
 // whole bound cascade — the norm-sorted walk break, the integer bound, the
 // SVD partial bound — prunes against it from the very first candidate
 // instead of waiting for the heap to fill (FEXIPRO's sequential-scan prune
-// has the same threshold structure as LEMP's). A board is re-polled every
-// floorPollInterval items, so floors raised by concurrently finishing shards
-// tighten the cascade mid-scan. ctx is polled once per user and at the same
-// cadence as the board.
+// has the same threshold structure as LEMP's). ctx is polled once per user
+// and every ctxPollInterval items.
 func (x *Index) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
 	}
-	return x.query(ctx, userIDs, k, opts.Floors, opts.Board)
+	return x.query(ctx, userIDs, k, opts.Floors)
 }
 
-func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, error) {
+func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
 	if x.tItems == nil {
 		return nil, fmt.Errorf("fexipro: Query before Build")
 	}
@@ -368,10 +366,8 @@ func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float6
 			floor := math.Inf(-1)
 			if floors != nil {
 				floor = floors[qi]
-			} else if board != nil {
-				floor = board.Floor(qi)
 			}
-			out[qi] = x.queryOne(ctx, u, k, floor, board, qi)
+			out[qi] = x.queryOne(ctx, u, k, floor)
 		}
 		return nil
 	}
@@ -391,10 +387,8 @@ func (x *Index) QueryAll(k int) ([][]topk.Entry, error) {
 
 // queryOne answers one user's top-k, pruning against floor (-Inf = none)
 // from the first candidate: a seeded heap reports its floor as the threshold
-// before it fills, so every `full` guard below fires immediately. With a live
-// board (nil = static floors), cell is the user's board index and the scan
-// re-polls it every floorPollInterval items.
-func (x *Index) queryOne(ctx context.Context, u, k int, floor float64, board *topk.FloorBoard, cell int) []topk.Entry {
+// before it fills, so every `full` guard below fires immediately.
+func (x *Index) queryOne(ctx context.Context, u, k int, floor float64) []topk.Entry {
 	f := x.f
 	tu := x.tUsers.Row(u)
 	tuHead := tu[:x.h]
@@ -410,17 +404,14 @@ func (x *Index) queryOne(ctx context.Context, u, k int, floor float64, board *to
 	n := x.tItems.Rows()
 	poll := 0
 	for s := 0; s < n; s++ {
-		if board != nil || ctx != nil {
+		if ctx != nil {
 			if poll == 0 {
-				if board != nil {
-					h.RaiseFloor(board.Floor(cell))
-				}
 				// Cancelled: abandon the scan; the partial heap is discarded
 				// by the caller's per-user ctx poll.
-				if ctx != nil && ctx.Err() != nil {
+				if ctx.Err() != nil {
 					break
 				}
-				poll = floorPollInterval
+				poll = ctxPollInterval
 			}
 			poll--
 		}
@@ -505,8 +496,7 @@ func slack(thr float64) float64 {
 // dozen users over every thread, large enough to amortize dispatch.
 const queryGrain = 8
 
-// floorPollInterval is how many norm-sorted scan positions pass between
-// FloorBoard re-polls in a live-floor query: frequent enough that a raised
-// floor cuts most of the remaining scan, rare enough that the atomic load
-// never shows up next to the integer-bound kernel.
-const floorPollInterval = 128
+// ctxPollInterval is how many norm-sorted scan positions pass between ctx
+// polls: frequent enough that a cancellation lands promptly, rare enough
+// that the poll never shows up next to the integer-bound kernel.
+const ctxPollInterval = 128

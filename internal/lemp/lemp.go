@@ -413,31 +413,29 @@ func (x *Index) ResetScanStats() { x.scanned.Store(0) }
 
 // Query implements mips.Solver.
 func (x *Index) Query(userIDs []int, k int) ([][]topk.Entry, error) {
-	return x.query(nil, userIDs, k, nil, nil)
+	return x.query(nil, userIDs, k, nil)
 }
 
 // QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
 // bucket break and the scanLength/scanIncr prunes fire before the heap
-// fills — on a high floor, often at the very first bucket. A board seeds the
-// heap the same way and is re-polled at every bucket boundary, where the
-// bucket break already fires, so a floor raised by a concurrently finishing
-// shard tightens this walk mid-query. ctx is polled once per user and at the
-// same bucket boundary, so cancellation lands within one bucket scan.
+// fills — on a high floor, often at the very first bucket. ctx is polled
+// once per user and at every bucket boundary, so cancellation lands within
+// one bucket scan.
 func (x *Index) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.QueryOptions) ([][]topk.Entry, error) {
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
 	}
-	return x.query(ctx, userIDs, k, opts.Floors, opts.Board)
+	return x.query(ctx, userIDs, k, opts.Floors)
 }
 
-func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, error) {
+func (x *Index) query(ctx context.Context, userIDs []int, k int, floors []float64) ([][]topk.Entry, error) {
 	if x.sorted == nil {
 		return nil, fmt.Errorf("lemp: Query before Build")
 	}
 	if err := mips.ValidateK(k, x.sorted.Rows()); err != nil {
 		return nil, err
 	}
-	c := &call{ctx: ctx, ids: userIDs, k: k, floors: floors, board: board,
+	c := &call{ctx: ctx, ids: userIDs, k: k, floors: floors,
 		tn: x.tuningFor(k), out: make([][]topk.Entry, len(userIDs))}
 	run := func(lo, hi int) error {
 		scr := x.getScratch()
@@ -455,8 +453,7 @@ type call struct {
 	ctx    context.Context // nil: no deadline
 	ids    []int
 	k      int
-	floors []float64        // static floors, or nil
-	board  *topk.FloorBoard // live floors, or nil
+	floors []float64 // static floors, or nil
 	tn     *tuning
 	out    [][]topk.Entry
 }
@@ -491,8 +488,6 @@ func (x *Index) answerChunk(c *call, lo, hi int, scr *scratch) error {
 		w.unorm = mat.Norm(w.user)
 		if c.floors != nil {
 			w.floor = c.floors[qi]
-		} else if c.board != nil {
-			w.floor = c.board.Floor(qi)
 		}
 		if w.unorm*edge >= w.floor-slack(w.floor) {
 			w.headRow = m
@@ -518,7 +513,6 @@ func (x *Index) answerChunk(c *call, lo, hi int, scr *scratch) error {
 			return err
 		}
 		qi := lo + i
-		scr.board, scr.cell = c.board, qi
 		h := topk.NewSeeded(c.k, w.floor)
 		from := 0
 		if w.headRow >= 0 {
@@ -533,13 +527,10 @@ func (x *Index) answerChunk(c *call, lo, hi int, scr *scratch) error {
 }
 
 // harvestHead offers one user's head scores — scores[s] is sorted item s —
-// to its heap, polling the live floor first. Once the heap prunes, the
+// to its heap. Once the heap prunes, the
 // scores below the threshold are passed over by blas.Scan; a tie is left to
 // Push, because norm order is not id order and the tie-break is by id.
 func (x *Index) harvestHead(scores []float64, h *topk.Heap, scr *scratch) {
-	if scr.board != nil {
-		h.RaiseFloor(scr.board.Floor(scr.cell))
-	}
 	scr.scanned += int64(len(scores))
 	thr, full := h.Threshold()
 	for s := 0; s < len(scores); s++ {
@@ -589,15 +580,11 @@ func (x *Index) ChosenAlgorithms(k int) []Algorithm {
 }
 
 // scratch holds per-goroutine temporaries reused across users, recycled
-// across chunks and calls through Index.scratches. board/cell, when set,
-// identify the live floor cell of the user currently being answered
-// (QueryOptions.Board); both are reassigned per user.
+// across chunks and calls through Index.scratches.
 type scratch struct {
 	usuf1, usuf2 float64
 	scanned      int64 // candidates evaluated, flushed per chunk
 	bucketTimes  [][numAlgos]time.Duration
-	board        *topk.FloorBoard
-	cell         int
 	ctx          context.Context // nil: no deadline; polled per bucket
 	walkers      []walker
 	a, c         *mat.Matrix // head multiply operands, queryGrain rows each
@@ -619,7 +606,7 @@ func (x *Index) getScratch() *scratch {
 }
 
 func (x *Index) putScratch(scr *scratch) {
-	scr.scanned, scr.board, scr.ctx = 0, nil, nil
+	scr.scanned, scr.ctx = 0, nil
 	x.scratches.Put(scr)
 }
 
@@ -727,13 +714,6 @@ func (x *Index) walk(user []float64, unorm float64, h *topk.Heap, tn *tuning, fr
 		// discarded by the caller, which returns ctx.Err() from its own poll.
 		if scr.ctx != nil && scr.ctx.Err() != nil {
 			break
-		}
-		// Live floors: re-poll the user's board cell at the bucket boundary,
-		// so a bound published by a concurrent shard tightens this walk's
-		// break and the within-bucket prunes below (monotone — see
-		// mips.Solver.QueryCtx).
-		if scr.board != nil {
-			h.RaiseFloor(scr.board.Floor(scr.cell))
 		}
 		// Pruning must survive two hazards: an exact tie can still enter the
 		// heap via the lower-item-id rule, and the bound itself is computed

@@ -13,39 +13,28 @@ import (
 	"optimus/internal/topk"
 )
 
-// QueryOptions carries the optional floor source of a QueryCtx call. At most
-// one of Floors and Board may be set; both nil is a plain query.
+// QueryOptions carries the optional floor source of a QueryCtx call; the
+// zero value is a plain query.
 type QueryOptions struct {
 	// Floors, when non-nil, seeds the query with static per-user floors
 	// (positionally aligned with userIDs; see Solver.QueryCtx).
 	Floors []float64
-	// Board, when non-nil, is a live floor source (cell i belongs to
-	// userIDs[i]). Solvers without live polling may snapshot it (a valid
-	// static floor: cells only ever rise).
-	Board *topk.FloorBoard
 }
 
 // ValidateQueryOptions checks the QueryCtx argument shapes shared by all
-// implementations: at most one floor source, aligned with userIDs. NaN
-// floors are rejected: every comparison against NaN is false, which would
-// silently disable pruning on some paths and reject everything on others. A
-// board needs only the alignment check (FloorBoard rejects NaN at Raise).
+// implementations: floors, when set, are aligned with userIDs. NaN floors
+// are rejected: every comparison against NaN is false, which would silently
+// disable pruning on some paths and reject everything on others.
 func ValidateQueryOptions(userIDs []int, opts QueryOptions) error {
-	switch {
-	case opts.Floors != nil && opts.Board != nil:
-		return fmt.Errorf("mips: QueryOptions carries both floors and a board (want at most one floor source)")
-	case opts.Board != nil:
-		if opts.Board.Len() != len(userIDs) {
-			return fmt.Errorf("mips: floor board has %d cells for %d users", opts.Board.Len(), len(userIDs))
-		}
-	case opts.Floors != nil:
-		if len(opts.Floors) != len(userIDs) {
-			return fmt.Errorf("mips: %d floors for %d users", len(opts.Floors), len(userIDs))
-		}
-		for i, f := range opts.Floors {
-			if f != f {
-				return fmt.Errorf("mips: floor %d is NaN", i)
-			}
+	if opts.Floors == nil {
+		return nil
+	}
+	if len(opts.Floors) != len(userIDs) {
+		return fmt.Errorf("mips: %d floors for %d users", len(opts.Floors), len(userIDs))
+	}
+	for i, f := range opts.Floors {
+		if f != f {
+			return fmt.Errorf("mips: floor %d is NaN", i)
 		}
 	}
 	return nil
@@ -139,9 +128,6 @@ func (n *Naive) QueryCtx(ctx context.Context, userIDs []int, k int, opts QueryOp
 func floorAt(opts QueryOptions, qi int) float64 {
 	if opts.Floors != nil {
 		return opts.Floors[qi]
-	}
-	if opts.Board != nil {
-		return opts.Board.Floor(qi)
 	}
 	return math.Inf(-1)
 }

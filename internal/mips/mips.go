@@ -3,7 +3,7 @@
 // the paper's MAXIMUS — plus the naive reference oracle and the verification
 // helpers the test suite and the OPTIMUS optimizer build on.
 //
-// Every solver answers floor-seeded, live-board and deadline-bound queries
+// Every solver answers floor-seeded and deadline-bound queries
 // through one method, Solver.QueryCtx, whose doc holds the floor contract.
 // The remaining optional interfaces (Sized, ItemMutator, ScanCounter, ...)
 // describe capabilities some solvers lack, not alternative query paths.
@@ -60,17 +60,7 @@ type Solver interface {
 	// floor MUST be retained — a tied item can still win a global merge on
 	// the lower-item-id rule. VerifyFloorPrefix checks this contract.
 	//
-	// Board: opts.Board is a live floor source whose cells only rise
-	// (topk.FloorBoard enforces it). A solver seeds each user's heap from
-	// the cell when that user's scan starts and may re-poll it at its
-	// pruning decision points, raising the heap floor via
-	// topk.Heap.RaiseFloor; the row is then the prefix a static call at the
-	// highest observed floor would return. Callers therefore certify it
-	// against a board snapshot taken at or after return. With no concurrent
-	// raisers the call is deterministic; under concurrency only scan counts
-	// vary.
-	//
-	// Ignoring floors or a board is always valid, because the unseeded
+	// Ignoring floors is always valid, because the unseeded
 	// answer is a superset of every floored prefix: a minimal solver checks
 	// ctx once and answers with Query.
 	//

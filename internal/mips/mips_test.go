@@ -203,9 +203,6 @@ func TestValidateQueryOptions(t *testing.T) {
 		{"-Inf floors are the unseeded case", QueryOptions{Floors: []float64{inf, inf, inf}}, true},
 		{"floor length mismatch", QueryOptions{Floors: []float64{1, 2}}, false},
 		{"NaN floor", QueryOptions{Floors: []float64{1, math.NaN(), 3}}, false},
-		{"board", QueryOptions{Board: topk.NewFloorBoard(3)}, true},
-		{"board length mismatch", QueryOptions{Board: topk.NewFloorBoard(2)}, false},
-		{"floors and board", QueryOptions{Floors: []float64{1, 2, 3}, Board: topk.NewFloorBoard(3)}, false},
 	}
 	for _, tc := range cases {
 		if err := ValidateQueryOptions(ids, tc.opts); (err == nil) != tc.ok {

@@ -82,7 +82,7 @@ func TestGroupDeadlinePropagates(t *testing.T) {
 	sh := shard.New(shard.Config{
 		Shards:      4,
 		Partitioner: shard.ByNorm(),
-		Schedule:    shard.Pipelined,
+		Schedule:    shard.TwoWave,
 		Factory: func() mips.Solver {
 			return faulty.Wrap(core.NewBMM(core.BMMConfig{}), faulty.Plan{Faults: []faulty.Fault{{
 				Op: faulty.OpQuery, Call: 1, Kind: faulty.KindLatency, Latency: 5 * time.Second,
@@ -120,28 +120,30 @@ func TestGroupDeadlinePropagates(t *testing.T) {
 	}
 }
 
-// TestPanicDuringPipelinedServingWithLogMutations is the satellite -race
-// scenario: one shard's sub-solver panics mid-pipelined-query while catalog
-// mutations flow through the server's mutation log. Degraded-mode queries
-// keep answering (the panic becomes a Coverage gap), the generation contract
-// holds (the serving generation ticks with the catalog), the shard revives,
-// and the final state passes the mutation oracle against a freshly built
-// solver.
+// TestPanicDuringPipelinedServingWithLogMutations is the -race scenario of a
+// serving pipeline under churn: one shard's sub-solver panics mid-query
+// (two-wave fan-out) while catalog mutations flow through the server's
+// mutation log. Degraded-mode queries keep answering (the panic becomes a
+// Coverage gap), the generation contract holds (the serving generation ticks
+// with the catalog), the shard revives, and the final state passes the
+// mutation oracle against a freshly built solver.
 func TestPanicDuringPipelinedServingWithLogMutations(t *testing.T) {
 	users, items := randMatrices(120, 160, 6, 3)
 	var made int32
+	var armed *faulty.Solver
 	sh := shard.New(shard.Config{
 		Shards:               4,
 		Partitioner:          shard.ByNorm(),
-		Schedule:             shard.Pipelined,
+		Schedule:             shard.TwoWave,
 		RetainShardSnapshots: true,
 		Factory: func() mips.Solver {
 			s := core.NewBMM(core.BMMConfig{})
 			if atomic.AddInt32(&made, 1) == 2 {
 				// Exactly one of the initial shards panics on its 5th query.
-				return faulty.Wrap(s, faulty.Plan{Faults: []faulty.Fault{{
+				armed = faulty.Wrap(s, faulty.Plan{Faults: []faulty.Fault{{
 					Op: faulty.OpQuery, Call: 5, Kind: faulty.KindPanic,
 				}}})
+				return armed
 			}
 			return s
 		},
@@ -190,6 +192,11 @@ func TestPanicDuringPipelinedServingWithLogMutations(t *testing.T) {
 	}
 	if err := sh.AwaitHealthy(5 * time.Second); err != nil {
 		t.Fatalf("shard did not revive: %v", err)
+	}
+	// Two-wave can bound a tail shard out of a batch, so check the armed
+	// shard was reached often enough for its panic to fire.
+	if n := armed.Calls(faulty.OpQuery); n < 5 {
+		t.Fatalf("the armed shard answered %d queries — its 5th-query panic never fired", n)
 	}
 
 	// Generation contract: the catalog changed through the log, so both the

@@ -23,13 +23,15 @@ func buildSharded(t testing.TB) (*shard.Sharded, int) {
 	return sh, users.Rows()
 }
 
-// TestServerSchedule pins the serving-layer schedule surface: Config.Schedule
-// reaches the sharded solver before the first query, Stats reports the
-// active schedule and per-wave scan stats, and non-scheduling solvers serve
-// with both fields empty.
+// TestServerSchedule pins the serving-layer schedule surface: a schedule set
+// on the sharded solver before New is the one served, and Stats reports the
+// active schedule and per-wave scan stats.
 func TestServerSchedule(t *testing.T) {
 	sh, nUsers := buildSharded(t)
-	srv, err := New(sh, Config{Schedule: "cascade"})
+	if err := sh.SetSchedule(shard.SingleWave); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(sh, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +42,11 @@ func TestServerSchedule(t *testing.T) {
 		}
 	}
 	st := srv.Stats()
-	if st.Schedule != "cascade" {
-		t.Fatalf("Stats.Schedule = %q, want cascade", st.Schedule)
+	if st.Schedule != "single" {
+		t.Fatalf("Stats.Schedule = %q, want single", st.Schedule)
 	}
-	if len(st.WaveScans) != 3 {
-		t.Fatalf("%d wave-scan groups, want 3 (one per cascade wave)", len(st.WaveScans))
+	if len(st.WaveScans) != 1 {
+		t.Fatalf("%d wave-scan groups, want 1 (the single wave)", len(st.WaveScans))
 	}
 	var total int64
 	for _, w := range st.WaveScans {
@@ -74,16 +76,5 @@ func TestServerScheduleDefaults(t *testing.T) {
 	defer srv2.Close()
 	if st := srv2.Stats(); st.Schedule != "" || st.WaveScans != nil {
 		t.Fatalf("non-scheduling solver must report no schedule, got %q / %v", st.Schedule, st.WaveScans)
-	}
-}
-
-func TestServerScheduleErrors(t *testing.T) {
-	sh, _ := buildSharded(t)
-	if _, err := New(sh, Config{Schedule: "warp"}); err == nil {
-		t.Fatal("unknown schedule name must fail New")
-	}
-	plain, _, _ := buildSolver(t, 20, 30, 4)
-	if _, err := New(plain, Config{Schedule: "cascade"}); err == nil {
-		t.Fatal("scheduling an unscheduled solver must fail New")
 	}
 }

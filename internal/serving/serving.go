@@ -47,12 +47,6 @@ type Config struct {
 	// QueueDepth bounds the number of requests waiting for a batch slot;
 	// Query blocks (or fails with ctx) when the queue is full. Default 1024.
 	QueueDepth int
-	// Schedule, when non-empty, selects the wave schedule of a sharded
-	// solver by canonical name ("auto", "single", "two-wave", "cascade",
-	// "pipelined"). New applies it through the solver's structural
-	// SetScheduleByName method and fails on an unknown name or a solver
-	// without wave scheduling. Empty leaves the solver's schedule alone.
-	Schedule string
 	// AllowPartial switches the server to degraded-mode dispatch: batches
 	// are answered through the solver's mips.PartialQuerier — results come
 	// from the healthy shards, skipped shards appear in the Coverage report
@@ -104,8 +98,8 @@ type Stats struct {
 	// the solver has no wave scheduling), and WaveScans its cumulative
 	// per-wave scan counts (nil likewise) — the serving-side view of the
 	// sharded executor's fan-out structure. WaveScans indexes by wave of the
-	// active schedule: [head, tails] for two-wave, one entry per shard for
-	// cascade/pipelined, a single total for single-wave.
+	// active schedule: [head, tails] for two-wave, a single total for
+	// single-wave.
 	Schedule  string
 	WaveScans []mips.ScanStats
 	// Retunes counts adaptive re-structures committed through this server
@@ -123,7 +117,6 @@ type Stats struct {
 // sharded executor) satisfies; serving stays decoupled from the shard
 // package by naming only the methods.
 type waveScheduler interface {
-	SetScheduleByName(string) error
 	ActiveScheduleName() string
 	WaveScanStats() []mips.ScanStats
 }
@@ -198,15 +191,6 @@ func New(solver mips.Solver, cfg Config) (*Server, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = def.QueueDepth
-	}
-	if cfg.Schedule != "" {
-		ws, ok := solver.(waveScheduler)
-		if !ok {
-			return nil, fmt.Errorf("serving: %s does not support wave schedules", solver.Name())
-		}
-		if err := ws.SetScheduleByName(cfg.Schedule); err != nil {
-			return nil, fmt.Errorf("serving: %w", err)
-		}
 	}
 	if cfg.AllowPartial {
 		if _, ok := solver.(mips.PartialQuerier); !ok {

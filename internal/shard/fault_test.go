@@ -19,8 +19,8 @@ import (
 )
 
 // faultTarget is the shard the fault tests inject into: a tail shard, so
-// every schedule (including the head-first ones) exercises its fan-out
-// containment rather than its head special case.
+// both schedules (two-wave included) exercise their fan-out containment
+// rather than two-wave's head special case.
 const faultTarget = 1
 
 // newFaultComposite builds a 4-shard BMM composite pinned to the given
@@ -125,7 +125,7 @@ func assertAllHealthy(t *testing.T, sh *Sharded) {
 }
 
 // TestFaultMatrix is the containment matrix: {error, panic, hang-past-
-// deadline} × {single, two-wave, cascade, pipelined} × {strict, partial}.
+// deadline} × {single, two-wave} × {strict, partial}.
 // Strict mode fails closed with a typed error naming the faulty shard, the
 // shard quarantines and revives, and post-revival answers are entry-identical
 // to a never-faulted composite. Partial mode absorbs the fault into a
@@ -142,7 +142,7 @@ func TestFaultMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	schedules := []Schedule{SingleWave, TwoWave, Cascade, Pipelined}
+	schedules := []Schedule{SingleWave, TwoWave}
 	kinds := []faulty.Kind{faulty.KindError, faulty.KindPanic, faulty.KindLatency}
 	for _, schedule := range schedules {
 		for _, kind := range kinds {
@@ -274,14 +274,14 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestHungShardDeadline pins the pipelined hot path's liveness bound: one
-// shard hangs far past the deadline, the query returns at the deadline (plus
-// scheduling slack), no goroutine outlives it, and the hang does not
+// TestHungShardDeadline pins the two-wave hot path's liveness bound: one
+// tail shard hangs far past the deadline, the query returns at the deadline
+// (plus scheduling slack), no goroutine outlives it, and the hang does not
 // quarantine the shard.
 func TestHungShardDeadline(t *testing.T) {
 	m := model(t, "netflix-nomad-25", 0.04)
 	const k = 7
-	sh := newFaultComposite(t, m.Users, m.Items, Pipelined, false)
+	sh := newFaultComposite(t, m.Users, m.Items, TwoWave, false)
 	armShard(sh, faultTarget, faulty.Plan{Faults: []faulty.Fault{{
 		Op: faulty.OpQuery, Call: 1, Kind: faulty.KindLatency, Latency: 5 * time.Second,
 	}}})

@@ -289,7 +289,7 @@ func TestEmptyShardLifecycle(t *testing.T) {
 	if sh.Plans()[0].Items != 0 {
 		t.Fatalf("head shard not empty: %+v", sh.Plans())
 	}
-	if sh.TwoWave() {
+	if sh.ActiveSchedule() == TwoWave {
 		t.Fatal("two-wave path survived a dead head shard")
 	}
 	if st := sh.MutationStats(); st.Emptied != 1 || st.Dirty() != 1 {
@@ -307,7 +307,7 @@ func TestEmptyShardLifecycle(t *testing.T) {
 	if sh.Plans()[0].Items != 3 || sh.Plans()[0].Builds != 2 {
 		t.Fatalf("revived head shard state %+v", sh.Plans()[0])
 	}
-	if !sh.TwoWave() {
+	if sh.ActiveSchedule() != TwoWave {
 		t.Fatal("two-wave path did not return with the revived head")
 	}
 	corpus = mat.AppendRows(corpus, revive)
@@ -390,7 +390,7 @@ func TestFexiproJoinsTwoWave(t *testing.T) {
 			if err := seeded.Build(m.Users, m.Items); err != nil {
 				t.Fatal(err)
 			}
-			if !seeded.TwoWave() {
+			if seeded.ActiveSchedule() != TwoWave {
 				t.Fatal("FEXIPRO sharded by-norm did not enable the two-wave path")
 			}
 			blind := New(Config{Shards: shards, Partitioner: ByNorm(), Factory: factory,

@@ -215,15 +215,18 @@ func (s *Sharded) Load(r io.Reader) error {
 		parts = append(parts, ids)
 	}
 	// Optional trailing schedule section (see Save): absent in pre-schedule
-	// and default-config snapshots, which load as AutoSchedule.
+	// and default-config snapshots, which load as AutoSchedule. So do the
+	// retired "cascade" and "pipelined" schedules older snapshots may name.
 	schedule := AutoSchedule
 	if d, ok := pr.SectionIf("schedule"); ok {
 		name := d.String()
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if schedule, err = ParseSchedule(name); err != nil {
-			return err
+		if name != "cascade" && name != "pipelined" {
+			if schedule, err = ParseSchedule(name); err != nil {
+				return err
+			}
 		}
 	}
 	// Optional trailing drift-baseline section (see Save); absent sections
@@ -303,18 +306,13 @@ func (s *Sharded) Load(r io.Reader) error {
 	s.mstats = mstats
 	// Restore the drift surface: fresh counters against the loaded shard
 	// set, the persisted baseline (if any) pre-locked so regression
-	// detection works without a fresh serving window, and the norm skew the
-	// auto schedule reads recomputed from the restored cut.
+	// detection works without a fresh serving window.
 	s.retunes = 0
 	s.resetDriftLocked()
 	if driftBaseline > 0 {
 		s.driftMu.Lock()
 		s.scanBaseline = driftBaseline
 		s.driftMu.Unlock()
-	}
-	s.normSkew = 0
-	if s.headFirst && len(parts) > 1 {
-		s.normSkew = computeNormSkew(items.RowNorms(), parts)
 	}
 	s.refreshComposite()
 	return nil

@@ -23,7 +23,9 @@ import (
 // the first shard's measurement are cached (core.SharedMeasurement) and
 // reused by the rest — later shards synthesize BMM's estimate from the
 // stored per-(user·item) rate instead of re-querying, roughly halving plan
-// time. SetThreads flushes the cache, since the rate is only valid at the
+// time. Every sample a plan does run is timed twice and the faster kept
+// (core.Optimus.MeasureShared), so a one-off stall cannot set the cached
+// rate or a shard's strategy. SetThreads flushes the cache, since the rate is only valid at the
 // parallelism it was measured at. Plan calls are serialized internally:
 // Sharded.Build plans shards one at a time so timing measurements never
 // contend, but background re-plans (quarantine revival, retune staging) can

@@ -206,7 +206,6 @@ type stagedRetune struct {
 	epoch     uint64
 	shards    []shardState
 	normFloor []float64
-	normSkew  float64
 	nShards   int
 	committed bool
 	result    adapt.RetuneResult
@@ -240,7 +239,6 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 	type built struct {
 		shards    []shardState
 		normFloor []float64
-		normSkew  float64
 		nShards   int
 	}
 	var norms []float64
@@ -259,7 +257,6 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 		b := built{shards: shards, nShards: len(parts)}
 		if s.headFirst {
 			b.normFloor = computeNormFloors(norms, parts)
-			b.normSkew = computeNormSkew(norms, parts)
 		}
 		return b, nil
 	}
@@ -308,7 +305,7 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 				return nil, err
 			}
 			builds = append(builds, b)
-			probe := s.measureComposite(b.shards, b.normFloor, b.normSkew, b.nShards)
+			probe := s.measureComposite(b.shards, b.normFloor, b.nShards)
 			start := time.Now()
 			if _, err := probe.Query(sample, k); err != nil {
 				closeBuilds(-1)
@@ -338,7 +335,6 @@ func (s *Sharded) StageRetune(req adapt.RetuneRequest) (adapt.StagedRetune, erro
 		epoch:     epoch,
 		shards:    chosen.shards,
 		normFloor: chosen.normFloor,
-		normSkew:  chosen.normSkew,
 		nShards:   chosen.nShards,
 		result: adapt.RetuneResult{
 			Trigger:   req.Trigger,
@@ -390,7 +386,7 @@ func candidateShardCounts(req adapt.RetuneRequest, curS, items int) []int {
 // the S sweep times the real query path (schedule resolution, fan-out,
 // merge) rather than a proxy. The scratch composite shares the immutable
 // corpus matrices and is discarded after the measurement.
-func (s *Sharded) measureComposite(shards []shardState, normFloor []float64, normSkew float64, nShards int) *Sharded {
+func (s *Sharded) measureComposite(shards []shardState, normFloor []float64, nShards int) *Sharded {
 	tmp := &Sharded{
 		cfg:       s.cfg,
 		name:      s.name,
@@ -400,7 +396,6 @@ func (s *Sharded) measureComposite(shards []shardState, normFloor []float64, nor
 		headFirst: s.headFirst,
 		normFloor: normFloor,
 		userNorms: s.userNorms,
-		normSkew:  normSkew,
 	}
 	tmp.cfg.Shards = nShards
 	tmp.resetHealth(len(shards))
@@ -439,7 +434,6 @@ func (s *Sharded) CommitRetune(staged adapt.StagedRetune) error {
 	s.epoch++
 	s.shards = st.shards
 	s.normFloor = st.normFloor
-	s.normSkew = st.normSkew
 	s.cfg.Shards = st.nShards
 	s.name = s.composeName(st.nShards)
 	s.resetHealth(len(st.shards))

@@ -178,11 +178,10 @@ type Config struct {
 	Threads int
 	// Schedule requests a wave schedule (waves.go). AutoSchedule — the zero
 	// value — resolves to TwoWave when the composite is floor-eligible and
-	// SingleWave otherwise; an explicit floor-bearing schedule likewise falls
-	// back to SingleWave when ineligible. SingleWave is also the lesion arm
-	// the benchmarks flip to measure the pruning win, and it persists in
-	// snapshots. Exactness is schedule-independent; only scan counts (and,
-	// for Pipelined, their determinism) differ.
+	// SingleWave otherwise; an explicit TwoWave likewise falls back to
+	// SingleWave when ineligible. SingleWave is also the lesion arm the
+	// benchmarks flip to measure the pruning win, and it persists in
+	// snapshots. Exactness is schedule-independent; only scan counts differ.
 	Schedule Schedule
 	// RetainShardSnapshots keeps each shard's sub-solver snapshot bytes (the
 	// per-shard section of the persistence manifest) in memory after Build
@@ -202,15 +201,6 @@ type Config struct {
 	// (adapt.DefaultMinWindowUsers); negative disables baseline lock-in
 	// (and with it the scan-regression trigger).
 	DriftWindowUsers int
-	// AutoCores overrides the core count AutoSchedule resolution reads
-	// (waves.go decision table) — the deterministic test/operator override.
-	// 0 uses the resolved Threads count, which defaults to the measured
-	// GOMAXPROCS.
-	AutoCores int
-	// AutoSkewThreshold overrides the norm-skew ratio above which
-	// AutoSchedule picks the head-dominant TwoWave schedule (waves.go).
-	// 0 selects the default (DefaultAutoSkewThreshold).
-	AutoSkewThreshold float64
 	// WorkerDialer, when non-nil, places every shard behind a dialed Worker
 	// instead of the in-process one: Build snapshots each freshly built
 	// sub-solver into its persist section and dials it, Load dials the
@@ -310,8 +300,7 @@ type Sharded struct {
 	// retiredScans folds a sub-solver's scan counter into the composite
 	// total whenever the solver is replaced (rebuild, revival, retune), so
 	// scan/user rates survive sub-solver swaps. driftMu guards the
-	// baseline lock-in marks; normSkew caches the head/tail mean-norm
-	// ratio of the current cut for AutoSchedule resolution (waves.go).
+	// baseline lock-in marks.
 	driftAdds     []int64
 	driftRemoves  []int64
 	arrivalRoutes []int64
@@ -322,7 +311,6 @@ type Sharded struct {
 	userMark      int64
 	scanBaseline  float64
 	retunes       int
-	normSkew      float64
 }
 
 // New returns an unbuilt Sharded solver. Zero-valued config fields fall
@@ -467,12 +455,9 @@ func (s *Sharded) Build(users, items *mat.Matrix) error {
 	hf, ok := s.cfg.Partitioner.(HeadFirst)
 	s.headFirst = ok && hf.HeadFirst()
 	if s.headFirst {
-		norms := items.RowNorms()
-		s.normFloor = computeNormFloors(norms, parts)
-		s.normSkew = computeNormSkew(norms, parts)
+		s.normFloor = computeNormFloors(items.RowNorms(), parts)
 	} else {
 		s.normFloor = nil
-		s.normSkew = 0
 	}
 	s.gen = 0
 	s.mstats = MutationStats{}
@@ -577,33 +562,6 @@ func computeNormFloors(norms []float64, parts [][]int) []float64 {
 	return floors
 }
 
-// computeNormSkew measures how head-dominant a head-first cut is: the mean
-// member norm of the head shard over the mean member norm of the last
-// (flattest) shard. 1.0 means a flat catalog — the head has no score
-// advantage to harvest — while kdd-style skew yields ratios well above the
-// AutoSchedule threshold. Computed at cut time (Build, Load, retune
-// commit) where the row norms are already in hand; mutations do not
-// recompute it, so the cached value describes the *cut*, going stale
-// exactly as the cut itself does — which is what the drift triggers
-// measure and a retune refreshes.
-func computeNormSkew(norms []float64, parts [][]int) float64 {
-	if len(parts) < 2 {
-		return 0
-	}
-	mean := func(ids []int) float64 {
-		var sum float64
-		for _, id := range ids {
-			sum += norms[id]
-		}
-		return sum / float64(len(ids))
-	}
-	tail := mean(parts[len(parts)-1])
-	if tail <= 0 {
-		return math.Inf(1)
-	}
-	return mean(parts[0]) / tail
-}
-
 // buildShard (re)builds one shard's sub-solver over the given sub-matrix —
 // via the Planner when configured, the Factory otherwise — forwards the
 // composite's thread setting, and advances the shard's build counter. It is
@@ -651,8 +609,8 @@ func (s *Sharded) buildShard(sh *shardState, i int, users, subItems *mat.Matrix)
 // refreshComposite re-derives the cached composite properties — Batches and
 // the active wave schedule — from the current shard set. Called by Build
 // and after every mutation. Dead shards (emptied by removals) are skipped;
-// a dead head shard disables every floor-bearing schedule (there is nothing
-// to harvest floors from).
+// a dead head shard disables two-wave (there is nothing to harvest floors
+// from).
 func (s *Sharded) refreshComposite() {
 	shards := s.shards
 	s.batches = false
@@ -668,22 +626,11 @@ func (s *Sharded) refreshComposite() {
 			floorsOK = shards[i].count > 0
 		}
 	}
-	switch {
-	case !floorsOK || s.cfg.Schedule == SingleWave:
+	if floorsOK && s.cfg.Schedule != SingleWave {
+		s.active = TwoWave
+	} else {
 		s.active = SingleWave
-	case s.cfg.Schedule == AutoSchedule:
-		s.active = s.resolveAuto()
-	default:
-		s.active = s.cfg.Schedule
 	}
-}
-
-// TwoWave reports whether the active schedule is the two-wave floor-seeded
-// query path (see the package comment). False before Build.
-func (s *Sharded) TwoWave() bool {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	return s.shards != nil && s.active == TwoWave
 }
 
 // ScanStats implements mips.ScanCounter, summing every metered sub-solver.
@@ -750,14 +697,7 @@ func (s *Sharded) QueryCtx(ctx context.Context, userIDs []int, k int, opts mips.
 	if err := mips.ValidateQueryOptions(userIDs, opts); err != nil {
 		return nil, err
 	}
-	floors := opts.Floors
-	if opts.Board != nil {
-		// A live caller board becomes a static snapshot: the wave schedules
-		// own the composite's internal board, and a snapshot of a
-		// monotonically rising board is a valid floor.
-		floors = opts.Board.Snapshot()
-	}
-	return s.query(ctx, userIDs, k, floors, nil)
+	return s.query(ctx, userIDs, k, opts.Floors, nil)
 }
 
 // QueryPartial implements mips.PartialQuerier: answer from the healthy
@@ -794,14 +734,9 @@ func (s *Sharded) query(ctx context.Context, userIDs []int, k int, extFloors []f
 	defer s.putScratch(sc)
 	partial := cov != nil
 	var err error
-	switch s.active {
-	case TwoWave:
+	if s.active == TwoWave {
 		err = s.queryTwoWave(ctx, userIDs, k, extFloors, sc, partial)
-	case Cascade:
-		err = s.queryCascade(ctx, userIDs, k, extFloors, sc, partial)
-	case Pipelined:
-		err = s.queryPipelined(ctx, userIDs, k, extFloors, sc, partial)
-	default:
+	} else {
 		err = s.fanOut(ctx, 0, userIDs, k, extFloors, sc, partial)
 	}
 	if partial {
@@ -927,7 +862,7 @@ func (s *Sharded) queryShard(ctx context.Context, si int, userIDs []int, k int, 
 	if kq > sh.count {
 		kq = sh.count
 	}
-	res, err := s.shardQuery(ctx, sh, si, ids, kq, qf, nil, sc)
+	res, err := s.shardQuery(ctx, sh, si, ids, kq, qf, sc)
 	if err == nil {
 		err = sc.perr[si] // a recovered panic left a typed error behind
 	}
@@ -956,12 +891,12 @@ func (s *Sharded) queryShard(ctx context.Context, si int, userIDs []int, k int, 
 }
 
 // shardQuery dispatches one shard's query to its Worker under panic
-// containment (recoverShard); the coordinator only routes. At most one of
-// floors and board may be non-nil. A recovered panic leaves (nil, nil) here
-// and its typed error in sc.perr[si] — the caller folds it back in.
-func (s *Sharded) shardQuery(ctx context.Context, sh *shardState, si int, userIDs []int, kq int, floors []float64, board *topk.FloorBoard, sc *queryScratch) (res [][]topk.Entry, err error) {
+// containment (recoverShard); the coordinator only routes. A recovered panic
+// leaves (nil, nil) here and its typed error in sc.perr[si] — the caller
+// folds it back in.
+func (s *Sharded) shardQuery(ctx context.Context, sh *shardState, si int, userIDs []int, kq int, floors []float64, sc *queryScratch) (res [][]topk.Entry, err error) {
 	defer recoverShard(sc, si)
-	return sh.w.Query(ctx, userIDs, kq, floors, board)
+	return sh.w.Query(ctx, userIDs, kq, floors, nil)
 }
 
 // fillCoverage derives the partial-mode Coverage report from the fan-out's

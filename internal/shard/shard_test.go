@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -359,6 +360,9 @@ func planningCorpus(t testing.TB, seed int64) (*mat.Matrix, *mat.Matrix) {
 // either way. The decision is a wall-clock measurement, so (as in the
 // repository's other winner assertions) a wrong winner is re-measured a
 // few times before the test fails; exactness is asserted on every attempt.
+// Each attempt starts from a collected heap, as testing.B's runs do: the
+// samples take well under a millisecond, and a collection landing inside
+// one doubles it, at the same point of every attempt alike.
 // Under the race detector only exactness is asserted: it slows MAXIMUS's Go
 // walk but not BMM's assembly kernel, so BMM wins both shards there.
 func TestPerShardPlanningPicksDifferentWinners(t *testing.T) {
@@ -369,6 +373,7 @@ func TestPerShardPlanningPicksDifferentWinners(t *testing.T) {
 	const k = 5
 	const attempts = 3
 	for attempt := 1; ; attempt++ {
+		runtime.GC()
 		sh := New(Config{
 			Shards:      2,
 			Partitioner: Contiguous(),
@@ -487,7 +492,7 @@ func TestTwoWaveMatchesSingleWave(t *testing.T) {
 					if err := blind.Build(m.Users, m.Items); err != nil {
 						t.Fatal(err)
 					}
-					if blind.TwoWave() {
+					if blind.ActiveSchedule() == TwoWave {
 						t.Fatal("Schedule: SingleWave must force single-wave")
 					}
 					want, err := blind.QueryAll(k)
@@ -500,7 +505,7 @@ func TestTwoWaveMatchesSingleWave(t *testing.T) {
 					if err := seeded.Build(m.Users, m.Items); err != nil {
 						t.Fatal(err)
 					}
-					if !seeded.TwoWave() {
+					if seeded.ActiveSchedule() != TwoWave {
 						t.Fatalf("by-norm Sharded(%s) must enable the two-wave path", sub)
 					}
 					got, err := seeded.QueryAll(k)
@@ -604,8 +609,8 @@ func TestTwoWaveFallbacks(t *testing.T) {
 			if err := sh.Build(m.Users, m.Items); err != nil {
 				t.Fatal(err)
 			}
-			if sh.TwoWave() != tc.twoWave {
-				t.Fatalf("two-wave = %v, want %v", sh.TwoWave(), tc.twoWave)
+			if got := sh.ActiveSchedule() == TwoWave; got != tc.twoWave {
+				t.Fatalf("two-wave = %v, want %v", got, tc.twoWave)
 			}
 			res, err := sh.QueryAll(k)
 			if err != nil {

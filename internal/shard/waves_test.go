@@ -23,8 +23,10 @@ func TestScheduleNames(t *testing.T) {
 			t.Fatalf("round-trip %v -> %q -> %v", sc, sc.String(), got)
 		}
 	}
-	if _, err := ParseSchedule("bogus"); err == nil {
-		t.Fatal("unknown name must fail")
+	for _, name := range []string{"bogus", "cascade", "pipelined"} {
+		if _, err := ParseSchedule(name); err == nil {
+			t.Fatalf("ParseSchedule(%q) must fail", name)
+		}
 	}
 	if s := Schedule(99).String(); s != "Schedule(99)" {
 		t.Fatalf("invalid String = %q", s)
@@ -35,11 +37,11 @@ func TestScheduleNames(t *testing.T) {
 }
 
 // TestScheduleResolution pins how requested schedules resolve against
-// eligibility: floor schedules fall back to SingleWave whenever floor
-// propagation is unavailable (and only then — a Naive tail is eligible, its
-// QueryCtx honors floors), AutoSchedule resolves to TwoWave when available,
-// an explicit SingleWave is always honored, every resolution answers
-// exactly, and re-scheduling a built composite re-resolves.
+// eligibility: TwoWave falls back to SingleWave whenever floor propagation
+// is unavailable (and only then — a Naive tail is eligible, its QueryCtx
+// honors floors), AutoSchedule resolves to TwoWave when available, an
+// explicit SingleWave is always honored, every resolution answers exactly,
+// and re-scheduling a built composite re-resolves.
 func TestScheduleResolution(t *testing.T) {
 	m := model(t, "netflix-nomad-10", 0.02)
 	lempF := factories()["LEMP"]
@@ -51,14 +53,11 @@ func TestScheduleResolution(t *testing.T) {
 	}{
 		{"auto-eligible", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF}, TwoWave},
 		{"auto-contiguous", Config{Shards: 3, Factory: lempF}, SingleWave},
-		{"cascade-eligible", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF, Schedule: Cascade}, Cascade},
-		{"pipelined-eligible", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF, Schedule: Pipelined}, Pipelined},
 		{"two-wave-explicit", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF, Schedule: TwoWave}, TwoWave},
 		{"single-explicit", Config{Shards: 3, Partitioner: ByNorm(), Factory: lempF, Schedule: SingleWave}, SingleWave},
-		{"cascade-contiguous", Config{Shards: 3, Factory: lempF, Schedule: Cascade}, SingleWave},
-		{"cascade-naive-tail", Config{Shards: 3, Partitioner: ByNorm(), Factory: naiveF, Schedule: Cascade}, Cascade},
-		{"pipelined-disabled", Config{Shards: 3, Factory: lempF, Schedule: Pipelined}, SingleWave},
-		{"cascade-S1", Config{Shards: 1, Partitioner: ByNorm(), Factory: lempF, Schedule: Cascade}, SingleWave},
+		{"two-wave-contiguous", Config{Shards: 3, Factory: lempF, Schedule: TwoWave}, SingleWave},
+		{"two-wave-naive-tail", Config{Shards: 3, Partitioner: ByNorm(), Factory: naiveF, Schedule: TwoWave}, TwoWave},
+		{"two-wave-S1", Config{Shards: 1, Partitioner: ByNorm(), Factory: lempF, Schedule: TwoWave}, SingleWave},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,11 +96,11 @@ func TestScheduleResolution(t *testing.T) {
 	if sh.ActiveSchedule() != TwoWave {
 		t.Fatalf("auto resolved to %v, want TwoWave", sh.ActiveSchedule())
 	}
-	if err := sh.SetScheduleByName("cascade"); err != nil {
+	if err := sh.SetScheduleByName("single"); err != nil {
 		t.Fatal(err)
 	}
-	if sh.ActiveSchedule() != Cascade {
-		t.Fatalf("after SetScheduleByName: %v, want Cascade", sh.ActiveSchedule())
+	if sh.ActiveSchedule() != SingleWave {
+		t.Fatalf("after SetScheduleByName: %v, want SingleWave", sh.ActiveSchedule())
 	}
 	if err := sh.SetScheduleByName("warp"); err == nil {
 		t.Fatal("bad schedule name must fail")
@@ -112,11 +111,11 @@ func TestScheduleResolution(t *testing.T) {
 }
 
 // TestSchedulesMatchSingleWave is the wave-scheduling equivalence matrix:
-// for every floor-capable sub-solver, shard count, and floor schedule, the
-// scheduled query over the by-norm partition returns entry-for-entry
-// identical results to the blind single-wave fan-out, and the composite's
-// own floored query honors the floor contract (VerifyFloorPrefix) under the
-// same schedule. Schedules may only change work, never answers.
+// for every floor-capable sub-solver, shard count and schedule, the query
+// over the by-norm partition returns entry-for-entry identical results to
+// the blind single-wave fan-out, and the composite's own floored query
+// honors the floor contract (VerifyFloorPrefix) under the same schedule.
+// Schedules may only change work, never answers.
 func TestSchedulesMatchSingleWave(t *testing.T) {
 	m := model(t, "netflix-nomad-25", 0.04)
 	const k = 7
@@ -146,7 +145,7 @@ func TestSchedulesMatchSingleWave(t *testing.T) {
 					floors[i] = want[i][0].Score
 				}
 			}
-			for _, sched := range []Schedule{TwoWave, Cascade, Pipelined} {
+			for _, sched := range []Schedule{SingleWave, TwoWave} {
 				t.Run(fmt.Sprintf("%s/S=%d/%s", sub, shards, sched), func(t *testing.T) {
 					sh := New(Config{
 						Shards: shards, Partitioner: ByNorm(),
@@ -177,119 +176,6 @@ func TestSchedulesMatchSingleWave(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestPipelinedConcurrentQueries drives one pipelined composite from many
-// goroutines at once — the shared-FloorBoard hot path the -race run
-// certifies. Every concurrent answer must match the blind baseline exactly.
-func TestPipelinedConcurrentQueries(t *testing.T) {
-	m := model(t, "netflix-nomad-25", 0.04)
-	const k = 5
-	factory := factories()["LEMP"]
-	blind := New(Config{Shards: 4, Partitioner: ByNorm(), Factory: factory, Schedule: SingleWave})
-	if err := blind.Build(m.Users, m.Items); err != nil {
-		t.Fatal(err)
-	}
-	want, err := blind.QueryAll(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := New(Config{Shards: 4, Partitioner: ByNorm(), Factory: factory, Schedule: Pipelined})
-	if err := sh.Build(m.Users, m.Items); err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	const rounds = 3
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for r := 0; r < rounds; r++ {
-				got, err := sh.QueryAll(k)
-				if err != nil {
-					errs <- err
-					return
-				}
-				for u := range want {
-					if len(got[u]) != len(want[u]) {
-						errs <- fmt.Errorf("worker %d round %d user %d: %d entries, want %d",
-							w, r, u, len(got[u]), len(want[u]))
-						return
-					}
-					for i := range want[u] {
-						if got[u][i].Item != want[u][i].Item {
-							errs <- fmt.Errorf("worker %d round %d user %d rank %d: item %d, want %d",
-								w, r, u, i, got[u][i].Item, want[u][i].Item)
-							return
-						}
-					}
-				}
-			}
-			errs <- nil
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// scheduledScans builds (or re-schedules) and measures one warmed QueryAll's
-// total scan count under a schedule.
-func scheduledScans(t *testing.T, sh *Sharded, sched Schedule, k int) int64 {
-	t.Helper()
-	if err := sh.SetSchedule(sched); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.QueryAll(k); err != nil { // warm tuning caches (LEMP)
-		t.Fatal(err)
-	}
-	sh.ResetScanStats()
-	if _, err := sh.QueryAll(k); err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, st := range sh.WaveScanStats() {
-		total += st.Scanned
-	}
-	return total
-}
-
-// TestCascadeCutsScansVsTwoWave is the tentpole acceptance: on the
-// norm-skewed kdd model at the benchmark scale, the cascade's union-k floors
-// must never scan more than the head-only two-wave floors, and must scan
-// strictly less where the tightening has room to bite — LEMP at both shard
-// counts (bucket-granular pruning reacts to any floor change) and MAXIMUS at
-// S=8 (at S=4 its block-quantized Equation-3 walks absorb the small floor
-// delta and the counts tie exactly). Scan counters on the serial schedules
-// are deterministic, so these are stable assertions, unlike wall-clock.
-func TestCascadeCutsScansVsTwoWave(t *testing.T) {
-	m := model(t, "kdd-nomad-50", 0.12)
-	const k = 10
-	for _, sub := range []string{"LEMP", "MAXIMUS"} {
-		factory := factories()[sub]
-		for _, shards := range []int{4, 8} {
-			t.Run(fmt.Sprintf("%s/S=%d", sub, shards), func(t *testing.T) {
-				sh := New(Config{Shards: shards, Partitioner: ByNorm(), Factory: factory})
-				if err := sh.Build(m.Users, m.Items); err != nil {
-					t.Fatal(err)
-				}
-				single := scheduledScans(t, sh, SingleWave, k)
-				two := scheduledScans(t, sh, TwoWave, k)
-				cascade := scheduledScans(t, sh, Cascade, k)
-				t.Logf("%s S=%d: single=%d two-wave=%d cascade=%d", sub, shards, single, two, cascade)
-				if two >= single {
-					t.Fatalf("two-wave scans %d, single-wave %d — floors must prune", two, single)
-				}
-				if cascade > two {
-					t.Fatalf("cascade scans %d, two-wave %d — union floors must never add work", cascade, two)
-				}
-				if cascade == two && !(sub == "MAXIMUS" && shards == 4) {
-					t.Fatalf("cascade scans %d == two-wave — union floors must cut scans here", cascade)
-				}
-			})
 		}
 	}
 }
@@ -353,10 +239,7 @@ func TestQueryAllocations(t *testing.T) {
 	}
 	const k = 5
 	ids := mips.AllUserIDs(users.Rows())
-	for _, sched := range []Schedule{SingleWave, TwoWave, Cascade} {
-		if sched == Cascade {
-			continue // cascade's running heaps are documented per-query allocations
-		}
+	for _, sched := range []Schedule{SingleWave, TwoWave} {
 		t.Run(sched.String(), func(t *testing.T) {
 			sh := New(Config{
 				Shards: 4, Partitioner: ByNorm(), Threads: 1, Schedule: sched,
@@ -382,8 +265,8 @@ func TestQueryAllocations(t *testing.T) {
 }
 
 // TestWaveScanStatsGrouping pins the per-wave stats contract: [head, Σtails]
-// under TwoWave, one entry per shard under Cascade and Pipelined, a single
-// total under SingleWave — all summing to the same per-shard counters.
+// under TwoWave, a single total under SingleWave — both summing to the same
+// per-shard counters.
 func TestWaveScanStatsGrouping(t *testing.T) {
 	m := model(t, "netflix-nomad-10", 0.02)
 	const k = 3
@@ -399,7 +282,7 @@ func TestWaveScanStatsGrouping(t *testing.T) {
 		return n
 	}
 	for sched, wantWaves := range map[Schedule]int{
-		SingleWave: 1, TwoWave: 2, Cascade: 3, Pipelined: 3,
+		SingleWave: 1, TwoWave: 2,
 	} {
 		if err := sh.SetSchedule(sched); err != nil {
 			t.Fatal(err)
@@ -434,7 +317,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 			Factory: factories()["LEMP"],
 		})
 	}
-	for _, sched := range []Schedule{AutoSchedule, SingleWave, TwoWave, Cascade, Pipelined} {
+	for _, sched := range []Schedule{AutoSchedule, SingleWave, TwoWave} {
 		t.Run(sched.String(), func(t *testing.T) {
 			src := mk(sched)
 			if err := src.Build(m.Users, m.Items); err != nil {
@@ -488,11 +371,11 @@ func TestScheduleRoundTrip(t *testing.T) {
 	if err := auto.Save(&a); err != nil {
 		t.Fatal(err)
 	}
-	cascade := mk(Cascade)
-	if err := cascade.Build(m.Users, m.Items); err != nil {
+	single := mk(SingleWave)
+	if err := single.Build(m.Users, m.Items); err != nil {
 		t.Fatal(err)
 	}
-	if err := cascade.Save(&b); err != nil {
+	if err := single.Save(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()[:a.Len()]) {

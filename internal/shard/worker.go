@@ -6,7 +6,7 @@
 // merge, floor-propagation, quarantine/revival, and retune machinery.
 //
 // The contract is deliberately minimal: one query entry point covering every
-// dispatch mode the coordinator uses (ctx, static floors, live board), the
+// dispatch mode the coordinator uses (ctx, static floors), the
 // three mutation calls the dirty-shard paths need, a snapshot for persistence
 // and revival, scan accounting, and a static capability word. Capabilities
 // are reported once at attach time (Caps) instead of probed per call with
@@ -28,7 +28,7 @@ import (
 // the contract the underlying solver actually implements. The coordinator
 // gates on these exactly where it used to gate on interface assertions —
 // the mutation patch paths, scan accounting, snapshot capture. Queries need
-// no capability: every solver answers floors, boards and deadlines through
+// no capability: every solver answers floors and deadlines through
 // mips.Solver.QueryCtx. A transport client forwards the worker-side word
 // verbatim.
 type WorkerCaps struct {
@@ -58,11 +58,12 @@ type WorkerCaps struct {
 // queries, exclusive mutation).
 //
 // Query is the single dispatch entry point. ctx may be nil (never cancels);
-// at most one of floors and board is non-nil. The floor contract is
+// floors may be nil (a blind query). The floor contract is
 // mips.Solver.QueryCtx's: seeded results must be a prefix of the unseeded
-// ones with ties at the floor retained. A worker that cannot carry a live
-// board (a transport) snapshots it into static floors, which the contract
-// permits.
+// ones with ties at the floor retained. The coordinator always passes a nil
+// board and implementations ignore it: the parameter stays only because
+// benchmark/trace.go's tracedWorker implements this exact signature, and it
+// goes when Query takes mips.QueryOptions instead (ROADMAP item 6).
 //
 // Error semantics carry the containment policy (health.go settle): a context
 // error returned from Query must satisfy errors.Is against context.Canceled
@@ -151,9 +152,10 @@ type localWorker struct {
 // calls this.
 func (w *localWorker) Solver() mips.Solver { return w.solver }
 
-// Query implements Worker through the solver's QueryCtx.
-func (w *localWorker) Query(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, error) {
-	return w.solver.QueryCtx(ctx, userIDs, k, mips.QueryOptions{Floors: floors, Board: board})
+// Query implements Worker through the solver's QueryCtx; board is always nil
+// (see Worker).
+func (w *localWorker) Query(ctx context.Context, userIDs []int, k int, floors []float64, _ *topk.FloorBoard) ([][]topk.Entry, error) {
+	return w.solver.QueryCtx(ctx, userIDs, k, mips.QueryOptions{Floors: floors})
 }
 
 // AddItems implements Worker (gated by Caps().Mutable).

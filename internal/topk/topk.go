@@ -83,32 +83,6 @@ func (h *Heap) SetFloor(floor float64) {
 	h.seeded = !math.IsInf(floor, -1)
 }
 
-// RaiseFloor tightens the floor mid-query, the live-floor counterpart of
-// SetFloor: lower-or-equal floors and NaN are no-ops, so feeding it a
-// monotone FloorBoard cell is always safe. Unlike SetFloor it may be called
-// on a populated heap; retained entries strictly below the new floor are
-// evicted (ties at the floor survive, exactly as Push retains them). The
-// eviction is what keeps the floor contract exact: without it, a retained
-// sub-floor entry could occupy a slot that a later, better candidate —
-// itself rejected against the raised floor — was entitled to, and the result
-// would no longer be entry-for-entry the prefix a statically seeded query at
-// the final floor produces.
-func (h *Heap) RaiseFloor(floor float64) {
-	if floor != floor || floor <= h.floor {
-		return
-	}
-	h.floor = floor
-	h.seeded = true
-	for len(h.entries) > 0 && h.entries[0].Score < floor {
-		n := len(h.entries) - 1
-		h.entries[0] = h.entries[n]
-		h.entries = h.entries[:n]
-		if n > 1 {
-			h.siftDown(0)
-		}
-	}
-}
-
 // Floor returns the current floor (-Inf when unseeded).
 func (h *Heap) Floor() float64 { return h.floor }
 

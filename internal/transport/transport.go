@@ -328,12 +328,8 @@ func encode(fill func(*persist.Encoder)) ([]byte, error) {
 	return e.Finish()
 }
 
-// Query implements shard.Worker. A live board is snapshotted into static
-// floors before encoding — the only floor form that crosses a wire.
-func (c *Client) Query(ctx context.Context, userIDs []int, k int, floors []float64, board *topk.FloorBoard) ([][]topk.Entry, error) {
-	if board != nil {
-		floors = board.Snapshot()
-	}
+// Query implements shard.Worker; board is always nil (see shard.Worker).
+func (c *Client) Query(ctx context.Context, userIDs []int, k int, floors []float64, _ *topk.FloorBoard) ([][]topk.Entry, error) {
 	req, err := encode(func(e *persist.Encoder) {
 		e.Ints(userIDs)
 		e.Int(k)

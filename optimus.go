@@ -86,10 +86,9 @@ type Entry = topk.Entry
 type Solver = mips.Solver
 
 // QueryOptions carries the optional floor source of a Solver.QueryCtx call:
-// static per-user floors, or a live floor board, or neither. A floor-seeded
-// row is the prefix of the unseeded row whose scores are at or above the
-// user's floor (ties kept), identically ranked; the sharded two-wave query
-// path is built on it.
+// static per-user floors, or none. A floor-seeded row is the prefix of the
+// unseeded row whose scores are at or above the user's floor (ties kept),
+// identically ranked; the sharded two-wave query path is built on it.
 type QueryOptions = mips.QueryOptions
 
 // ItemMutator is the optional Solver refinement for mutable item corpora —
@@ -266,21 +265,18 @@ type ShardPlan = shard.Plan
 
 // WaveSchedule selects how a Sharded query fans out across shards and how
 // completed shards' partial results tighten the floors of the rest (see
-// ShardedConfig.Schedule and Sharded.SetSchedule): ScheduleAuto resolves to
-// two-wave when floor propagation is available; ScheduleSingle is the blind
-// fan-out; ScheduleCascade runs serial waves with union-k floors;
-// SchedulePipelined runs every shard concurrently over a live floor board.
+// ShardedConfig.Schedule and Sharded.SetSchedule): ScheduleTwoWave answers
+// the head shard first and seeds every tail shard with its per-user k-th
+// score; ScheduleSingle is the blind fan-out; ScheduleAuto resolves to
+// two-wave when floor propagation is available and to single otherwise.
 // Results are exact under every schedule.
 type WaveSchedule = shard.Schedule
 
-// The wave schedules, by canonical name ("auto", "single", "two-wave",
-// "cascade", "pipelined").
+// The wave schedules, by canonical name ("auto", "single", "two-wave").
 const (
-	ScheduleAuto      = shard.AutoSchedule
-	ScheduleSingle    = shard.SingleWave
-	ScheduleTwoWave   = shard.TwoWave
-	ScheduleCascade   = shard.Cascade
-	SchedulePipelined = shard.Pipelined
+	ScheduleAuto    = shard.AutoSchedule
+	ScheduleSingle  = shard.SingleWave
+	ScheduleTwoWave = shard.TwoWave
 )
 
 // ParseWaveSchedule maps a canonical schedule name to its WaveSchedule.
@@ -369,8 +365,8 @@ type ShardHealth = shard.ShardHealth
 type ShardWorker = shard.Worker
 
 // ShardWorkerCaps declares which optional surfaces a worker supports; the
-// coordinator consults it instead of type-asserting, so capability loss
-// across a wire (e.g. no live floor boards) degrades schedules gracefully.
+// coordinator consults it instead of type-asserting, so a worker reached
+// across a wire reports what its far-side solver supports.
 type ShardWorkerCaps = shard.WorkerCaps
 
 // ShardWorkerDialer connects shard index i to its worker during Build/Load,
