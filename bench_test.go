@@ -55,7 +55,7 @@ func benchQueryAll(b *testing.B, m *dataset.Model, solver string, k int) {
 	if err := s.Build(m.Users, m.Items); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := s.QueryAll(k); err != nil { // warm tuning caches (LEMP)
+	if _, err := s.QueryAll(k); err != nil { // measure and pack LEMP's head
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -154,12 +154,17 @@ func TestGoldenSnapshots(t *testing.T) {
 // re-save to today's golden of its kind. maximus-sampled-blocks.osnp was
 // written when MAXIMUS sized each cluster's first walk segment from sampled
 // walks, so its block-size slot holds per-cluster values ([0 15 0 9 0 0 0
-// 0]) where a fresh Save writes one constant.
+// 0]) where a fresh Save writes one constant. lemp-tuned.osnp and
+// sharded-tuned.osnp were written when LEMP chose a retrieval routine per
+// bucket: each LEMP snapshot in them ends in a "tunings" section of those
+// choices, which today's reader leaves unread.
 func TestGoldenLoadOnly(t *testing.T) {
 	users, items := goldenCorpus()
 	const k = 5
 	for _, g := range []struct{ file, kind string }{
 		{"maximus-sampled-blocks.osnp", "maximus"},
+		{"lemp-tuned.osnp", "lemp"},
+		{"sharded-tuned.osnp", "sharded"},
 	} {
 		t.Run(g.file, func(t *testing.T) {
 			var built Solver
@@ -231,8 +236,8 @@ func TestGoldenVersionSkew(t *testing.T) {
 }
 
 // TestGoldenScheduleEvolution pins the additive-evolution contract of the
-// wave-schedule section: the committed v1 sharded golden (written before
-// schedules existed) still loads and resolves to two-wave, a re-save of it
+// wave-schedule section: the committed v1 sharded golden (which carries no
+// schedule section) still loads and resolves to two-wave, a re-save of it
 // stays byte-identical (the default writes no schedule section), a
 // schedule-bearing snapshot — the same stream plus one trailing section —
 // round-trips the requested schedule with identical answers, and a stream

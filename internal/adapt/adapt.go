@@ -57,8 +57,8 @@ type DriftStats struct {
 	ArrivalSkew float64
 	// BaselineScanPerUser is the locked build-time scan-rate baseline:
 	// scanned candidates per served user measured over the first
-	// DriftWindowUsers users after the last (re)structure. Zero until the
-	// window fills (or when the structure is unmetered) — scan-regression
+	// DefaultMinWindowUsers users after the last (re)structure. Zero until
+	// the window fills (or when the structure is unmetered) — scan-regression
 	// triggers stay silent until it locks.
 	BaselineScanPerUser float64
 	// ScannedSinceBaseline / UsersSinceBaseline are the post-lock meters

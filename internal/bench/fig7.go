@@ -18,8 +18,10 @@ var fig7Ratios = []float64{0.005, 0.01, 0.02, 0.05, 0.10}
 // OPTIMUS's sampled runtime estimates per strategy across sample ratios,
 // with mean ± stddev over repeats, against the true runtimes. The paper's
 // finding: estimates are tight for BMM/MAXIMUS/FEXIPRO but visibly noisier
-// for LEMP, whose internal per-bucket algorithm adaptation changes with the
-// sample.
+// for LEMP, which the paper credits to LEMP's per-bucket routine
+// adaptation. The LEMP measured here is LEMP-LI, INCR in every bucket, and
+// adapts nothing to the sample, so its dispersion comes from the sampled
+// users alone.
 //
 // Every strategy, BMM included, is estimated on the whole sample: the runs
 // set DisableTTest, which turns off both the t-test and the sample race

@@ -25,16 +25,11 @@ type OptimusConfig struct {
 	// exhibits the blocked kernel's real throughput rather than degraded
 	// matrix–vector behaviour. Default 256 KiB, the paper's machine.
 	L2CacheBytes int
-	// Alpha is the t-test significance threshold for early stopping.
-	Alpha float64
 	// DisableTTest turns off early stopping of every kind (ablation A3):
 	// point-query indexes skip the incremental t-test, and the sample race
 	// that cuts a batching candidate — BMM included — once it has lost is
 	// off, so every strategy is measured on the whole sample.
 	DisableTTest bool
-	// MinTTestObservations is the minimum per-user measurements before the
-	// t-test may stop early.
-	MinTTestObservations int
 	// Seed drives sample selection.
 	Seed int64
 	// Threads is the parallelism of the whole run; 0 (the zero value)
@@ -51,12 +46,17 @@ type OptimusConfig struct {
 // resolves at construction.
 func DefaultOptimusConfig() OptimusConfig {
 	return OptimusConfig{
-		SampleFraction:       0.005,
-		L2CacheBytes:         256 << 10,
-		Alpha:                0.05,
-		MinTTestObservations: 8,
+		SampleFraction: 0.005,
+		L2CacheBytes:   256 << 10,
 	}
 }
+
+// The incremental t-test that stops a point-query index's sample early
+// (§IV-A): significance level, and the per-user measurements it needs first.
+const (
+	tTestAlpha           = 0.05
+	minTTestObservations = 8
+)
 
 // Estimate is one strategy's sampled runtime projection.
 type Estimate struct {
@@ -174,12 +174,6 @@ func NewOptimus(cfg OptimusConfig, indexes ...mips.Solver) *Optimus {
 	}
 	if cfg.L2CacheBytes <= 0 {
 		cfg.L2CacheBytes = def.L2CacheBytes
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
-		cfg.Alpha = def.Alpha
-	}
-	if cfg.MinTTestObservations <= 1 {
-		cfg.MinTTestObservations = def.MinTTestObservations
 	}
 	cfg.Threads = parallel.Resolve(cfg.Threads)
 	return &Optimus{
@@ -423,7 +417,7 @@ func (o *Optimus) measure(users, items *mat.Matrix, k int, shared *SharedMeasure
 		// Point-query index: per-user measurement with the incremental
 		// one-sample t-test against the fastest completed per-user time.
 		est := Estimate{Solver: idx.Name(), BuildTime: buildTimes[i]}
-		tt := stats.NewTTest(race.best.Seconds()/float64(sampleSize), o.cfg.Alpha)
+		tt := stats.NewTTest(race.best.Seconds()/float64(sampleSize), tTestAlpha)
 		res := make([][]topk.Entry, 0, sampleSize)
 		for _, u := range sampleIDs {
 			q0 := time.Now()
@@ -435,7 +429,7 @@ func (o *Optimus) measure(users, items *mat.Matrix, k int, shared *SharedMeasure
 			est.SampleTime += dt
 			res = append(res, r[0])
 			tt.Add(dt.Seconds())
-			if !o.cfg.DisableTTest && tt.N() >= o.cfg.MinTTestObservations && tt.Significant() {
+			if !o.cfg.DisableTTest && tt.N() >= minTTestObservations && tt.Significant() {
 				est.EarlyStopped = true
 				break
 			}

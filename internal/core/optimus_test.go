@@ -104,7 +104,7 @@ func TestOptimusResultsAlwaysExact(t *testing.T) {
 			o := NewOptimus(
 				OptimusConfig{SampleFraction: 0.05, L2CacheBytes: 1 << 10, Seed: 3},
 				NewMaximus(MaximusConfig{Seed: 3}),
-				lemp.New(lemp.Config{TuneSample: 0}),
+				lemp.New(lemp.Config{}),
 			)
 			dec, res, err := o.Run(users, items, 5)
 			if err != nil {
@@ -252,7 +252,7 @@ func TestOptimusThreeWay(t *testing.T) {
 	o := NewOptimus(
 		OptimusConfig{SampleFraction: 0.1, L2CacheBytes: 1 << 10, Seed: 10},
 		NewMaximus(MaximusConfig{Seed: 10}),
-		lemp.New(lemp.Config{TuneSample: 0}),
+		lemp.New(lemp.Config{}),
 	)
 	dec, res, err := o.Run(users, items, 5)
 	if err != nil {

@@ -30,7 +30,7 @@ func built(t *testing.T) (*lemp.Index, *mat.Matrix) {
 			items.Row(i)[j] = rng.NormFloat64() * scale
 		}
 	}
-	x := lemp.New(lemp.Config{TuneSample: 0, Seed: 1})
+	x := lemp.New(lemp.Config{Seed: 1})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}

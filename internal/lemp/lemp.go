@@ -8,20 +8,18 @@
 // and partitioned into buckets of roughly equal cardinality. A user's top-K
 // query walks buckets in norm order; once the bucket's largest norm cannot
 // beat the current K-th score (‖u‖·ℓmax ≤ θ) the walk stops. Within a bucket
-// the candidate subproblem is solved by one of three retrieval routines —
-// LENGTH (norm pruning), INCR (partial inner products with a Cauchy–Schwarz
-// tail bound), or NAIVE (full scan) — chosen per bucket by timing each
-// routine on a small sample of users, exactly the runtime adaptation that
-// the paper observes makes LEMP's sampled runtime estimates noisy (Fig 7).
+// every candidate goes through INCR: norm pruning, then partial inner
+// products with a Cauchy–Schwarz bound on the tail at two checkpoints. No
+// routine is chosen and nothing is timed at query time.
 //
 // The users of one call share their first buckets. The head — the leading
 // buckets the median sampled user enters — is scored for every user of a
 // parallel chunk whose floor cannot prune inside it as one blocked multiply
 // against a packed copy of those rows (MAXIMUS's shared block, §III-B), and
-// each walk then resumes after the head. All three routines sum a score in
-// the multiply's order (blas.DotFrom), so a walked score equals a multiplied
-// one to the bit: answers do not depend on the routine, on which users were
-// batched together, or on whether the head was used.
+// each walk then resumes after the head. INCR sums a score in the multiply's
+// order (blas.DotFrom), so a walked score equals a multiplied one to the bit:
+// answers do not depend on which users were batched together, or on whether
+// the head was used.
 package lemp
 
 import (
@@ -42,50 +40,21 @@ import (
 	"optimus/internal/topk"
 )
 
-// Algorithm identifies a within-bucket retrieval routine.
-type Algorithm int
-
-// Within-bucket retrieval routines.
-const (
-	AlgoLength Algorithm = iota // norm-product pruning, items in norm order
-	AlgoIncr                    // partial inner products + Cauchy–Schwarz tail
-	AlgoNaive                   // unpruned scan
-	numAlgos
-)
-
-// String returns the routine name as used in LEMP's literature.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoLength:
-		return "LENGTH"
-	case AlgoIncr:
-		return "INCR"
-	case AlgoNaive:
-		return "NAIVE"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// Config controls index construction and tuning.
+// Config controls index construction and querying.
 type Config struct {
 	// BucketSize is the number of items per bucket (last bucket may be
 	// smaller). The LEMP paper uses cardinality-balanced buckets sized so a
 	// bucket fits in cache; 512 items ≈ 400 KB at f=100.
 	BucketSize int
-	// TuneSample is the number of users timed per retrieval routine when
-	// choosing each bucket's algorithm. 0 disables tuning and uses INCR
-	// everywhere (the "LI" default).
-	TuneSample int
 	// Threads parallelizes QueryAll across users.
 	Threads int
-	// Seed drives tuning-sample selection.
+	// Seed drives the selection of the users whose walks size the head.
 	Seed int64
 }
 
 // DefaultConfig mirrors the settings used for the paper's benchmarks.
 func DefaultConfig() Config {
-	return Config{BucketSize: 512, TuneSample: 24, Threads: 1, Seed: 1}
+	return Config{BucketSize: 512, Threads: 1, Seed: 1}
 }
 
 type bucket struct {
@@ -93,12 +62,9 @@ type bucket struct {
 	maxNorm float64 // norm of the first (largest) item in the bucket
 }
 
-// tuning holds what LEMP adapts for one value of k: the per-bucket routine
-// choices and the head.
+// tuning holds what LEMP adapts for one value of k: the head.
 type tuning struct {
-	algos []Algorithm // nil until chosen, and after the bucket count changed
-	// headBuckets is the head's depth in buckets, 0 until measured (a
-	// snapshot restores algos only).
+	// headBuckets is the head's depth in buckets, 0 until measured.
 	headBuckets int
 	// head is sorted rows [0, buckets[headBuckets-1].hi) packed for
 	// blas.GemmNTPacked: nil until a call first has a user eligible for it,
@@ -131,7 +97,8 @@ type Index struct {
 	tunings map[int]*tuning
 
 	// scanned counts candidate evaluations across queries (mips.ScanCounter);
-	// tuning-sample walks are measurement overhead and are not counted.
+	// the walks that size the head are measurement overhead and are not
+	// counted.
 	scanned atomic.Int64
 
 	// scratches recycles the per-chunk scratch, whose head operands are
@@ -146,15 +113,10 @@ type Index struct {
 
 // New returns an unbuilt LEMP index with the given configuration. A zero
 // BucketSize falls back to DefaultConfig's and a zero Threads to the
-// package-wide default; a zero TuneSample is kept and means INCR in every
-// bucket (see Config).
+// package-wide default.
 func New(cfg Config) *Index {
-	def := DefaultConfig()
 	if cfg.BucketSize <= 0 {
-		cfg.BucketSize = def.BucketSize
-	}
-	if cfg.TuneSample < 0 {
-		cfg.TuneSample = 0
+		cfg.BucketSize = DefaultConfig().BucketSize
 	}
 	cfg.Threads = parallel.Resolve(cfg.Threads)
 	return &Index{cfg: cfg}
@@ -252,8 +214,8 @@ func (x *Index) Build(users, items *mat.Matrix) error {
 // the whole catalog. Bucket boundaries are re-cut (O(n/BucketSize)). Each per-k
 // tuning keeps its head depth and marks its head stale; the next query that
 // uses the head re-packs it into the same buffer, so the mutation itself
-// copies nothing more. Tunings are performance adaptations, re-measured
-// lazily when invalidated, never a correctness input.
+// copies nothing more. The head is a performance adaptation, never a
+// correctness input.
 
 // AddItems implements mips.ItemMutator (see the contract in internal/mips):
 // merge the new items into the norm-sorted arrays at their sorted positions.
@@ -353,11 +315,10 @@ func (x *Index) Generation() uint64 { return x.gen }
 
 // recutBuckets (re)cuts the cardinality-balanced buckets over the current
 // sorted order — shared by Build, Load and both mutations. Every tuning keeps
-// its head depth and marks its head stale (a splice may have moved its rows);
-// one whose bucket count no longer matches also forgets its routine choices,
-// which are re-chosen lazily. Re-measuring the depth instead would stall the
-// next query for a few dozen sample walks, and a corpus whose size hovers at a
-// bucket boundary would pay that on most mutations.
+// its head depth, clamped to the new bucket count, and marks its head stale
+// (a splice may have moved its rows). Re-measuring the depth instead would
+// stall the next query for a few dozen sample walks, and a corpus whose size
+// hovers at a bucket boundary would pay that on most mutations.
 func (x *Index) recutBuckets() {
 	n := x.sorted.Rows()
 	x.buckets = x.buckets[:0]
@@ -371,10 +332,7 @@ func (x *Index) recutBuckets() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for _, tn := range x.tunings {
-		if len(tn.algos) != len(x.buckets) {
-			tn.algos = nil
-			tn.headBuckets = min(tn.headBuckets, len(x.buckets))
-		}
+		tn.headBuckets = min(tn.headBuckets, len(x.buckets))
 		tn.headStale = true
 	}
 }
@@ -389,8 +347,7 @@ func (x *Index) dropTunings() {
 
 // AddUsers implements mips.UserAdder: new user rows join the query matrix.
 // The index is item-side only, so no structure maintenance is needed; the
-// per-k tunings stay (they remain valid algorithm choices — tuning is an
-// adaptation, not a correctness input).
+// per-k heads stay (a head depth is an adaptation, not a correctness input).
 func (x *Index) AddUsers(users *mat.Matrix) ([]int, error) {
 	if x.users == nil {
 		return nil, fmt.Errorf("lemp: AddUsers before Build")
@@ -403,8 +360,8 @@ func (x *Index) AddUsers(users *mat.Matrix) ([]int, error) {
 	return mips.IDRange(base, users.Rows()), nil
 }
 
-// ScanStats implements mips.ScanCounter: candidates evaluated by the
-// within-bucket retrieval routines (items skipped by the bucket break or the
+// ScanStats implements mips.ScanCounter: candidates scored by the head
+// multiply or evaluated by scanIncr (items skipped by the bucket break or the
 // norm/incremental prunes are not counted).
 func (x *Index) ScanStats() mips.ScanStats { return mips.ScanStats{Scanned: x.scanned.Load()} }
 
@@ -417,7 +374,7 @@ func (x *Index) Query(userIDs []int, k int) ([][]topk.Entry, error) {
 }
 
 // QueryCtx implements mips.Solver. A floor seeds each user's heap, so the
-// bucket break and the scanLength/scanIncr prunes fire before the heap
+// bucket break and scanIncr's prunes fire before the heap
 // fills — on a high floor, often at the very first bucket. ctx is polled
 // once per user and at every bucket boundary, so cancellation lands within
 // one bucket scan.
@@ -519,7 +476,7 @@ func (x *Index) answerChunk(c *call, lo, hi int, scr *scratch) error {
 			x.harvestHead(scores.Row(w.headRow), h, scr)
 			from = hb
 		}
-		x.walk(w.user, w.unorm, h, c.tn, from, scr, nil)
+		x.walk(w.user, w.unorm, h, from, scr)
 		c.out[qi] = h.Sorted()
 	}
 	x.scanned.Add(scr.scanned)
@@ -569,22 +526,11 @@ func (x *Index) QueryAll(k int) ([][]topk.Entry, error) {
 	return x.Query(mips.AllUserIDs(x.users.Rows()), k)
 }
 
-// ChosenAlgorithms returns the per-bucket routine selection for depth k,
-// tuning first if needed. Exposed for the tuning tests and the ablation
-// experiments.
-func (x *Index) ChosenAlgorithms(k int) []Algorithm {
-	tn := x.tuningFor(k)
-	out := make([]Algorithm, len(tn.algos))
-	copy(out, tn.algos)
-	return out
-}
-
 // scratch holds per-goroutine temporaries reused across users, recycled
 // across chunks and calls through Index.scratches.
 type scratch struct {
 	usuf1, usuf2 float64
-	scanned      int64 // candidates evaluated, flushed per chunk
-	bucketTimes  [][numAlgos]time.Duration
+	scanned      int64           // candidates evaluated, flushed per chunk
 	ctx          context.Context // nil: no deadline; polled per bucket
 	walkers      []walker
 	a, c         *mat.Matrix // head multiply operands, queryGrain rows each
@@ -625,11 +571,8 @@ func (scr *scratch) operands(m, f, headLen int) (a, c *mat.Matrix) {
 // headSample is the number of users whose unfloored walks size the head.
 const headSample = 32
 
-// tuningFor returns the per-bucket algorithm choice and the head depth for
-// k, measuring whichever is missing: both for a new k, the routines after a
-// mutation changed the bucket count, the head after Load. LEMP's runtime
-// adaptation: each routine is timed on a user sample and each bucket keeps
-// its fastest.
+// tuningFor returns k's tuning, measuring its head depth if it has none: for
+// a new k, and after Load.
 func (x *Index) tuningFor(k int) *tuning {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -638,63 +581,23 @@ func (x *Index) tuningFor(k int) *tuning {
 		tn = &tuning{}
 		x.tunings[k] = tn
 	}
-	if tn.algos == nil {
-		tn.algos = x.chooseAlgos(k)
-	}
 	if tn.headBuckets == 0 {
-		tn.headBuckets = x.headDepth(k, tn)
+		tn.headBuckets = x.headDepth(k)
 	}
 	return tn
-}
-
-// chooseAlgos picks each bucket's routine for k: INCR everywhere when
-// TuneSample is 0, else the fastest of the three on the timed sample.
-func (x *Index) chooseAlgos(k int) []Algorithm {
-	algos := make([]Algorithm, len(x.buckets))
-	if x.cfg.TuneSample == 0 {
-		for b := range algos {
-			algos[b] = AlgoIncr
-		}
-		return algos
-	}
-	sampleRng := rand.New(rand.NewSource(x.cfg.Seed))
-	sample := stats.SampleWithoutReplacement(sampleRng, x.users.Rows(), x.cfg.TuneSample)
-
-	times := make([][numAlgos]time.Duration, len(x.buckets))
-	scr := &scratch{bucketTimes: times}
-	for a := Algorithm(0); a < numAlgos; a++ {
-		forced := &tuning{algos: make([]Algorithm, len(x.buckets))}
-		for b := range forced.algos {
-			forced.algos[b] = a
-		}
-		for _, u := range sample {
-			user := x.users.Row(u)
-			x.walk(user, mat.Norm(user), topk.New(k), forced, 0, scr, &a)
-		}
-	}
-	for b := range algos {
-		best, bestT := AlgoLength, times[b][AlgoLength]
-		for a := Algorithm(1); a < numAlgos; a++ {
-			if times[b][a] < bestT {
-				best, bestT = a, times[b][a]
-			}
-		}
-		algos[b] = best
-	}
-	return algos
 }
 
 // headDepth measures the head for k: the number of leading buckets that the
 // median of a seeded user sample enters on an unfloored walk — the depth
 // MAXIMUS-style sharing pays off to, sized from scan depth, not set.
-func (x *Index) headDepth(k int, tn *tuning) int {
+func (x *Index) headDepth(k int) int {
 	rng := rand.New(rand.NewSource(x.cfg.Seed))
 	sample := stats.SampleWithoutReplacement(rng, x.users.Rows(), headSample)
 	depths := make([]int, len(sample))
 	scr := &scratch{}
 	for i, u := range sample {
 		user := x.users.Row(u)
-		depths[i] = x.walk(user, mat.Norm(user), topk.New(k), tn, 0, scr, nil)
+		depths[i] = x.walk(user, mat.Norm(user), topk.New(k), 0, scr)
 	}
 	sort.Ints(depths)
 	return depths[len(depths)/2]
@@ -702,9 +605,8 @@ func (x *Index) headDepth(k int, tn *tuning) int {
 
 // walk continues one user's top-k walk at bucket from, pruning against h's
 // threshold (its floor, if seeded, from the first candidate), and returns the
-// number of buckets it entered. If timeAlgo is non-nil, per-bucket elapsed
-// time is accumulated into scr.bucketTimes[*][*timeAlgo].
-func (x *Index) walk(user []float64, unorm float64, h *topk.Heap, tn *tuning, from int, scr *scratch, timeAlgo *Algorithm) int {
+// number of buckets it entered.
+func (x *Index) walk(user []float64, unorm float64, h *topk.Heap, from int, scr *scratch) int {
 	scr.usuf1 = mat.Norm(user[x.cp1:])
 	scr.usuf2 = mat.Norm(user[x.cp2:])
 	entered := 0
@@ -724,42 +626,18 @@ func (x *Index) walk(user []float64, unorm float64, h *topk.Heap, tn *tuning, fr
 			break
 		}
 		entered++
-		var begin time.Time
-		if timeAlgo != nil {
-			begin = time.Now()
-		}
-		switch tn.algos[b] {
-		case AlgoLength:
-			x.scanLength(user, unorm, bk, h, scr)
-		case AlgoIncr:
-			x.scanIncr(user, unorm, bk, h, scr)
-		default:
-			x.scanNaive(user, bk, h, scr)
-		}
-		if timeAlgo != nil {
-			scr.bucketTimes[b][*timeAlgo] += time.Since(begin)
-		}
+		x.scanIncr(user, unorm, bk, h, scr)
 	}
 	return entered
 }
 
-// scanLength walks the bucket in norm order pruning on ‖u‖·‖i‖.
-func (x *Index) scanLength(user []float64, unorm float64, bk bucket, h *topk.Heap, scr *scratch) {
-	for s := bk.lo; s < bk.hi; s++ {
-		if thr, full := h.Threshold(); full && unorm*x.norms[s] < thr-slack(thr) {
-			return // items are norm-sorted; the rest of the bucket is worse
-		}
-		scr.scanned++
-		h.Push(x.ids[s], blas.DotFrom(0, user, x.sorted.Row(s)))
-	}
-}
-
-// scanIncr adds two-checkpoint incremental pruning: a partial inner product
-// over the leading coordinates plus a Cauchy–Schwarz bound on the remainder.
-// The partial sums carry through to the full score in DotFrom's order, so the
-// score is the one LENGTH, NAIVE and the head multiply compute. Items whose
-// first checkpoint is computed count as scanned even when the tail bound then
-// discards them — the partial product is real work.
+// scanIncr walks the bucket in norm order pruning on ‖u‖·‖i‖, then on
+// two-checkpoint incremental bounds: a partial inner product over the leading
+// coordinates plus a Cauchy–Schwarz bound on the remainder. The partial sums
+// carry through to the full score in DotFrom's order, so the score is the one
+// the head multiply computes. Items whose first checkpoint is computed count
+// as scanned even when the tail bound then discards them — the partial
+// product is real work.
 func (x *Index) scanIncr(user []float64, unorm float64, bk bucket, h *topk.Heap, scr *scratch) {
 	u1 := user[:x.cp1]
 	u12 := user[x.cp1:x.cp2]
@@ -768,7 +646,7 @@ func (x *Index) scanIncr(user []float64, unorm float64, bk bucket, h *topk.Heap,
 		thr, full := h.Threshold()
 		sl := slack(thr)
 		if full && unorm*x.norms[s] < thr-sl {
-			return
+			return // items are norm-sorted; the rest of the bucket is worse
 		}
 		scr.scanned++
 		row := x.sorted.Row(s)
@@ -784,18 +662,10 @@ func (x *Index) scanIncr(user []float64, unorm float64, bk bucket, h *topk.Heap,
 	}
 }
 
-// scanNaive computes every inner product in the bucket.
-func (x *Index) scanNaive(user []float64, bk bucket, h *topk.Heap, scr *scratch) {
-	scr.scanned += int64(bk.hi - bk.lo)
-	for s := bk.lo; s < bk.hi; s++ {
-		h.Push(x.ids[s], blas.DotFrom(0, user, x.sorted.Row(s)))
-	}
-}
-
 // slack returns the floating-point guard band for pruning against threshold
 // thr: bounds within this distance of thr are verified exactly instead of
 // pruned, so rounding in the bound computation can never discard a true
-// top-K member (see the parallel-vectors hazard in queryOne).
+// top-K member (see the parallel-vectors hazard in walk).
 func slack(thr float64) float64 {
 	return 1e-12 * (1 + math.Abs(thr))
 }

@@ -59,7 +59,7 @@ func TestQueryBeforeBuild(t *testing.T) {
 func TestBadK(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	users, items := testModel(rng, 4, 10, 5)
-	x := New(Config{TuneSample: 0})
+	x := New(Config{})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBadK(t *testing.T) {
 func TestBadUserID(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	users, items := testModel(rng, 4, 10, 5)
-	x := New(Config{TuneSample: 0})
+	x := New(Config{})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -87,38 +87,30 @@ func TestBadUserID(t *testing.T) {
 }
 
 // TestExactness is the central property: LEMP must return exactly the true
-// top-K for every user, every K, with every retrieval algorithm forced.
+// top-K for every user and every K. INCR is the one routine every bucket runs.
 func TestExactness(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoLength, AlgoIncr, AlgoNaive} {
-		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
-			f := func(seed int64) bool {
-				rng := rand.New(rand.NewSource(seed))
-				nUsers := 3 + rng.Intn(10)
-				nItems := 5 + rng.Intn(60)
-				dim := 2 + rng.Intn(20)
-				users, items := testModel(rng, nUsers, nItems, dim)
-				x := New(Config{BucketSize: 8, TuneSample: 0})
-				if err := x.Build(users, items); err != nil {
-					return false
-				}
-				// Force the algorithm under test in every bucket.
-				tn := x.tuningFor(1) // populate, then overwrite
-				for b := range tn.algos {
-					tn.algos[b] = algo
-				}
-				k := 1 + rng.Intn(min(5, nItems))
-				got, err := x.QueryAll(k)
-				if err != nil {
-					return false
-				}
-				return mips.VerifyAll(users, items, got, k, 1e-9) == nil
+	t.Run("INCR", func(t *testing.T) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			nUsers := 3 + rng.Intn(10)
+			nItems := 5 + rng.Intn(60)
+			dim := 2 + rng.Intn(20)
+			users, items := testModel(rng, nUsers, nItems, dim)
+			x := New(Config{BucketSize: 8})
+			if err := x.Build(users, items); err != nil {
+				return false
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Fatal(err)
+			k := 1 + rng.Intn(min(5, nItems))
+			got, err := x.QueryAll(k)
+			if err != nil {
+				return false
 			}
-		})
-	}
+			return mips.VerifyAll(users, items, got, k, 1e-9) == nil
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestMatchesNaiveSolverIncludingTies(t *testing.T) {
@@ -135,7 +127,7 @@ func TestMatchesNaiveSolverIncludingTies(t *testing.T) {
 		for i := range items.Data() {
 			items.Data()[i] = float64(rng.Intn(3))
 		}
-		x := New(Config{BucketSize: 7, TuneSample: 0})
+		x := New(Config{BucketSize: 7})
 		if err := x.Build(users, items); err != nil {
 			return false
 		}
@@ -170,7 +162,7 @@ func TestIncrBoundIsUpperBound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		users, items := testModel(rng, 3, 30, 6+rng.Intn(20))
-		x := New(Config{TuneSample: 0})
+		x := New(Config{})
 		if err := x.Build(users, items); err != nil {
 			return false
 		}
@@ -192,7 +184,7 @@ func TestIncrBoundIsUpperBound(t *testing.T) {
 func TestItemsSortedByNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	users, items := testModel(rng, 5, 100, 8)
-	x := New(Config{BucketSize: 16, TuneSample: 0})
+	x := New(Config{BucketSize: 16})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -219,44 +211,11 @@ func TestItemsSortedByNorm(t *testing.T) {
 	}
 }
 
-func TestTuningSelectsPerBucket(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	users, items := testModel(rng, 200, 400, 16)
-	x := New(Config{BucketSize: 64, TuneSample: 16, Seed: 7})
-	if err := x.Build(users, items); err != nil {
-		t.Fatal(err)
-	}
-	algos := x.ChosenAlgorithms(5)
-	if len(algos) != x.Buckets() {
-		t.Fatalf("%d algorithm choices for %d buckets", len(algos), x.Buckets())
-	}
-	for _, a := range algos {
-		if a < 0 || a >= numAlgos {
-			t.Fatalf("invalid algorithm %v", a)
-		}
-	}
-	// Tuning must be cached: same slice contents on second ask.
-	again := x.ChosenAlgorithms(5)
-	for i := range algos {
-		if algos[i] != again[i] {
-			t.Fatal("tuning not cached deterministically")
-		}
-	}
-	// And exactness must hold with tuned (mixed) algorithms.
-	got, err := x.QueryAll(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mips.VerifyAll(users, items, got, 5, 1e-9); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	users, items := testModel(rng, 150, 300, 12)
-	serial := New(Config{TuneSample: 0, Threads: 1})
-	parallel := New(Config{TuneSample: 0, Threads: 4})
+	serial := New(Config{Threads: 1})
+	parallel := New(Config{Threads: 4})
 	if err := serial.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +241,7 @@ func TestRebuildReindexes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	users1, items1 := testModel(rng, 10, 30, 6)
 	users2, items2 := testModel(rng, 8, 20, 6)
-	x := New(Config{TuneSample: 0})
+	x := New(Config{})
 	if err := x.Build(users1, items1); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +269,7 @@ func TestZeroNormUser(t *testing.T) {
 	for j := 0; j < 5; j++ {
 		users.Set(1, j, 0)
 	}
-	x := New(Config{BucketSize: 4, TuneSample: 0})
+	x := New(Config{BucketSize: 4})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +285,7 @@ func TestZeroNormUser(t *testing.T) {
 func TestBuildTimeRecorded(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	users, items := testModel(rng, 20, 50, 6)
-	x := New(Config{TuneSample: 0})
+	x := New(Config{})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +331,7 @@ func floorsFor(want [][]topk.Entry, k int) []float64 {
 func TestFloorsContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	users, items := testModel(rng, 40, 300, 8)
-	x := New(Config{TuneSample: 0})
+	x := New(Config{})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +382,7 @@ func TestFloorsContract(t *testing.T) {
 func TestFloorsPruneScans(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	users, items := testModel(rng, 60, 600, 10)
-	x := New(Config{TuneSample: 0})
+	x := New(Config{})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -462,18 +421,14 @@ func TestFloorsPruneScans(t *testing.T) {
 
 // TestFloorsProperty drives random models and floors drawn from the
 // unseeded results (forcing exact ties at the floor) through the contract
-// verifier, across all three retrieval routines.
+// verifier.
 func TestFloorsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		users, items := testModel(rng, 2+rng.Intn(12), 5+rng.Intn(80), 1+rng.Intn(8))
-		x := New(Config{TuneSample: 0, BucketSize: 1 + rng.Intn(20)})
+		x := New(Config{BucketSize: 1 + rng.Intn(20)})
 		if x.Build(users, items) != nil {
 			return false
-		}
-		tn := x.tuningFor(1) // force a mixed routine assignment
-		for b := range tn.algos {
-			tn.algos[b] = Algorithm(b % int(numAlgos))
 		}
 		k := 1 + rng.Intn(items.Rows())
 		if k > 8 {
@@ -522,16 +477,15 @@ func sameBits(got, want [][]topk.Entry) error {
 	return nil
 }
 
-// TestRoutinesAgreeToTheBit pins LEMP's one summation order: LENGTH, INCR and
-// NAIVE forced on every bucket, each with the head multiply and without it,
-// return the same entries with == scores, each equal to the multiply's
-// element (blas.DotFrom). So neither the timed routine choice, nor a batch's
-// make-up, nor a floor that keeps a user out of the head changes an answer.
+// TestRoutinesAgreeToTheBit pins LEMP's one summation order: the walk, with
+// the head multiply and without it, returns the same entries with == scores,
+// each equal to the multiply's element (blas.DotFrom). So neither a batch's
+// make-up nor a floor that keeps a user out of the head changes an answer.
 func TestRoutinesAgreeToTheBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	users, items := testModel(rng, 60, 900, 50)
 	const k = 10
-	x := New(Config{BucketSize: 64, TuneSample: 0})
+	x := New(Config{BucketSize: 64})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -539,40 +493,29 @@ func TestRoutinesAgreeToTheBit(t *testing.T) {
 	if tn.headBuckets < 1 || tn.headBuckets > x.Buckets() {
 		t.Fatalf("head of %d buckets in %d", tn.headBuckets, x.Buckets())
 	}
-	var want [][]topk.Entry
-	for _, algo := range []Algorithm{AlgoLength, AlgoIncr, AlgoNaive} {
-		for b := range tn.algos {
-			tn.algos[b] = algo
-		}
-		withHead, err := x.QueryAll(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tn.head == nil {
-			t.Fatalf("%v: unfloored users did not use the head", algo)
-		}
-		walked := make([][]topk.Entry, users.Rows())
-		scr := &scratch{}
-		for u := range walked {
-			user := users.Row(u)
-			h := topk.New(k)
-			x.walk(user, mat.Norm(user), h, tn, 0, scr, nil)
-			walked[u] = h.Sorted()
-		}
-		if err := sameBits(withHead, walked); err != nil {
-			t.Fatalf("%v: head vs walk: %v", algo, err)
-		}
-		if want == nil {
-			want = walked
-			for u, row := range want {
-				for _, e := range row {
-					if s := blas.DotFrom(0, users.Row(u), items.Row(e.Item)); e.Score != s {
-						t.Fatalf("user %d item %d: score %v, multiply's %v", u, e.Item, e.Score, s)
-					}
-				}
+	withHead, err := x.QueryAll(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tn.head == nil {
+		t.Fatal("unfloored users did not use the head")
+	}
+	walked := make([][]topk.Entry, users.Rows())
+	scr := &scratch{}
+	for u := range walked {
+		user := users.Row(u)
+		h := topk.New(k)
+		x.walk(user, mat.Norm(user), h, 0, scr)
+		walked[u] = h.Sorted()
+	}
+	if err := sameBits(withHead, walked); err != nil {
+		t.Fatalf("head vs walk: %v", err)
+	}
+	for u, row := range walked {
+		for _, e := range row {
+			if s := blas.DotFrom(0, users.Row(u), items.Row(e.Item)); e.Score != s {
+				t.Fatalf("user %d item %d: score %v, multiply's %v", u, e.Item, e.Score, s)
 			}
-		} else if err := sameBits(walked, want); err != nil {
-			t.Fatalf("%v vs %v: %v", algo, AlgoLength, err)
 		}
 	}
 }
@@ -584,7 +527,7 @@ func TestHeadPackedOnlyWhenUsed(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	users, items := testModel(rng, 30, 400, 12)
 	const k = 5
-	x := New(Config{BucketSize: 32, TuneSample: 0})
+	x := New(Config{BucketSize: 32})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -612,15 +555,15 @@ func TestHeadPackedOnlyWhenUsed(t *testing.T) {
 }
 
 // TestMutationRepacksHeadInPlace pins the head's lifecycle under churn: a
-// mutation keeps the tuning and its head depth and only marks the head stale
-// (one that changes the bucket count also drops the routine choices), the
-// next query re-packs the same head, and answers equal a fresh Build's to the
-// bit.
+// mutation keeps the tuning and its head depth (clamped to the bucket count
+// when most items go: answerChunk reads buckets[headBuckets-1]) and only
+// marks the head stale, the next query re-packs the same head, and answers
+// equal a fresh Build's to the bit.
 func TestMutationRepacksHeadInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	users, corpus := testModel(rng, 40, 300, 12)
 	const k = 5
-	cfg := Config{BucketSize: 32, TuneSample: 0}
+	cfg := Config{BucketSize: 32}
 	x := New(cfg)
 	if err := x.Build(users, corpus); err != nil {
 		t.Fatal(err)
@@ -638,17 +581,14 @@ func TestMutationRepacksHeadInPlace(t *testing.T) {
 		if x.Buckets() != buckets {
 			t.Fatalf("%s: %d buckets, want %d", step, x.Buckets(), buckets)
 		}
-		if x.tunings[k] != tn || !tn.headStale || tn.headBuckets != depth {
-			t.Fatalf("%s: tuning replaced, head not marked stale, or depth %d re-measured", step, depth)
-		}
-		if tn.algos != nil && len(tn.algos) != buckets {
-			t.Fatalf("%s: %d routine choices kept for %d buckets", step, len(tn.algos), buckets)
+		if x.tunings[k] != tn || !tn.headStale || tn.headBuckets != min(depth, buckets) {
+			t.Fatalf("%s: tuning replaced, head not marked stale, or depth %d re-measured or unclamped (%d)", step, depth, tn.headBuckets)
 		}
 		if err := mips.VerifyMutation(x, New(cfg), users, corpus, k, 0); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		if tn.head != head || tn.headStale || len(tn.algos) != buckets {
-			t.Fatalf("%s: head replaced or left stale, or routines not re-chosen", step)
+		if tn.head != head || tn.headStale {
+			t.Fatalf("%s: head replaced or left stale", step)
 		}
 	}
 
@@ -674,17 +614,17 @@ func TestMutationRepacksHeadInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	corpus = mat.RemoveRows(corpus, drop)
-	if tn.algos != nil {
-		t.Fatal("remove 40: routine choices kept across a change of bucket count")
+	check("remove 40", 9)
+
+	if depth < 3 {
+		t.Fatalf("head of %d buckets: too shallow for 2 buckets to cut below it", depth)
 	}
-	var snap bytes.Buffer
-	if err := x.Save(&snap); err != nil {
+	drop = mips.IDRange(0, corpus.Rows()-40)
+	if err := x.RemoveItems(drop); err != nil {
 		t.Fatal(err)
 	}
-	if err := New(cfg).Load(&snap); err != nil {
-		t.Fatalf("remove 40: a snapshot taken before the routines are re-chosen: %v", err)
-	}
-	check("remove 40", 9)
+	corpus = mat.RemoveRows(corpus, drop)
+	check("remove all but 40", 2)
 }
 
 // TestSnapshotLeavesHeadOut pins that the head is a query-time cache: a
@@ -695,7 +635,7 @@ func TestSnapshotLeavesHeadOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	users, items := testModel(rng, 40, 300, 12)
 	const k = 5
-	x := New(Config{BucketSize: 32, TuneSample: 0})
+	x := New(Config{BucketSize: 32})
 	if err := x.Build(users, items); err != nil {
 		t.Fatal(err)
 	}
@@ -711,8 +651,8 @@ func TestSnapshotLeavesHeadOut(t *testing.T) {
 	if err := y.Load(bytes.NewReader(saved.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if tn := y.tunings[k]; tn == nil || tn.headBuckets != 0 || tn.head != nil {
-		t.Fatalf("loaded tuning %+v, want the routines only", tn)
+	if len(y.tunings) != 0 {
+		t.Fatalf("loaded %d per-k tunings, want none", len(y.tunings))
 	}
 	got, err := y.QueryAll(k)
 	if err != nil {
@@ -734,13 +674,13 @@ func TestSnapshotLeavesHeadOut(t *testing.T) {
 }
 
 // TestConcurrentCallsShareOneHead runs calls from several goroutines on a
-// fresh index — the first ones race to tune, measure and pack the head —
+// fresh index — the first ones race to measure and pack the head —
 // and requires every answer to equal a serial run's.
 func TestConcurrentCallsShareOneHead(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	users, items := testModel(rng, 64, 500, 16)
 	const k = 6
-	cfg := Config{BucketSize: 48, TuneSample: 0, Threads: 2}
+	cfg := Config{BucketSize: 48, Threads: 2}
 	serial := New(cfg)
 	if err := serial.Build(users, items); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package lemp
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"optimus/internal/mips"
 	"optimus/internal/persist"
@@ -17,13 +16,10 @@ func init() {
 }
 
 // Save implements mips.Persister. The snapshot stores the norm-sorted
-// arrays, the INCR checkpoints, the bucket size the cuts derive from, and —
-// following the FAISS exemplar of persisting the auto-tuned parameters with
-// the index — every per-k algorithm tuning measured so far, so a restored
-// index starts warm instead of re-timing its buckets. The head is not saved:
-// its depth is re-measured and its rows packed on first use after Load. All
-// three retrieval routines and the head compute every score in one order, so
-// tunings affect speed only; results never depend on them.
+// arrays, the INCR checkpoints and the bucket size the cuts derive from. The
+// head is not saved: its depth is re-measured and its rows packed on first
+// use after Load, and since it scores in the walk's order, results never
+// depend on it.
 func (x *Index) Save(w io.Writer) error {
 	if x.sorted == nil {
 		return fmt.Errorf("lemp: Save before Build")
@@ -44,34 +40,15 @@ func (x *Index) Save(w io.Writer) error {
 		e.F64s(x.suffix1)
 		e.F64s(x.suffix2)
 	})
-	pw.Section("tunings", func(e *persist.Encoder) {
-		x.mu.Lock()
-		defer x.mu.Unlock()
-		ks := make([]int, 0, len(x.tunings))
-		for k, tn := range x.tunings {
-			if tn.algos != nil { // invalidated by a mutation, not yet re-chosen
-				ks = append(ks, k)
-			}
-		}
-		sort.Ints(ks) // deterministic bytes for identical state
-		e.Int(len(ks))
-		for _, k := range ks {
-			e.Int(k)
-			algos := x.tunings[k].algos
-			e.Int(len(algos))
-			for _, a := range algos {
-				e.U8(uint8(a))
-			}
-		}
-	})
 	return pw.Close()
 }
 
 // Load implements mips.Persister. BucketSize comes from the snapshot — the
 // bucket cuts derive from it, so the loaded index must recut with the saved
-// value, not the receiver's. Tuning configuration (TuneSample, Seed,
-// Threads) stays with the receiver: it governs future adaptation, not the
-// restored structure.
+// value, not the receiver's. Seed and Threads stay with the receiver: they
+// govern future head measurement and querying, not the restored structure.
+// A "tunings" section that older writers appended (per-bucket routine
+// choices) is left unread; persist.Reader.Close ignores trailing sections.
 func (x *Index) Load(r io.Reader) error {
 	pr, err := persist.NewReader(r, Kind)
 	if err != nil {
@@ -88,38 +65,6 @@ func (x *Index) Load(r io.Reader) error {
 	norms := d.F64s()
 	suffix1 := d.F64s()
 	suffix2 := d.F64s()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	d = pr.Section("tunings")
-	nTunings := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	type loadedTuning struct {
-		k     int
-		algos []Algorithm
-	}
-	tunings := make([]loadedTuning, 0, nTunings)
-	for t := 0; t < nTunings; t++ {
-		k := d.Int()
-		nAlgos := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if nAlgos > d.Remaining() {
-			return fmt.Errorf("lemp: snapshot tuning for k=%d claims %d buckets in %d bytes", k, nAlgos, d.Remaining())
-		}
-		algos := make([]Algorithm, nAlgos)
-		for b := range algos {
-			a := Algorithm(d.U8())
-			if a < 0 || a >= numAlgos {
-				return fmt.Errorf("lemp: snapshot tuning algorithm %d out of range", a)
-			}
-			algos[b] = a
-		}
-		tunings = append(tunings, loadedTuning{k: k, algos: algos})
-	}
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -160,15 +105,6 @@ func (x *Index) Load(r io.Reader) error {
 	x.gen = gen
 	x.dropTunings()
 	x.recutBuckets()
-	x.mu.Lock()
-	for _, tn := range tunings {
-		if len(tn.algos) != len(x.buckets) {
-			x.mu.Unlock()
-			return fmt.Errorf("lemp: snapshot tuning for k=%d covers %d of %d buckets", tn.k, len(tn.algos), len(x.buckets))
-		}
-		x.tunings[tn.k] = &tuning{algos: tn.algos}
-	}
-	x.mu.Unlock()
 	x.scanned.Store(0)
 	x.buildTime = 0
 	return nil

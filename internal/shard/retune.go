@@ -124,9 +124,9 @@ func (s *Sharded) Retunes() int {
 
 // DriftStats implements adapt.Reporter: a point-in-time measurement of how
 // far the live corpus has drifted from the cut the composite last
-// structured itself for. The first call after DriftWindowUsers users have
-// been served since the last (re)structure locks the scan/user baseline
-// the scan-regression trigger compares against.
+// structured itself for. The first call after adapt.DefaultMinWindowUsers
+// users have been served since the last (re)structure locks the scan/user
+// baseline the scan-regression trigger compares against.
 func (s *Sharded) DriftStats() adapt.DriftStats {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
@@ -177,18 +177,12 @@ func (s *Sharded) DriftStats() adapt.DriftStats {
 
 	scans, users := s.totalScans(), s.usersServed.Load()
 	s.driftMu.Lock()
-	if s.scanBaseline == 0 && s.cfg.DriftWindowUsers >= 0 {
-		window := int64(s.cfg.DriftWindowUsers)
-		if window == 0 {
-			window = adapt.DefaultMinWindowUsers
-		}
-		if users-s.userMark >= window && scans > s.scanMark {
-			// Lock the baseline over the first window and restart the
-			// marks: everything after this point is the "current" rate the
-			// regression trigger compares.
-			s.scanBaseline = float64(scans-s.scanMark) / float64(users-s.userMark)
-			s.scanMark, s.userMark = scans, users
-		}
+	if s.scanBaseline == 0 && users-s.userMark >= adapt.DefaultMinWindowUsers && scans > s.scanMark {
+		// Lock the baseline over the first window and restart the marks:
+		// everything after this point is the "current" rate the regression
+		// trigger compares.
+		s.scanBaseline = float64(scans-s.scanMark) / float64(users-s.userMark)
+		s.scanMark, s.userMark = scans, users
 	}
 	d.BaselineScanPerUser = s.scanBaseline
 	d.ScannedSinceBaseline = scans - s.scanMark

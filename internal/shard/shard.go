@@ -193,14 +193,6 @@ type Config struct {
 	// shards' copies, and revival falls back to a rebuild wherever no
 	// snapshot is retained.
 	RetainShardSnapshots bool
-	// DriftWindowUsers is the number of served users over which the
-	// build-time scan/user baseline locks in after every (re)structure
-	// (retune.go): once that many users have been answered, the observed
-	// scan rate becomes the DriftStats.BaselineScanPerUser the
-	// scan-regression trigger compares against. 0 selects the default
-	// (adapt.DefaultMinWindowUsers); negative disables baseline lock-in
-	// (and with it the scan-regression trigger).
-	DriftWindowUsers int
 	// WorkerDialer, when non-nil, places every shard behind a dialed Worker
 	// instead of the in-process one: Build snapshots each freshly built
 	// sub-solver into its persist section and dials it, Load dials the

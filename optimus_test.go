@@ -21,7 +21,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	solvers := []Solver{
 		NewBMM(BMMConfig{}),
 		NewMaximus(MaximusConfig{Seed: 1}),
-		NewLEMP(LEMPConfig{TuneSample: 0}),
+		NewLEMP(LEMPConfig{}),
 		NewFexipro(FexiproConfig{Variant: FexiproSI}),
 		NewFexipro(FexiproConfig{Variant: FexiproSIR}),
 		NewNaive(),
