@@ -33,15 +33,6 @@
 //
 //	mipsquery -users u.omx -items i.omx -k 10 -solver bmm -shards 4 -timeout 500ms -partial
 //
-// -retune runs the drift-driven shard-count sweep on a sharded index before
-// answering: candidate counts around the current one are built and timed on
-// a sampled user subset, the measured winner is committed (with hysteresis),
-// and the drift report plus per-candidate timings are printed. On a drifted
-// -snapshot this is the operator's offline "repair the cut" knob; combined
-// with -save the re-structured index is what lands on disk:
-//
-//	mipsquery -snapshot drifted.osnp -k 10 -retune -save repaired.osnp
-//
 // -transport loopback runs a sharded build or a sharded snapshot through
 // the worker wire path: every coordinator↔worker exchange crosses the
 // length-prefixed wire codec in-process (a snapshot's shard sections ship
@@ -61,7 +52,6 @@ import (
 	"strings"
 	"time"
 
-	"optimus/internal/adapt"
 	"optimus/internal/core"
 	"optimus/internal/fexipro"
 	"optimus/internal/lemp"
@@ -89,7 +79,6 @@ func main() {
 		schedule  = flag.String("schedule", "", "wave schedule for a sharded solver: auto | single | two-wave")
 		timeout   = flag.Duration("timeout", 0, "query deadline (e.g. 500ms); the batch fails with a deadline error instead of running long")
 		partial   = flag.Bool("partial", false, "degraded mode for a sharded solver: answer from healthy shards and print the coverage report")
-		retune    = flag.Bool("retune", false, "run the shard-count sweep on a sharded index before answering; prints the drift report and per-candidate timings")
 		transp    = flag.String("transport", "", "worker transport for a sharded run: loopback (every coordinator-worker call crosses the wire codec in-process; default is direct)")
 	)
 	flag.Parse()
@@ -119,25 +108,6 @@ func main() {
 			}
 			fmt.Printf("schedule %s (active %s)\n", *schedule, sh.ActiveScheduleName())
 		}
-		if *retune {
-			// A restored composite has no factory closure (persistence cannot
-			// serialize one), so re-arm it from -solver before re-structuring.
-			if sh, ok := s.(*shard.Sharded); ok && !strings.EqualFold(*solver, "optimus") {
-				if _, err := newSolver(*solver, *threads, *seed); err != nil {
-					fatal(err)
-				}
-				err := sh.Rearm(func() mips.Solver {
-					sub, _ := newSolver(*solver, *threads, *seed)
-					return sub
-				})
-				if err != nil {
-					fatal(err)
-				}
-			}
-			if err := retuneIndex(s); err != nil {
-				fatal(fmt.Errorf("%w (a snapshot carries no factory; pass an explicit -solver to re-arm it)", err))
-			}
-		}
 		start := time.Now()
 		results, err = runQueries(s, *k, *timeout, *partial)
 		if err != nil {
@@ -165,8 +135,8 @@ func main() {
 			if *shards > 1 {
 				fatal(fmt.Errorf("-shards does not combine with -solver optimus (shard an explicit solver)"))
 			}
-			if *timeout > 0 || *partial || *retune || dialer != nil {
-				fatal(fmt.Errorf("-timeout/-partial/-retune/-transport do not combine with -solver optimus (use an explicit solver)"))
+			if *timeout > 0 || *partial || dialer != nil {
+				fatal(fmt.Errorf("-timeout/-partial/-transport do not combine with -solver optimus (use an explicit solver)"))
 			}
 			opt := core.NewOptimus(core.OptimusConfig{Seed: *seed, Threads: *threads},
 				core.NewMaximus(core.MaximusConfig{Seed: *seed, Threads: *threads}),
@@ -219,11 +189,6 @@ func main() {
 			}
 			if sh, ok := s.(*shard.Sharded); ok {
 				fmt.Printf("sharded %d ways by norm, schedule %s\n", *shards, sh.ActiveScheduleName())
-			}
-			if *retune {
-				if err := retuneIndex(s); err != nil {
-					fatal(err)
-				}
 			}
 			results, err = runQueries(s, *k, *timeout, *partial)
 			if err != nil {
@@ -287,39 +252,6 @@ func runQueries(s mips.Solver, k int, timeout time.Duration, partial bool) ([][]
 		return s.QueryCtx(ctx, allUsers(s), k, mips.QueryOptions{})
 	}
 	return s.QueryAll(k)
-}
-
-// retuneIndex runs the drift-driven shard-count sweep on a sharded index:
-// it prints the accumulated drift report, dispatches an unconstrained
-// adapt.RetuneRequest (default candidate sweep around the current count),
-// and prints each candidate's sampled timing plus the committed outcome.
-func retuneIndex(s mips.Solver) error {
-	sh, ok := s.(*shard.Sharded)
-	if !ok {
-		return fmt.Errorf("-retune needs a sharded index, got %s (shard it with -shards > 1 or load a sharded -snapshot)", s.Name())
-	}
-	d := sh.DriftStats()
-	fmt.Printf("drift: gen=%d items=%d churn=%d imbalance=%.2f arrival-skew=%.2f retunes=%d\n",
-		d.Generation, d.Items, d.Churn(), d.Imbalance, d.ArrivalSkew, d.Retunes)
-	start := time.Now()
-	cur := sh.NumShards()
-	res, err := sh.Retune(adapt.RetuneRequest{
-		// The OPTIMUS-style neighborhood sweep: halve, keep, double.
-		ShardCandidates: []int{cur / 2, cur, 2 * cur},
-	})
-	if err != nil {
-		return fmt.Errorf("-retune: %w", err)
-	}
-	for _, smp := range res.Samples {
-		mark := " "
-		if smp.Chosen {
-			mark = "*"
-		}
-		fmt.Printf("  %s S=%-3d sample %v\n", mark, smp.Shards, smp.Elapsed.Round(time.Microsecond))
-	}
-	fmt.Printf("retuned %d -> %d shards in %v (%d attempt(s))\n",
-		res.OldShards, res.NewShards, time.Since(start).Round(time.Millisecond), res.Attempts)
-	return nil
 }
 
 // allUsers enumerates every built user id — the batch the flag-driven query

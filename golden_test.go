@@ -240,9 +240,9 @@ func TestGoldenVersionSkew(t *testing.T) {
 // schedule section) still loads and resolves to two-wave, a re-save of it
 // stays byte-identical (the default writes no schedule section), a
 // schedule-bearing snapshot — the same stream plus one trailing section —
-// round-trips the requested schedule with identical answers, and a stream
-// naming the retired "cascade" schedule loads as auto and answers
-// identically.
+// round-trips the requested schedule with identical answers, and streams
+// naming the retired "cascade" schedule or carrying the retired "drift"
+// section load as auto, answer identically and re-save to the golden.
 func TestGoldenScheduleEvolution(t *testing.T) {
 	defer SetThreads(SetThreads(1))
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "sharded.osnp"))
@@ -304,33 +304,60 @@ func TestGoldenScheduleEvolution(t *testing.T) {
 	}
 	sameEntries(t, want, got)
 
-	// A snapshot written while the cascade schedule existed: the golden
-	// plus a trailing "schedule" section naming it. The section's bytes are
-	// what a writer emits after its header.
-	var hdr, withSection bytes.Buffer
+	// Snapshots older writers produced: the golden plus trailing sections
+	// naming the retired "cascade" schedule and carrying the retired "drift"
+	// section (a scan/user baseline, written once it had locked). Each loads
+	// as auto, answers identically, and re-saves to the golden's bytes. The
+	// sections' bytes are what a writer emits after its header.
+	var hdr bytes.Buffer
 	if _, err := persist.NewWriter(&hdr, shard.Kind); err != nil {
 		t.Fatal(err)
 	}
-	pw, err := persist.NewWriter(&withSection, shard.Kind)
-	if err != nil {
-		t.Fatal(err)
+	cascade := func(e *persist.Encoder) { e.String("cascade") }
+	drift := func(e *persist.Encoder) { e.F64(412.5) }
+	for _, tc := range []struct {
+		name  string
+		write func(pw *persist.Writer)
+	}{
+		{"cascade", func(pw *persist.Writer) { pw.Section("schedule", cascade) }},
+		{"drift", func(pw *persist.Writer) { pw.Section("drift", drift) }},
+		{"cascade+drift", func(pw *persist.Writer) {
+			pw.Section("schedule", cascade)
+			pw.Section("drift", drift)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var withSections bytes.Buffer
+			pw, err := persist.NewWriter(&withSections, shard.Kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.write(pw)
+			if err := pw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			old := append(bytes.Clone(golden), withSections.Bytes()[hdr.Len():]...)
+			reloaded, err := LoadSolver(bytes.NewReader(old))
+			if err != nil {
+				t.Fatalf("an older writer's snapshot must load: %v", err)
+			}
+			sh3 := reloaded.(*Sharded)
+			if sh3.RequestedSchedule() != ScheduleAuto || sh3.ActiveSchedule() != ScheduleTwoWave {
+				t.Fatalf("loaded as %v/%v, want auto/two-wave",
+					sh3.RequestedSchedule(), sh3.ActiveSchedule())
+			}
+			got, err := sh3.QueryAll(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEntries(t, want, got)
+			var resaved bytes.Buffer
+			if err := SaveSolver(&resaved, sh3); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resaved.Bytes(), golden) {
+				t.Fatalf("re-save is %d bytes, not the %d-byte golden", resaved.Len(), len(golden))
+			}
+		})
 	}
-	pw.Section("schedule", func(e *persist.Encoder) { e.String("cascade") })
-	if err := pw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	retired := append(bytes.Clone(golden), withSection.Bytes()[hdr.Len():]...)
-	reloaded, err = LoadSolver(bytes.NewReader(retired))
-	if err != nil {
-		t.Fatalf("a snapshot naming the retired cascade schedule must load: %v", err)
-	}
-	sh3 := reloaded.(*Sharded)
-	if sh3.RequestedSchedule() != ScheduleAuto || sh3.ActiveSchedule() != ScheduleTwoWave {
-		t.Fatalf("cascade snapshot loaded as %v/%v, want auto/two-wave",
-			sh3.RequestedSchedule(), sh3.ActiveSchedule())
-	}
-	if got, err = sh3.QueryAll(k); err != nil {
-		t.Fatal(err)
-	}
-	sameEntries(t, want, got)
 }

@@ -69,8 +69,7 @@ import (
 
 // Applier applies one coalesced batch to the live index, serialized against
 // whatever query traffic the deployment runs. *serving.Server satisfies it
-// (Mutate is the single-writer/drain handshake); Direct adapts a bare
-// mutator for offline use.
+// (Mutate is the single-writer/drain handshake).
 type Applier interface {
 	// Mutate runs fn with exclusive access to the index's mutator.
 	Mutate(fn func(mips.ItemMutator) error) error
@@ -203,9 +202,6 @@ type Log struct {
 	liveHandles []int
 	deadline    time.Time // staleness deadline of the current batch
 	stats       Stats
-	// observer, when set, is called after every successfully applied batch
-	// with the applied add/remove volumes (see SetObserver).
-	observer func(adds, removes int)
 
 	kick chan struct{}
 	stop chan struct{}
@@ -246,27 +242,6 @@ func New(applier Applier, cfg Config) (*Log, error) {
 	}
 	return l, nil
 }
-
-// Direct adapts a bare mutator into an Applier for using the log without a
-// serving layer (tests, offline pipelines). The mutator must report its
-// corpus size (mips.Sized — every solver in the repository does). The
-// adapter provides no query serialization; as with any bare mutator, the
-// caller keeps flushes exclusive of in-flight queries.
-func Direct(m mips.ItemMutator) (Applier, error) {
-	s, ok := m.(mips.Sized)
-	if !ok {
-		return nil, fmt.Errorf("mutlog: %T does not report its corpus size (mips.Sized)", m)
-	}
-	return &direct{mut: m, sized: s}, nil
-}
-
-type direct struct {
-	mut   mips.ItemMutator
-	sized mips.Sized
-}
-
-func (d *direct) Mutate(fn func(mips.ItemMutator) error) error { return fn(d.mut) }
-func (d *direct) NumItems() int                                { return d.sized.NumItems() }
 
 // Add enqueues the given item vectors (rows are copied; the caller may reuse
 // the matrix) and returns one provisional Handle per row, in row order. The
@@ -454,21 +429,6 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// SetObserver installs (or, with nil, removes) the flush tap: fn is called
-// after every successfully applied batch with the add/remove volumes that
-// batch committed to the live index. The adaptive tuner (internal/adapt via
-// serving.Server) hangs off this tap so a drift check runs right behind the
-// churn that might have tripped it, instead of one poll period later.
-//
-// fn is invoked with the log's lock held — it must be fast and must not
-// call back into the log (the tuner's Kick, a non-blocking channel send,
-// is the intended shape).
-func (l *Log) SetObserver(fn func(adds, removes int)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.observer = fn
-}
-
 // Flush applies the pending batch now: at most one AddItems plus one
 // RemoveItems under a single Applier.Mutate — one drain, one generation
 // tick. An empty net batch returns nil without touching the applier. On
@@ -648,9 +608,6 @@ func (l *Log) flushLocked() error {
 		l.stats.FlushedRemoves += int64(r)
 	}
 	l.stats.Flushes++
-	if l.observer != nil {
-		l.observer(m, r)
-	}
 	l.clearBatchLocked()
 	// The apply succeeded: advance the applied-seq watermark past every
 	// event this flush consumed, then record the marker. The watermark

@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"optimus/internal/adapt"
 	"optimus/internal/mips"
 	"optimus/internal/mutlog"
 	"optimus/internal/topk"
@@ -102,15 +101,6 @@ type Stats struct {
 	// single-wave.
 	Schedule  string
 	WaveScans []mips.ScanStats
-	// Retunes counts adaptive re-structures committed through this server
-	// (Server.Retune — manual or tuner-dispatched); TunerChecks and
-	// TunerTriggers mirror the attached tuner's counters (zero when no
-	// tuner is attached): drift-policy evaluations run, and how many found
-	// a trigger exceeded. Triggers > Retunes means firings that did not
-	// commit — the tuner is disabled (the lesion switch) or retunes failed.
-	Retunes       int64
-	TunerChecks   int64
-	TunerTriggers int64
 }
 
 // waveScheduler is the structural interface a wave-scheduling solver (the
@@ -165,9 +155,7 @@ type Server struct {
 	requests   int64
 	batches    int64
 	generation uint64
-	retunes    int64
 	log        *mutlog.Log
-	tuner      *adapt.Tuner
 	closed     bool
 	// snapshotSeq is the journal watermark embedded in the snapshot this
 	// server was restored from (zero for servers built fresh); Replay skips
@@ -270,21 +258,12 @@ func (s *Server) submit(ctx context.Context, userID, k int) (response, error) {
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{Requests: s.requests, Coalesced: s.coalesced.Load(), Batches: s.batches,
-		Generation: s.generation, Retunes: s.retunes}
+		Generation: s.generation}
 	if s.batches > 0 {
 		st.MeanBatchSize = float64(s.requests) / float64(s.batches)
 	}
 	log := s.log
-	tuner := s.tuner
 	s.mu.Unlock()
-	// Like the log snapshot below, the tuner snapshot is taken outside s.mu:
-	// a tuner check dispatching a retune ticks s.retunes under s.mu while
-	// holding the tuner's own lock.
-	if tuner != nil {
-		ts := tuner.Stats()
-		st.TunerChecks = ts.Checks
-		st.TunerTriggers = ts.Triggers
-	}
 	// The log snapshot is taken outside s.mu: a flush holds the log's lock
 	// while ticking the generation under s.mu, so nesting the locks the
 	// other way here would deadlock.
@@ -416,12 +395,7 @@ func (s *Server) Log(cfg mutlog.Config) (*mutlog.Log, error) {
 		return nil, errors.New("serving: server already has a mutation log")
 	}
 	s.log = log
-	tuner := s.tuner
 	s.mu.Unlock()
-	if tuner != nil {
-		// A tuner attached first: wire the flush tap now (see Adapt).
-		tuner.TapLog(log)
-	}
 	return log, nil
 }
 
@@ -436,14 +410,7 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	log := s.log
-	tuner := s.tuner
 	s.mu.Unlock()
-	if tuner != nil {
-		// Stop the tuner first so the log's final flush cannot dispatch one
-		// last retune into a server that is tearing down. (The flush tap may
-		// still Kick the stopped tuner — a no-op on its buffered channel.)
-		tuner.Close()
-	}
 	// In-flight queries still hold the dispatcher; it must not exit before
 	// they are answered (or abandoned via their contexts).
 	s.inflight.Wait()

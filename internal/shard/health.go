@@ -333,7 +333,7 @@ func (s *Sharded) reviveShard(si int) bool {
 		// membership. Discard and retry against the new corpus.
 		return false
 	}
-	s.retireWorker(s.shards[si].w)
+	retireWorker(s.shards[si].w)
 	s.shards[si] = repl
 	s.healOne(si, true)
 	if !restored {

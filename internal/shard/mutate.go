@@ -74,9 +74,6 @@ type stagedShard struct {
 	patchLocal []int
 	rebuild    bool
 	dead       bool
-	// nRemoved is the shard's removal volume, folded into the drift
-	// counters (retune.go) when the commit lands.
-	nRemoved int
 }
 
 // AddItems implements mips.ItemMutator: append to the global corpus, route
@@ -155,7 +152,7 @@ func (s *Sharded) AddItems(newItems *mat.Matrix) ([]int, error) {
 	for _, g := range stages {
 		sh := &s.shards[g.si]
 		if g.rebuild {
-			s.retireWorker(sh.w)
+			retireWorker(sh.w)
 			*sh = g.st
 			s.healOne(g.si, false)
 			s.mstats.Rebuilds++
@@ -193,16 +190,6 @@ func (s *Sharded) AddItems(newItems *mat.Matrix) ([]int, error) {
 	s.gen++
 	s.epoch++
 	s.mstats.Mutations++
-	// Drift accounting (retune.go): per-shard arrival volume, and the
-	// routing histogram the arrival-skew trigger reads — each arrival was
-	// routed through the *build-time* norm cutoffs just above, so a skewed
-	// histogram is direct evidence the cutoffs no longer cut the data.
-	for si, rows := range perShard {
-		if len(rows) > 0 && si < len(s.driftAdds) {
-			s.driftAdds[si] += int64(len(rows))
-			s.arrivalRoutes[si] += int64(len(rows))
-		}
-	}
 	s.refreshComposite()
 	return mips.IDRange(base, m), nil
 }
@@ -223,7 +210,7 @@ func (s *Sharded) repairShard(si int, newIDs []int, items *mat.Matrix, cause err
 		s.quarantine(si, cause)
 		return err
 	}
-	s.retireWorker(sh.w)
+	retireWorker(sh.w)
 	*sh = tmp
 	s.healOne(si, false)
 	s.captureSnap(si)
@@ -270,7 +257,7 @@ func (s *Sharded) RemoveItems(ids []int) error {
 			}
 			newIDs = append(newIDs, id-next) // next == |removed ids < id|
 		}
-		g := stagedShard{si: si, newIDs: newIDs, patchLocal: local, nRemoved: len(local)}
+		g := stagedShard{si: si, newIDs: newIDs, patchLocal: local}
 		switch {
 		case len(local) == 0:
 			// Clean shard: arithmetic renumber only, index untouched.
@@ -297,18 +284,15 @@ func (s *Sharded) RemoveItems(ids []int) error {
 	// Commit.
 	for _, g := range stages {
 		sh := &s.shards[g.si]
-		if g.nRemoved > 0 && g.si < len(s.driftRemoves) {
-			s.driftRemoves[g.si] += int64(g.nRemoved)
-		}
 		switch {
 		case g.dead:
-			s.retireWorker(sh.w)
+			retireWorker(sh.w)
 			sh.w, sh.caps, sh.ids, sh.count = nil, WorkerCaps{}, nil, 0
 			s.healOne(g.si, false) // nothing left to revive
 			s.dropSnap(g.si)
 			s.mstats.Emptied++
 		case g.rebuild:
-			s.retireWorker(sh.w)
+			retireWorker(sh.w)
 			*sh = g.st
 			s.healOne(g.si, false)
 			s.mstats.Rebuilds++
@@ -389,7 +373,7 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 		if err := s.buildShard(&tmp, si, s.users, s.shardItems(sh)); err != nil {
 			return nil, err
 		}
-		s.retireWorker(sh.w)
+		retireWorker(sh.w)
 		*sh = tmp
 		s.healOne(si, false)
 		s.mstats.Rebuilds++
@@ -404,7 +388,7 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 	var stages []stagedShard
 	discard := func() {
 		for _, g := range stages {
-			s.retireWorker(g.st.w)
+			retireWorker(g.st.w)
 		}
 	}
 	for si := range s.shards {
@@ -445,7 +429,7 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 		}
 	}
 	for _, g := range stages {
-		s.retireWorker(s.shards[g.si].w)
+		retireWorker(s.shards[g.si].w)
 		s.shards[g.si] = g.st
 		s.mstats.Rebuilds++
 	}
@@ -482,7 +466,7 @@ func (s *Sharded) rollbackUserBroadcast(upto int) error {
 		if err := s.buildShard(sh, si, s.users, s.shardItems(sh)); err != nil {
 			return err
 		}
-		s.retireWorker(old)
+		retireWorker(old)
 	}
 	// A Planner rollback may have changed sub-solver types, so the cached
 	// composite capabilities (Batches, two-wave) are re-derived.

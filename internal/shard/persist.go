@@ -96,19 +96,6 @@ func (s *Sharded) Save(w io.Writer) error {
 			e.String(s.cfg.Schedule.String())
 		})
 	}
-	// The locked scan/user baseline rides the same way (optional, trailing,
-	// after "schedule" when both are present): written only once it has
-	// locked, so a restored server can detect scan-rate regression without
-	// serving a fresh baseline window first, while freshly built snapshots —
-	// the pinned goldens included — stay byte-identical.
-	s.driftMu.Lock()
-	baseline := s.scanBaseline
-	s.driftMu.Unlock()
-	if baseline > 0 {
-		pw.Section("drift", func(e *persist.Encoder) {
-			e.F64(baseline)
-		})
-	}
 	return pw.Close()
 }
 
@@ -229,19 +216,8 @@ func (s *Sharded) Load(r io.Reader) error {
 			}
 		}
 	}
-	// Optional trailing drift-baseline section (see Save); absent sections
-	// leave the baseline unlocked and it re-locks over the first served
-	// window.
-	var driftBaseline float64
-	if d, ok := pr.SectionIf("drift"); ok {
-		driftBaseline = d.F64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if driftBaseline < 0 {
-			return fmt.Errorf("shard: manifest drift baseline %g negative", driftBaseline)
-		}
-	}
+	// Older snapshots may end in a "drift" section (a scan/user baseline no
+	// reader uses any more); Close skips it like any trailing section.
 	if err := pr.Close(); err != nil {
 		return err
 	}
@@ -304,16 +280,6 @@ func (s *Sharded) Load(r io.Reader) error {
 	s.headFirst = headFirst == 1
 	s.normFloor = normFloor
 	s.mstats = mstats
-	// Restore the drift surface: fresh counters against the loaded shard
-	// set, the persisted baseline (if any) pre-locked so regression
-	// detection works without a fresh serving window.
-	s.retunes = 0
-	s.resetDriftLocked()
-	if driftBaseline > 0 {
-		s.driftMu.Lock()
-		s.scanBaseline = driftBaseline
-		s.driftMu.Unlock()
-	}
 	s.refreshComposite()
 	return nil
 }

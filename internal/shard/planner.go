@@ -28,9 +28,9 @@ import (
 // rate or a shard's strategy. SetThreads flushes the cache, since the rate is only valid at the
 // parallelism it was measured at. Plan calls are serialized internally:
 // Sharded.Build plans shards one at a time so timing measurements never
-// contend, but background re-plans (quarantine revival, retune staging) can
-// race each other, and the mutex makes the shared cache safe under that —
-// the measurements themselves still never overlap.
+// contend, but a background re-plan (quarantine revival) can race a Build,
+// and one planner may back several composites; the mutex makes the shared
+// cache safe under that — the measurements themselves still never overlap.
 type OptimusPlanner struct {
 	mu         sync.Mutex
 	cfg        core.OptimusConfig

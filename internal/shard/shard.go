@@ -282,27 +282,6 @@ type Sharded struct {
 	reviverOn  bool
 	reviveKick chan struct{}
 	snaps      [][]byte
-
-	// Drift accounting and adaptive re-structuring state (retune.go).
-	// driftAdds/driftRemoves/arrivalRoutes are per-shard churn counters
-	// since the last (re)build or committed retune, written by mutations
-	// (under stateMu's write side) and read by DriftStats (read side).
-	// usersServed and retiredScans are monotone composite meters:
-	// usersServed counts query fan-outs per user on the hot path;
-	// retiredScans folds a sub-solver's scan counter into the composite
-	// total whenever the solver is replaced (rebuild, revival, retune), so
-	// scan/user rates survive sub-solver swaps. driftMu guards the
-	// baseline lock-in marks.
-	driftAdds     []int64
-	driftRemoves  []int64
-	arrivalRoutes []int64
-	usersServed   atomic.Int64
-	retiredScans  atomic.Int64
-	driftMu       sync.Mutex
-	scanMark      int64
-	userMark      int64
-	scanBaseline  float64
-	retunes       int
 }
 
 // New returns an unbuilt Sharded solver. Zero-valued config fields fall
@@ -359,8 +338,8 @@ func (s *Sharded) NumItems() int {
 	return s.items.Rows()
 }
 
-// NumShards reports the live partition count S (0 before Build). Retunes
-// can change it; mutations cannot.
+// NumShards reports the partition count S (0 before Build). It is fixed at
+// Build: mutations cannot change it.
 func (s *Sharded) NumShards() int {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
@@ -370,8 +349,8 @@ func (s *Sharded) NumShards() int {
 // Items returns the live corpus matrix (nil before Build). Mutations never
 // modify the matrix in place — they swap in fresh backing — so the returned
 // matrix is safe to read concurrently with queries; it is merely stale
-// after the next mutation. Verification flows (mips.VerifyMutation) and the
-// drift tests read it to follow the corpus across churn.
+// after the next mutation. Verification flows (mips.VerifyMutation) read it
+// to follow the corpus across churn.
 func (s *Sharded) Items() *mat.Matrix {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
@@ -428,7 +407,7 @@ func (s *Sharded) Build(users, items *mat.Matrix) error {
 	if !s.cfg.Schedule.valid() {
 		return fmt.Errorf("shard: invalid schedule %d", int(s.cfg.Schedule))
 	}
-	parts, err := s.cutParts(items, s.cfg.Shards)
+	parts, err := s.cutParts(items)
 	if err != nil {
 		return err
 	}
@@ -453,16 +432,14 @@ func (s *Sharded) Build(users, items *mat.Matrix) error {
 	}
 	s.gen = 0
 	s.mstats = MutationStats{}
-	s.retunes = 0
-	s.resetDriftLocked()
 	s.refreshComposite()
 	return nil
 }
 
-// cutParts runs the configured partitioner at the given shard count
-// (clamped to the item count), drops empty groups, and validates the cut.
-// Shared by Build and the retune staging path.
-func (s *Sharded) cutParts(items *mat.Matrix, nShards int) ([][]int, error) {
+// cutParts runs the configured partitioner at Config.Shards (clamped to the
+// item count), drops empty groups, and validates the cut.
+func (s *Sharded) cutParts(items *mat.Matrix) ([][]int, error) {
+	nShards := s.cfg.Shards
 	if nShards < 1 {
 		nShards = 1
 	}
@@ -719,9 +696,6 @@ func (s *Sharded) query(ctx context.Context, userIDs []int, k int, extFloors []f
 			return nil, fmt.Errorf("shard: user id %d out of range [0,%d)", u, s.users.Rows())
 		}
 	}
-	// Drift metering (retune.go): one atomic add per batch keeps the
-	// scan/user rate observable without touching the fan-out itself.
-	s.usersServed.Add(int64(len(userIDs)))
 	sc := s.getScratch(len(userIDs))
 	defer s.putScratch(sc)
 	partial := cov != nil
@@ -823,8 +797,8 @@ func (s *Sharded) queryShard(ctx context.Context, si int, userIDs []int, k int, 
 	// user whose floor already beats normFloor[si-1]·‖u‖ provably gains
 	// nothing from this shard: drop them from the sub-query and its scan
 	// meter never moves. The bound is fixed at cut time, so it loosens
-	// exactly as the cut goes stale — the structural decay DriftStats meters
-	// and a retune repairs by re-deriving the cutoffs from the live corpus.
+	// exactly as the cut goes stale; only a fresh Build re-derives the
+	// cutoffs from the live corpus.
 	ids, qf := userIDs, floors
 	var pos []int
 	if floors != nil && si > 0 && s.headFirst && si-1 < len(s.normFloor) {

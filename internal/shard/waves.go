@@ -34,7 +34,7 @@ type Schedule int
 const (
 	// AutoSchedule resolves to TwoWave when floor propagation is
 	// available and to SingleWave otherwise. Resolution is re-run at every
-	// structural refresh — build, mutation, revival, retune — so the pick
+	// structural refresh — build, load, mutation, revival — so the pick
 	// tracks the live shard set.
 	AutoSchedule Schedule = iota
 	// SingleWave is the blind fan-out.

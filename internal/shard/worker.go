@@ -3,7 +3,7 @@
 // never touches a sub-solver directly — it speaks only Worker, so an
 // in-process solver (NewWorker) and a remote process reached through a wire
 // codec (internal/transport) are interchangeable behind the same fan-out,
-// merge, floor-propagation, quarantine/revival, and retune machinery.
+// merge, floor-propagation, and quarantine/revival machinery.
 //
 // The contract is deliberately minimal: one query entry point covering every
 // dispatch mode the coordinator uses (ctx, static floors), the
@@ -229,8 +229,8 @@ func (e *workerCapError) Error() string {
 }
 
 // attach installs a worker and caches its capability word. Every path that
-// gives a shard a worker — build, load, revival, retune staging, test
-// arming — goes through here so w and caps never diverge.
+// gives a shard a worker — build, load, revival, test arming — goes
+// through here so w and caps never diverge.
 func (sh *shardState) attach(w Worker) {
 	sh.w = w
 	sh.caps = w.Caps()
@@ -301,26 +301,17 @@ func (s *Sharded) bootShard(sh *shardState, si int, section []byte) error {
 }
 
 // closeWorkers releases every worker attached to shards that never became
-// the composite's — the cleanup of a Build, Load or retune candidate that
-// failed part-way. Unlike retireWorker it folds no scan meter: the workers
-// never served.
+// the composite's — the cleanup of a Build or Load that failed part-way.
 func closeWorkers(shards []shardState) {
 	for i := range shards {
-		if w := shards[i].w; w != nil {
-			w.Close()
-		}
+		retireWorker(shards[i].w)
 	}
 }
 
-// retireWorker folds a replaced worker's scan meter into the composite's
-// retired total — so scan/user rates survive sub-solver swaps (rebuilds,
-// revivals, retunes) — and releases it. nil-safe: dead shards retire nothing.
-func (s *Sharded) retireWorker(old Worker) {
-	if old == nil {
-		return
+// retireWorker releases a worker a rebuild, revival or removal replaced.
+// nil-safe: dead shards retire nothing.
+func retireWorker(old Worker) {
+	if old != nil {
+		old.Close()
 	}
-	if old.Caps().Scans {
-		s.retiredScans.Add(old.ScanStats().Scanned)
-	}
-	old.Close()
 }

@@ -3,7 +3,6 @@ package transport_test
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"optimus/internal/adapt"
 	"optimus/internal/lemp"
 	"optimus/internal/mips"
 	"optimus/internal/persist"
@@ -264,13 +262,11 @@ func TestLoadRejectsBadShardSections(t *testing.T) {
 				if err := into.Build(m.Users, m.Items); err != nil {
 					t.Fatal(err)
 				}
+				before := saveBytes(t, into)
 				want, err := into.QueryAll(k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Saved after serving: the first queries may lock the drift
-				// baseline, which a snapshot records.
-				before := saveBytes(t, into)
 				var dialedBefore int64
 				if cd != nil {
 					dialedBefore = cd.dialed()
@@ -382,68 +378,6 @@ func TestFailedBuildAndLoadCloseDialedWorkers(t *testing.T) {
 	if dialed, closed := cd.dialed(), cd.closes.Load(); dialed != 3 || closed != 3 {
 		t.Fatalf("failed Load dialed %d workers and closed %d, want 3 and 3", dialed, closed)
 	}
-}
-
-// TestRetuneClosesDroppedWorkers: a retune keeps open only the workers of
-// the shard set it commits. On an S = 4 by-norm LEMP composite behind
-// counted loopback workers, after a committed candidate sweep, a stage
-// whose later candidate fails to build, and a commit made stale by a
-// mutation, every worker dialed is closed or serves a live shard.
-func TestRetuneClosesDroppedWorkers(t *testing.T) {
-	m := model(t, "netflix-nomad-25", 0.04)
-	var calls, failFrom atomic.Int64
-	failFrom.Store(1 << 62)
-	cd := newCountingDialer(transport.NewLoopback().Dialer())
-	cfg := bootConfig(cd.dial)
-	cfg.Factory = func() mips.Solver {
-		if calls.Add(1) >= failFrom.Load() {
-			return nil
-		}
-		return lemp.New(lemp.Config{Seed: 3})
-	}
-	sh := shard.New(cfg)
-	if err := sh.Build(m.Users, m.Items); err != nil {
-		t.Fatal(err)
-	}
-	balanced := func(label string) {
-		t.Helper()
-		live := 0
-		for _, c := range sh.DriftStats().Partitions {
-			if c > 0 {
-				live++
-			}
-		}
-		if dialed, closed := cd.dialed(), cd.closes.Load(); dialed != closed+int64(live) {
-			t.Fatalf("%s: dialed %d workers, closed %d, %d live", label, dialed, closed, live)
-		}
-	}
-	balanced("build")
-
-	if _, err := sh.Retune(adapt.RetuneRequest{ShardCandidates: []int{2, 8}}); err != nil {
-		t.Fatal(err)
-	}
-	balanced("candidate sweep")
-
-	// The sweep builds the current shard count first; the factory fails
-	// from the second shard of the next candidate on.
-	failFrom.Store(calls.Load() + int64(sh.NumShards()) + 2)
-	if _, err := sh.StageRetune(adapt.RetuneRequest{ShardCandidates: []int{2, 4, 8}}); err == nil {
-		t.Fatal("StageRetune succeeded with a failing factory")
-	}
-	failFrom.Store(1 << 62)
-	balanced("failed candidate build")
-
-	staged, err := sh.StageRetune(adapt.RetuneRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.RemoveItems([]int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.CommitRetune(staged); !errors.Is(err, adapt.ErrRetuneStale) {
-		t.Fatalf("commit after a mutation: %v, want ErrRetuneStale", err)
-	}
-	balanced("stale commit")
 }
 
 // TestRestoreAcrossThreadCounts: shards boot concurrently, yet a composite

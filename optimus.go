@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"io"
 
-	"optimus/internal/adapt"
 	"optimus/internal/conetree"
 	"optimus/internal/core"
 	"optimus/internal/dataset"
@@ -446,66 +445,6 @@ type MutationLogStats = mutlog.Stats
 // assigned id by the flush that applies it, and kept current through later
 // logged removals.
 type MutationHandle = mutlog.Handle
-
-// DriftStats is a point-in-time measurement of how far a structure's live
-// corpus has drifted from the snapshot it was last (re)structured for:
-// add/remove churn, partition-size imbalance, arrival-routing skew against
-// the build-time norm cutoffs, and the scan/user rate against a locked
-// baseline. The Sharded composite and the Server report it (the
-// adapt.Reporter surface).
-type DriftStats = adapt.DriftStats
-
-// DriftPolicy is the configurable trigger rule set deciding when drift
-// warrants re-structuring. Zero-valued thresholds select documented
-// defaults; negative values disable individual triggers.
-type DriftPolicy = adapt.Policy
-
-// DriftTrigger identifies which policy rule fired and with what evidence.
-type DriftTrigger = adapt.Trigger
-
-// RetuneRequest parameterizes one adaptive re-structure: a forced shard
-// count, or a candidate sweep measured OPTIMUS-style on a sampled user
-// subset.
-type RetuneRequest = adapt.RetuneRequest
-
-// RetuneResult describes a committed re-structure: what fired, the shard
-// counts before and after, sweep timings, and stage/commit attempts.
-type RetuneResult = adapt.RetuneResult
-
-// ErrRetuneStale is returned when a staged re-structure lost its race with
-// a concurrent mutation; callers (Server.Retune and Sharded.Retune retry
-// internally) re-stage against the moved corpus.
-var ErrRetuneStale = adapt.ErrRetuneStale
-
-// AdaptiveConfig configures the background tuner: the DriftPolicy, the poll
-// interval (negative for a manual tuner driven by Check — the deterministic
-// test mode), the RetuneRequest template, and the Disabled lesion switch
-// that counts triggers without acting.
-type AdaptiveConfig = adapt.Config
-
-// AdaptiveTuner supervises one adaptively re-structurable solver: it polls
-// DriftStats against the policy and dispatches a retune when a trigger
-// fires. Attach one to a Server with Server.Adapt, or drive a standalone
-// Sharded with NewAdaptiveTuner.
-type AdaptiveTuner = adapt.Tuner
-
-// AdaptiveTunerStats snapshots a tuner's check/trigger/retune counters.
-type AdaptiveTunerStats = adapt.Stats
-
-// AdaptiveDriver is the surface the tuner supervises: drift measurement
-// plus self-re-structuring. Sharded and Server both implement it.
-type AdaptiveDriver = adapt.Driver
-
-// NewAdaptiveTuner starts a tuner over a standalone driver (typically a
-// Sharded composite). Servers should use Server.Adapt instead, so retunes
-// commit at the serving drain boundary and Stats mirrors the counters.
-func NewAdaptiveTuner(d AdaptiveDriver, cfg AdaptiveConfig) (*AdaptiveTuner, error) {
-	return adapt.NewTuner(d, cfg)
-}
-
-// ErrServerNotAdaptive is returned by Server.Retune/Adapt when the
-// underlying solver cannot measure and re-structure itself.
-var ErrServerNotAdaptive = serving.ErrNotAdaptive
 
 // Persister is the optional Solver refinement for versioned snapshots:
 // Save writes a self-describing binary image of the built index and Load

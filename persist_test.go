@@ -227,6 +227,13 @@ func TestLoadRejectsAliasing(t *testing.T) {
 	}
 }
 
+// directApplier is a mutlog.Applier over a bare solver: no serving layer,
+// so flushes run on the test goroutine, exclusive of queries.
+type directApplier struct{ mips.ItemMutator }
+
+func (d directApplier) Mutate(fn func(mips.ItemMutator) error) error { return fn(d.ItemMutator) }
+func (d directApplier) NumItems() int                                { return d.ItemMutator.(mips.Sized).NumItems() }
+
 // TestSnapshotMutateSnapshot drives a full lifecycle across two snapshot
 // boundaries: build, save, restore, mutate the restored index through the
 // batched mutation log, save again, restore again, and check the final
@@ -244,11 +251,7 @@ func TestSnapshotMutateSnapshot(t *testing.T) {
 	}
 	loaded := roundTrip(t, built, mk())
 
-	applier, err := mutlog.Direct(loaded.(mips.ItemMutator))
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, err := mutlog.New(applier, mutlog.Config{MaxEvents: -1, MaxDelay: -1})
+	log, err := mutlog.New(directApplier{loaded.(mips.ItemMutator)}, mutlog.Config{MaxEvents: -1, MaxDelay: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
