@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -420,6 +421,106 @@ func TestDialedRevivalChecksItemCount(t *testing.T) {
 	}
 	for u := range want {
 		assertSameEntries(t, u, want[u], got[u])
+	}
+}
+
+// closeCounted is a dialed worker that counts its Close calls.
+type closeCounted struct {
+	Worker
+	closes *atomic.Int64
+	closed atomic.Bool
+}
+
+func (w *closeCounted) Close() error {
+	w.closed.Store(true)
+	w.closes.Add(1)
+	return w.Worker.Close()
+}
+
+// TestStaleRevivalClosesItsReplacement: a mutation that lands while a
+// revival builds makes the revival stale at its commit. The replacement it
+// dialed is closed, the retry heals the shard, the composite answers == a
+// fresh build over the mutated corpus, and every dialed worker is either
+// closed or live.
+func TestStaleRevivalClosesItsReplacement(t *testing.T) {
+	m := model(t, "netflix-nomad-25", 0.04)
+	const k = 7
+	var dials, closes atomic.Int64
+	var gate atomic.Bool
+	blocked := make(chan *closeCounted, 1)
+	release := make(chan struct{})
+	sh := New(Config{
+		Shards:      4,
+		Partitioner: ByNorm(),
+		Schedule:    TwoWave,
+		Factory:     func() mips.Solver { return core.NewBMM(core.BMMConfig{}) },
+		WorkerDialer: func(si int, section []byte) (Worker, error) {
+			ls, err := persist.LoadAny(persist.FromBytes(section))
+			if err != nil {
+				return nil, err
+			}
+			w := &closeCounted{Worker: NewWorker(ls.(mips.Solver)), closes: &closes}
+			dials.Add(1)
+			if gate.CompareAndSwap(true, false) {
+				blocked <- w
+				<-release
+			}
+			return w, nil
+		},
+	})
+	if err := sh.Build(m.Users, m.Items); err != nil {
+		t.Fatal(err)
+	}
+	// The largest-norm item routes its copy to shard 0, away from the
+	// revived shard, so the mutation patches and dials nothing.
+	norms := m.Items.RowNorms()
+	top := 0
+	for i, n := range norms {
+		if n > norms[top] {
+			top = i
+		}
+	}
+	gate.Store(true)
+	sh.quarantine(faultTarget, errors.New("injected fault"))
+	stale := <-blocked // the revival's replacement, dialed under the read lock
+	added := make(chan error, 1)
+	go func() {
+		_, err := sh.AddItems(m.Items.SelectRows([]int{top}))
+		added <- err
+	}()
+	// A failing TryRLock means the writer is queued behind the revival.
+	for sh.stateMu.TryRLock() {
+		sh.stateMu.RUnlock()
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	if err := <-added; err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.AwaitHealthy(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !stale.closed.Load() {
+		t.Fatal("the stale revival left its replacement worker open")
+	}
+	if rev := sh.Health()[faultTarget].Revivals; rev != 1 {
+		t.Fatalf("revivals = %d, want 1", rev)
+	}
+	if d, c := dials.Load(), closes.Load(); d != c+4 {
+		t.Fatalf("dialed %d workers and closed %d, want 4 live", d, c)
+	}
+	want, err := newFaultComposite(t, m.Users, sh.Items(), TwoWave, false).QueryAll(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sh.QueryAll(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range want {
+		if !slices.Equal(want[u], got[u]) {
+			t.Fatalf("user %d: %v, fresh build %v", u, got[u], want[u])
+		}
 	}
 }
 

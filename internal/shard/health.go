@@ -16,12 +16,13 @@
 // restores the sub-solver from its retained snapshot section (the PR 6
 // persistence format, kept per shard when Config.RetainShardSnapshots is
 // set) or falls back to a fresh rebuild/re-plan over the shard's current
-// sub-corpus, then swaps the replacement in under the composite's state lock
-// — the same drain boundary mutations already use — after checking that no
-// mutation advanced the corpus epoch mid-build (if one did, the build is
-// discarded and retried against the new corpus). A shard that fails
-// maxReviveAttempts consecutive revival attempts is condemned: it stays
-// out of service until the next full Build or a mutation rebuilds it.
+// sub-corpus, then commits the replacement under the composite's state lock
+// — the same drain boundary, and the same stage/commit path (mutate.go),
+// mutations use — after checking that no mutation advanced the corpus epoch
+// mid-build (if one did, the replacement is closed and the build retried
+// against the new corpus). A shard that fails maxReviveAttempts consecutive
+// revival attempts is condemned: it stays out of service until the next
+// full Build or a mutation rebuilds it.
 package shard
 
 import (
@@ -279,13 +280,14 @@ func (s *Sharded) reviver() {
 	}
 }
 
-// reviveShard restores one quarantined shard: load its retained snapshot
-// (no build counted — the restored index is the one already built) or
-// rebuild/re-plan from the current sub-corpus, then swap the replacement in
-// under the state lock if no mutation moved the corpus epoch meanwhile. The
-// build runs under the read lock only, concurrent with queries; the swap is
-// the same drain boundary mutations use. Reports whether the shard is
-// settled (healed, or found not to need revival).
+// reviveShard restores one quarantined shard: boot a worker from its
+// retained snapshot (no build counted — the restored index is the one
+// already built) or stage a rebuild/re-plan over the current sub-corpus,
+// then commit the replacement under the state lock if no mutation moved the
+// corpus epoch meanwhile, and close it otherwise. The build runs under the
+// read lock only, concurrent with queries; the commit is the same drain
+// boundary mutations use. Reports whether the shard is settled (healed, or
+// found not to need revival).
 func (s *Sharded) reviveShard(si int) bool {
 	s.stateMu.RLock()
 	if si >= len(s.shards) || s.healthOf(si) != Quarantined {
@@ -293,55 +295,29 @@ func (s *Sharded) reviveShard(si int) bool {
 		return true
 	}
 	epoch := s.epoch
-	sh := s.shards[si]
-	if sh.count == 0 {
-		// The shard emptied (or the composite reloaded) since the fault;
-		// nothing to revive.
-		s.stateMu.RUnlock()
-		s.stateMu.Lock()
-		if s.epoch == epoch {
-			s.healOne(si, false)
-		}
-		s.stateMu.Unlock()
-		return s.healthOf(si) == Healthy
-	}
-	var snap []byte
-	if si < len(s.snaps) {
-		snap = s.snaps[si]
-	}
-	repl := sh // replacement state: same membership, fresh worker
-	restored := false
-	if snap != nil {
-		// The retained snapshot is the shard's persist section — the shipping
-		// unit. Revival boots a fresh worker from it the way Load does:
-		// dialed under a dialer, decoded in process otherwise, and checked
-		// against the shard's item count either way.
-		restored = s.bootShard(&repl, si, snap) == nil
-	}
-	if !restored {
-		if err := s.buildShard(&repl, si, s.users, s.shardItems(&sh)); err != nil {
-			s.stateMu.RUnlock()
-			return false
-		}
+	// The retained snapshot is the shard's persist section — the shipping
+	// unit. Revival boots a fresh worker from it the way Load does: dialed
+	// under a dialer, decoded in process otherwise, and checked against the
+	// shard's item count either way.
+	repl := s.shards[si]
+	var err error
+	if si >= len(s.snaps) || s.snaps[si] == nil || s.bootShard(&repl, si, s.snaps[si]) != nil {
+		repl, err = s.stage(si, nil, s.users, s.items)
 	}
 	s.stateMu.RUnlock()
+	if err != nil {
+		return false
+	}
 
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	if s.epoch != epoch {
 		// A mutation landed mid-build; the replacement may describe a stale
-		// membership. Discard and retry against the new corpus.
+		// membership. Close it and retry against the new corpus.
+		discard(repl)
 		return false
 	}
-	retireWorker(s.shards[si].w)
-	s.shards[si] = repl
-	s.healOne(si, true)
-	if !restored {
-		// A re-plan may have changed the sub-solver type; re-derive the
-		// cached composite capabilities and refresh the retained snapshot.
-		s.refreshComposite()
-		s.captureSnap(si)
-	}
+	s.commit(si, repl, true)
 	return true
 }
 

@@ -21,6 +21,15 @@
 // floor-seeded query keeps its certificate. An item whose norm falls in an
 // interior shard's range migrates into *that* shard (not the corpus tail),
 // dirtying exactly one partition.
+//
+// One swap path. Every path that replaces a shard's worker — a mutation's
+// rebuild or emptied shard, a failed patch's repair, AddUsers's heal, stage
+// and rollback, and revival (health.go) — goes through the same three
+// steps: stage builds the replacement beside the live shard, commit swaps
+// it in (closing the worker it replaces, healing the shard, counting the
+// swap and re-taking its retained snapshot), and discard closes a staged
+// replacement that is dropped. The rule: a staged replacement is either
+// committed or closed.
 package shard
 
 import (
@@ -39,8 +48,10 @@ type MutationStats struct {
 	Mutations int
 	// Patches counts sub-solvers mutated in place (mips.ItemMutator).
 	Patches int
-	// Rebuilds counts sub-solvers rebuilt or re-planned (a dead shard's
-	// revival included).
+	// Rebuilds counts sub-solvers rebuilt or re-planned by a commit outside
+	// revival: item mutations (a dead shard's revival by an arrival
+	// included), patch repairs, and AddUsers' heals, rebuilds and
+	// rollbacks. The background reviver counts in Health's Revivals.
 	Rebuilds int
 	// Emptied counts shards whose entire membership was removed (the
 	// sub-solver is discarded; the shard sits dead until revived).
@@ -58,22 +69,18 @@ func (s *Sharded) MutationStats() MutationStats { return s.mstats }
 // Generation implements mips.ItemMutator.
 func (s *Sharded) Generation() uint64 { return s.gen }
 
-// stagedShard is one dirty shard's prepared mutation, held aside until every
-// fallible step has succeeded — the stage/commit split that keeps composite
-// mutations atomic: validation failures and rebuild/re-plan failures return
-// with the composite untouched. The one remaining hazard is a patch-path
-// sub-solver failure at commit time; inputs were already validated, so that
-// can only mean a solver bug, and it is fatal to the instance.
-type stagedShard struct {
-	si     int
-	newIDs []int      // the shard's post-mutation id map
-	st     shardState // rebuild path: the fully built replacement state
-	// patchRows (AddItems) / patchLocal (RemoveItems): non-nil selects the
-	// patch-at-commit path instead of committing st.
-	patchRows  []int
-	patchLocal []int
-	rebuild    bool
-	dead       bool
+// shardEdit is one shard's part of an item mutation: AddItems and
+// RemoveItems work it out, applyEdits stages and commits it.
+type shardEdit struct {
+	si  int
+	ids []int // the shard's post-mutation id map
+	// patch applies the mutation to the shard's live worker in place; nil
+	// marks a clean shard, whose id map is only renumbered.
+	patch func(w Worker) error
+	// repl, when staged, is committed in place of the shard: a rebuild over
+	// ids, or the dead state of a shard that lost its whole membership.
+	repl   shardState
+	staged bool
 }
 
 // AddItems implements mips.ItemMutator: append to the global corpus, route
@@ -111,11 +118,7 @@ func (s *Sharded) AddItems(newItems *mat.Matrix) ([]int, error) {
 	}
 
 	s.materializeIDs()
-	items := mat.AppendRows(s.items, newItems)
-
-	// Stage: all fallible work (sub-solver builds, planner re-plans) runs on
-	// shard-state copies; the composite commits only if every stage lands.
-	var stages []stagedShard
+	var edits []shardEdit
 	for si, rows := range perShard {
 		if len(rows) == 0 {
 			continue
@@ -123,104 +126,30 @@ func (s *Sharded) AddItems(newItems *mat.Matrix) ([]int, error) {
 		sh := &s.shards[si]
 		// Arrival rows are in ascending r, so the new global ids append to
 		// the shard's id map in ascending order — the tie-break invariant.
-		newIDs := make([]int, 0, len(sh.ids)+len(rows))
-		newIDs = append(newIDs, sh.ids...)
+		ids := make([]int, 0, len(sh.ids)+len(rows))
+		ids = append(ids, sh.ids...)
 		for _, r := range rows {
-			newIDs = append(newIDs, base+r)
+			ids = append(ids, base+r)
 		}
-		// A quarantined shard's worker cannot be trusted with an in-place
-		// patch; the rebuild path below both applies the mutation and heals
-		// the shard.
-		if sh.caps.Mutable && sh.count > 0 &&
-			s.cfg.Planner == nil && s.healthOf(si) == Healthy {
-			stages = append(stages, stagedShard{si: si, newIDs: newIDs, patchRows: rows})
-			continue
-		}
-		// Rebuild (or re-plan) the dirty shard over its new membership. A
-		// planner re-plan retakes the §IV decision for the shard's new
-		// distribution, reusing the shared measurement's user sample and
-		// baseline rate; an emptied-then-revived shard also lands here.
-		tmp := *sh
-		tmp.ids, tmp.count = newIDs, len(newIDs)
-		if err := s.buildShard(&tmp, si, s.users, subMatrix(items, newIDs)); err != nil {
-			return nil, err
-		}
-		stages = append(stages, stagedShard{si: si, st: tmp, rebuild: true})
-	}
-
-	// Commit.
-	for _, g := range stages {
-		sh := &s.shards[g.si]
-		if g.rebuild {
-			retireWorker(sh.w)
-			*sh = g.st
-			s.healOne(g.si, false)
-			s.mstats.Rebuilds++
-			s.captureSnap(g.si)
-			continue
-		}
-		var ids []int
-		err := guard(func() error {
-			var e error
-			ids, e = sh.w.AddItems(newItems.SelectRows(g.patchRows))
-			return e
-		})
-		if err == nil && (len(ids) != len(g.patchRows) || ids[0] != sh.count) {
-			err = fmt.Errorf("sub-solver assigned ids %v, want [%d,%d)",
-				ids, sh.count, sh.count+len(g.patchRows))
-		}
-		if err != nil {
-			// The patch ran on composite-validated inputs, so a failure (or
-			// panic, contained by guard) means the sub-solver is in an
-			// unknown state. Repair it on the spot — rebuild over the
-			// intended post-mutation membership — so the commit stays
-			// atomic; if even the rebuild fails, quarantine the shard with
-			// its membership advanced and let the background reviver retry:
-			// the corpus commit below is what makes that revival correct.
-			if s.repairShard(g.si, g.newIDs, items, err) == nil {
-				s.mstats.Rebuilds++
+		count := sh.count
+		edits = append(edits, shardEdit{si: si, ids: ids, patch: func(w Worker) error {
+			got, err := w.AddItems(newItems.SelectRows(rows))
+			if err == nil && (len(got) != len(rows) || got[0] != count) {
+				err = fmt.Errorf("sub-solver assigned ids %v, want [%d,%d)",
+					got, count, count+len(rows))
 			}
-			continue
-		}
-		sh.ids, sh.count = g.newIDs, len(g.newIDs)
-		s.mstats.Patches++
-		s.dropSnap(g.si) // the retained snapshot predates the patch
+			return err
+		}})
 	}
-	s.items = items
-	s.gen++
-	s.epoch++
-	s.mstats.Mutations++
-	s.refreshComposite()
+	if err := s.applyEdits(mat.AppendRows(s.items, newItems), edits); err != nil {
+		return nil, err
+	}
 	return mips.IDRange(base, m), nil
-}
-
-// repairShard restores a shard whose in-place patch failed mid-commit:
-// rebuild it over its intended post-mutation membership (drawn from the
-// post-mutation corpus). On success the shard is healthy and the mutation
-// is applied; on failure the shard is quarantined with cause, its
-// membership still advanced so the background reviver rebuilds it against
-// the right corpus rows. Either way the composite-level mutation commits.
-func (s *Sharded) repairShard(si int, newIDs []int, items *mat.Matrix, cause error) error {
-	sh := &s.shards[si]
-	tmp := *sh
-	tmp.ids, tmp.count = newIDs, len(newIDs)
-	if err := s.buildShard(&tmp, si, s.users, subMatrix(items, newIDs)); err != nil {
-		sh.ids, sh.count = newIDs, len(newIDs)
-		s.dropSnap(si)
-		s.quarantine(si, cause)
-		return err
-	}
-	retireWorker(sh.w)
-	*sh = tmp
-	s.healOne(si, false)
-	s.captureSnap(si)
-	return nil
 }
 
 // RemoveItems implements mips.ItemMutator: compact the global corpus and
 // touch only the shards that owned removed items. Clean shards' id maps are
-// renumbered arithmetically; their indexes are not rebuilt. Like AddItems,
-// all fallible work is staged and committed only once it has all succeeded.
+// renumbered arithmetically; their indexes are not rebuilt.
 func (s *Sharded) RemoveItems(ids []int) error {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
@@ -232,11 +161,7 @@ func (s *Sharded) RemoveItems(ids []int) error {
 		return err
 	}
 	s.materializeIDs()
-	items := mat.RemoveRows(s.items, sorted)
-
-	// Stage: compute every shard's post-removal id map and build the
-	// replacements for shards taking the rebuild path.
-	var stages []stagedShard
+	var edits []shardEdit
 	for si := range s.shards {
 		sh := &s.shards[si]
 		if sh.count == 0 {
@@ -257,72 +182,148 @@ func (s *Sharded) RemoveItems(ids []int) error {
 			}
 			newIDs = append(newIDs, id-next) // next == |removed ids < id|
 		}
-		g := stagedShard{si: si, newIDs: newIDs, patchLocal: local}
+		e := shardEdit{si: si, ids: newIDs}
+		if len(local) > 0 {
+			e.patch = func(w Worker) error { return w.RemoveItems(local) }
+		}
+		edits = append(edits, e)
+	}
+	return s.applyEdits(mat.RemoveRows(s.items, sorted), edits)
+}
+
+// applyEdits is the stage → commit body AddItems and RemoveItems share,
+// run under the write lock over the post-mutation corpus items. Stage: all
+// fallible work (sub-solver builds, planner re-plans) runs beside the live
+// shards, so a failed build returns with the composite untouched and every
+// replacement staged before it closed. Commit: staged replacements swap in,
+// dirty shards left live are patched in place, clean ones renumbered.
+func (s *Sharded) applyEdits(items *mat.Matrix, edits []shardEdit) error {
+	for i := range edits {
+		e := &edits[i]
+		sh := &s.shards[e.si]
 		switch {
-		case len(local) == 0:
-			// Clean shard: arithmetic renumber only, index untouched.
-		case len(newIDs) == 0:
+		case e.patch == nil:
+			continue
+		case len(e.ids) == 0:
 			// The shard lost its whole membership: it goes dead (skipped by
 			// the query fan-out) until an arrival revives it.
-			g.dead = true
+			e.repl = *sh
+			e.repl.w, e.repl.caps, e.repl.ids, e.repl.count = nil, WorkerCaps{}, nil, 0
+		case sh.caps.Mutable && sh.count > 0 && s.cfg.Planner == nil && s.healthOf(e.si) == Healthy:
+			continue // patched at commit
 		default:
-			// Quarantined shards take the rebuild path like unpatchable
-			// ones: it applies the removal and heals in one step.
-			if !sh.caps.Mutable ||
-				s.cfg.Planner != nil || s.healthOf(si) != Healthy {
-				tmp := *sh
-				tmp.ids, tmp.count = newIDs, len(newIDs)
-				if err := s.buildShard(&tmp, si, s.users, subMatrix(items, newIDs)); err != nil {
-					return err
+			// A quarantined shard's worker cannot be trusted with an in-place
+			// patch, so the rebuild both applies the mutation and heals it. A
+			// planner re-plan retakes the §IV decision for the shard's new
+			// distribution, reusing the shared measurement's user sample and
+			// baseline rate; an emptied-then-revived shard also lands here.
+			repl, err := s.stage(e.si, e.ids, s.users, items)
+			if err != nil {
+				for _, d := range edits[:i] {
+					discard(d.repl)
 				}
-				g.st, g.rebuild, g.patchLocal = tmp, true, nil
+				return err
 			}
+			e.repl = repl
 		}
-		stages = append(stages, g)
+		e.staged = true
 	}
 
-	// Commit.
-	for _, g := range stages {
-		sh := &s.shards[g.si]
+	for _, e := range edits {
+		sh := &s.shards[e.si]
 		switch {
-		case g.dead:
-			retireWorker(sh.w)
-			sh.w, sh.caps, sh.ids, sh.count = nil, WorkerCaps{}, nil, 0
-			s.healOne(g.si, false) // nothing left to revive
-			s.dropSnap(g.si)
-			s.mstats.Emptied++
-		case g.rebuild:
-			retireWorker(sh.w)
-			*sh = g.st
-			s.healOne(g.si, false)
-			s.mstats.Rebuilds++
-			s.captureSnap(g.si)
-		case len(g.patchLocal) > 0:
-			err := guard(func() error {
-				return sh.w.RemoveItems(g.patchLocal)
-			})
-			if err != nil {
-				// Same repair-or-quarantine policy as AddItems: the commit
-				// finishes either way (see repairShard).
-				if s.repairShard(g.si, g.newIDs, items, err) == nil {
-					s.mstats.Rebuilds++
-				}
+		case e.staged:
+			s.commit(e.si, e.repl, false)
+		case e.patch == nil:
+			sh.ids = e.ids // clean renumber; the sub-solver (and any
+			// retained snapshot of it) is untouched
+		default:
+			if err := guard(func() error { return e.patch(sh.w) }); err != nil {
+				// The patch ran on composite-validated inputs, so a failure
+				// (or panic, contained by guard) means the sub-solver is in
+				// an unknown state: repair it on the spot so the commit
+				// stays atomic. A shard the repair leaves quarantined is
+				// revived against the corpus committed below.
+				s.repairShard(e.si, e.ids, items, err)
 				continue
 			}
-			sh.ids, sh.count = g.newIDs, len(g.newIDs)
+			sh.ids, sh.count = e.ids, len(e.ids)
 			s.mstats.Patches++
-			s.dropSnap(g.si)
-		default:
-			sh.ids = g.newIDs // clean renumber; the sub-solver (and any
-			// retained snapshot of it) is untouched
+			s.dropSnap(e.si) // the retained snapshot predates the patch
 		}
 	}
 	s.items = items
 	s.gen++
 	s.epoch++
 	s.mstats.Mutations++
-	s.refreshComposite()
 	return nil
+}
+
+// repairShard restores a shard whose in-place patch failed mid-commit by
+// rebuilding it over its intended post-mutation membership, drawn from the
+// post-mutation corpus. If even the rebuild fails, the shard is quarantined
+// with cause, its membership still advanced so the background reviver
+// rebuilds it against the right corpus rows. Either way the composite-level
+// mutation commits.
+func (s *Sharded) repairShard(si int, ids []int, items *mat.Matrix, cause error) {
+	repl, err := s.stage(si, ids, s.users, items)
+	if err != nil {
+		sh := &s.shards[si]
+		sh.ids, sh.count = ids, len(ids)
+		s.dropSnap(si)
+		s.quarantine(si, cause)
+		return
+	}
+	s.commit(si, repl, false)
+}
+
+// stage builds a replacement for shard si: the shard's state with its
+// membership set to ids (nil keeps the current one), and a sub-solver built
+// — or planned — over users and those rows of the corpus items. Nothing is
+// installed. The one rule for every path that swaps a shard (mutation,
+// repair, rollback, revival) is that a staged replacement is either
+// committed or closed by discard. A failed stage returns the zero state.
+func (s *Sharded) stage(si int, ids []int, users, items *mat.Matrix) (shardState, error) {
+	repl := s.shards[si]
+	if ids != nil {
+		repl.ids, repl.count = ids, len(ids)
+	}
+	// A membership that is one consecutive run aliases the corpus rows.
+	base, run := repl.base, repl.ids == nil
+	if !run {
+		base, run = contiguousRange(repl.ids)
+	}
+	var sub *mat.Matrix
+	if run {
+		sub = items.RowSlice(base, base+repl.count)
+	} else {
+		sub = items.SelectRows(repl.ids)
+	}
+	if err := s.buildShard(&repl, si, users, sub); err != nil {
+		return shardState{}, err
+	}
+	return repl, nil
+}
+
+// commit installs repl, a replacement staged for shard si, under the write
+// lock: it closes the worker repl replaces, heals the shard, counts the swap
+// (a revival in the shard's Revivals, otherwise a rebuild or an emptied
+// shard in MutationStats), re-takes the retained snapshot from the new
+// worker (none for a dead shard), and re-derives the cached composite
+// capabilities, which a re-plan may have changed.
+func (s *Sharded) commit(si int, repl shardState, revived bool) {
+	discard(s.shards[si])
+	s.shards[si] = repl
+	s.healOne(si, revived)
+	switch {
+	case revived:
+	case repl.count == 0:
+		s.mstats.Emptied++
+	default:
+		s.mstats.Rebuilds++
+	}
+	s.captureSnap(si)
+	s.refreshComposite()
 }
 
 // AddUsers implements mips.UserAdder by broadcasting the arrivals to every
@@ -335,21 +336,22 @@ func (s *Sharded) RemoveItems(ids []int) error {
 //
 // Error atomicity. The rebuilds are staged before the broadcast and
 // committed only after it succeeds, so a failed rebuild returns with the
-// composite untouched. The broadcast itself cannot be staged on copies
-// (sub-solvers absorb users in place), so a mid-broadcast failure — a
-// sub-solver error or an id-contract violation at shard k — discards the
-// staged rebuilds and is rolled back by rebuilding the adders among shards
-// 0..k over the composite's unchanged user matrix and their current
-// sub-corpora: the composite then answers queries identically to its
-// pre-call state (the exactness contract makes a rebuilt sub-solver
-// interchangeable; under a Planner the dirty shards are re-planned, and
-// their Plans()/Builds counters advance — the observable trace of the
-// recovery). Shard k itself is included because a contract-violating
-// sub-solver has already mutated. Only if the rollback rebuild *also* fails
-// is the composite corrupt; the returned error then says so explicitly and
-// the instance must be discarded. With the repository's solvers the inputs
-// are fully validated before the first broadcast call, so the whole path is
-// reachable only through a custom sub-solver bug.
+// composite untouched and the rebuilds staged before it closed. The
+// broadcast itself cannot be staged on copies (sub-solvers absorb users in
+// place), so a mid-broadcast failure — a sub-solver error or an id-contract
+// violation at shard k — closes the staged rebuilds and is rolled back by
+// rebuilding the adders among shards 0..k over the composite's unchanged
+// user matrix and their current sub-corpora: the composite then answers
+// queries identically to its pre-call state (the exactness contract makes
+// a rebuilt sub-solver interchangeable; under a Planner the dirty shards
+// are re-planned, and their Plans()/Builds counters and MutationStats'
+// Rebuilds advance — the observable trace of the recovery). Shard k itself
+// is included because a contract-violating sub-solver has already mutated.
+// Only if the rollback rebuild *also* fails is the composite corrupt; the
+// returned error then says so explicitly and the instance must be
+// discarded. With the repository's solvers the inputs are fully validated
+// before the first broadcast call, so the whole path is reachable only
+// through a custom sub-solver bug.
 func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
@@ -363,45 +365,31 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 	// broadcast; heal it first by rebuilding over the pre-mutation state
 	// (failure leaves the composite untouched), so the broadcast below only
 	// ever talks to healthy sub-solvers.
-	healed := false
 	for si := range s.shards {
-		sh := &s.shards[si]
-		if sh.count == 0 || s.healthOf(si) == Healthy {
+		if s.shards[si].count == 0 || s.healthOf(si) == Healthy {
 			continue
 		}
-		tmp := *sh
-		if err := s.buildShard(&tmp, si, s.users, s.shardItems(sh)); err != nil {
+		repl, err := s.stage(si, nil, s.users, s.items)
+		if err != nil {
 			return nil, err
 		}
-		retireWorker(sh.w)
-		*sh = tmp
-		s.healOne(si, false)
-		s.mstats.Rebuilds++
-		healed = true
-	}
-	if healed {
-		s.refreshComposite() // a re-plan may have changed capabilities
+		s.commit(si, repl, false)
 	}
 	// Stage: a shard that cannot absorb users is rebuilt over the grown
-	// user matrix beside the live one.
+	// user matrix beside the live one, into repl[si] (the zero state for
+	// the others).
 	grown := mat.AppendRows(s.users, newUsers)
-	var stages []stagedShard
-	discard := func() {
-		for _, g := range stages {
-			retireWorker(g.st.w)
-		}
-	}
+	repl := make([]shardState, len(s.shards))
 	for si := range s.shards {
-		sh := &s.shards[si]
-		if sh.count == 0 || sh.caps.UserAdds {
+		if s.shards[si].count == 0 || s.shards[si].caps.UserAdds {
 			continue
 		}
-		tmp := *sh
-		if err := s.buildShard(&tmp, si, grown, s.shardItems(sh)); err != nil {
-			discard()
+		st, err := s.stage(si, nil, grown, s.items)
+		if err != nil {
+			discard(repl...)
 			return nil, err
 		}
-		stages = append(stages, stagedShard{si: si, st: tmp})
+		repl[si] = st
 	}
 	base := s.users.Rows()
 	for si := range s.shards {
@@ -421,56 +409,46 @@ func (s *Sharded) AddUsers(newUsers *mat.Matrix) ([]int, error) {
 		}
 		if err != nil {
 			err = &ShardError{Shard: si, Plan: sh.plan, Err: err}
-			discard()
+			discard(repl...)
 			if rbErr := s.rollbackUserBroadcast(si); rbErr != nil {
 				return nil, fmt.Errorf("%v; rollback failed, composite corrupt: %w", err, rbErr)
 			}
 			return nil, err
 		}
 	}
-	for _, g := range stages {
-		retireWorker(s.shards[g.si].w)
-		s.shards[g.si] = g.st
-		s.mstats.Rebuilds++
+	// Every sub-solver embeds its user matrix, so every retained snapshot
+	// predates the broadcast; drop them all (revival falls back to rebuild)
+	// before the commits retain the rebuilt shards' fresh ones.
+	for i := range s.snaps {
+		s.snaps[i] = nil
 	}
-	if len(stages) > 0 {
-		s.refreshComposite() // a re-plan may have changed capabilities
+	for si := range repl {
+		if repl[si].w != nil {
+			s.commit(si, repl[si], false)
+		}
 	}
 	s.users = grown
 	s.userNorms = append(s.userNorms, newUsers.RowNorms()...)
 	s.epoch++
-	// Every sub-solver embeds its user matrix, so every retained snapshot
-	// predates the broadcast; drop them all (revival falls back to rebuild),
-	// then retain the rebuilt shards' fresh ones.
-	for i := range s.snaps {
-		s.snaps[i] = nil
-	}
-	for _, g := range stages {
-		s.captureSnap(g.si)
-	}
 	return mips.IDRange(base, newUsers.Rows()), nil
 }
 
 // rollbackUserBroadcast undoes a partial AddUsers broadcast by rebuilding
 // the user adders among shards [0, upto] from the composite's (unchanged)
 // user matrix and their current sub-corpora; the other shards never saw the
-// broadcast. Rebuilt shards answer identically to their pre-call state;
-// their Plans()/Builds counters advance, and a Planner re-plans them.
+// broadcast. Rebuilt shards answer identically to their pre-call state; a
+// Planner re-plans them.
 func (s *Sharded) rollbackUserBroadcast(upto int) error {
 	for si := 0; si <= upto; si++ {
-		sh := &s.shards[si]
-		if sh.count == 0 || !sh.caps.UserAdds {
+		if s.shards[si].count == 0 || !s.shards[si].caps.UserAdds {
 			continue
 		}
-		old := sh.w
-		if err := s.buildShard(sh, si, s.users, s.shardItems(sh)); err != nil {
+		repl, err := s.stage(si, nil, s.users, s.items)
+		if err != nil {
 			return err
 		}
-		retireWorker(old)
+		s.commit(si, repl, false)
 	}
-	// A Planner rollback may have changed sub-solver types, so the cached
-	// composite capabilities (Batches, two-wave) are re-derived.
-	s.refreshComposite()
 	return nil
 }
 
@@ -486,24 +464,6 @@ func (s *Sharded) materializeIDs() {
 			sh.base = 0
 		}
 	}
-}
-
-// shardItems returns a shard's current member rows from the corpus, in
-// either id representation.
-func (s *Sharded) shardItems(sh *shardState) *mat.Matrix {
-	if sh.ids == nil {
-		return s.items.RowSlice(sh.base, sh.base+sh.count)
-	}
-	return subMatrix(s.items, sh.ids)
-}
-
-// subMatrix selects a shard's member rows from the corpus, aliasing instead
-// of copying when the membership is one consecutive run.
-func subMatrix(items *mat.Matrix, ids []int) *mat.Matrix {
-	if base, ok := contiguousRange(ids); ok {
-		return items.RowSlice(base, base+len(ids))
-	}
-	return items.SelectRows(ids)
 }
 
 // The composite is itself a mutable corpus (and a user adder), so mutation

@@ -263,7 +263,7 @@ func (s *Sharded) Load(r io.Reader) error {
 		return first
 	})
 	if err != nil {
-		closeWorkers(shards)
+		discard(shards...)
 		return err
 	}
 

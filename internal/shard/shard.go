@@ -338,14 +338,6 @@ func (s *Sharded) NumItems() int {
 	return s.items.Rows()
 }
 
-// NumShards reports the partition count S (0 before Build). It is fixed at
-// Build: mutations cannot change it.
-func (s *Sharded) NumShards() int {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	return len(s.shards)
-}
-
 // Items returns the live corpus matrix (nil before Build). Mutations never
 // modify the matrix in place — they swap in fresh backing — so the returned
 // matrix is safe to read concurrently with queries; it is merely stale
@@ -491,7 +483,7 @@ func (s *Sharded) buildAll(shards []shardState, users *mat.Matrix, subItems []*m
 		}
 		for i := range shards {
 			if err := build(i); err != nil {
-				closeWorkers(shards)
+				discard(shards...)
 				return err
 			}
 		}
@@ -507,7 +499,7 @@ func (s *Sharded) buildAll(shards []shardState, users *mat.Matrix, subItems []*m
 		return first
 	})
 	if err != nil {
-		closeWorkers(shards)
+		discard(shards...)
 	}
 	return err
 }
@@ -534,9 +526,10 @@ func computeNormFloors(norms []float64, parts [][]int) []float64 {
 // buildShard (re)builds one shard's sub-solver over the given sub-matrix —
 // via the Planner when configured, the Factory otherwise — forwards the
 // composite's thread setting, and advances the shard's build counter. It is
-// the shared path under Build (every shard), mutation (dirty shards only),
-// and revival (health.go). A panicking Planner, Factory, or sub-solver
-// Build is contained here into a typed error.
+// the shared path under Build (every shard, buildAll) and every later
+// rebuild (stage: mutation, repair, AddUsers, revival). A panicking
+// Planner, Factory, or sub-solver Build is contained here into a typed
+// error.
 func (s *Sharded) buildShard(sh *shardState, i int, users, subItems *mat.Matrix) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -92,9 +92,10 @@ type Worker interface {
 // argument is the shard's self-describing persist section (the solver
 // snapshot nested in the manifest's `shard%d` section): shipping a shard IS
 // sending a section — the dialed side boots by persist.LoadAny-ing it. A
-// dialer is called at Build (from a fresh snapshot of the just-built
-// sub-solver), at Load (from the manifest's stored section), and at revival
-// (from the retained snapshot or a rebuild).
+// dialer is called at Build and at every later rebuild (from a fresh
+// snapshot of the just-built sub-solver), at Load (from the manifest's
+// stored section), and at revival (from the retained snapshot or a
+// rebuild).
 //
 // At Load and revival the dialed worker is the only decoder of its section:
 // the coordinator does not rebuild the sub-solver to check it, but reads
@@ -103,9 +104,11 @@ type Worker interface {
 // safe to call from several goroutines. At Load the section is a view of
 // the restored stream, so a dialer that keeps it past the call clones it,
 // or it pins the whole stream. Dial errors fail the operation that
-// triggered them, and a Build or Load that fails closes every worker it had
-// dialed; at query time a dialed worker's failures route through the
-// ordinary quarantine machinery.
+// triggered them, and a worker dialed for a replacement that is not
+// committed is closed: a failed Build, Load, mutation, repair or AddUsers,
+// and a revival a mutation made stale, leave no dialed worker open. At
+// query time a dialed worker's failures route through the ordinary
+// quarantine machinery.
 type WorkerDialer func(shard int, section []byte) (Worker, error)
 
 // NewWorker wraps a built sub-solver in the in-process Worker. All optional
@@ -300,18 +303,14 @@ func (s *Sharded) bootShard(sh *shardState, si int, section []byte) error {
 	return nil
 }
 
-// closeWorkers releases every worker attached to shards that never became
-// the composite's — the cleanup of a Build or Load that failed part-way.
-func closeWorkers(shards []shardState) {
-	for i := range shards {
-		retireWorker(shards[i].w)
-	}
-}
-
-// retireWorker releases a worker a rebuild, revival or removal replaced.
-// nil-safe: dead shards retire nothing.
-func retireWorker(old Worker) {
-	if old != nil {
-		old.Close()
+// discard closes the workers of shard states being dropped: the state a
+// commit replaces, and staged states that will not be committed — a Build
+// or Load that failed part-way, a mutation or AddUsers whose later stage
+// failed, a revival gone stale. Zero and dead states hold no worker.
+func discard(dropped ...shardState) {
+	for i := range dropped {
+		if w := dropped[i].w; w != nil {
+			w.Close()
+		}
 	}
 }

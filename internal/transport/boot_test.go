@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"optimus/internal/fexipro"
 	"optimus/internal/lemp"
 	"optimus/internal/mips"
 	"optimus/internal/persist"
@@ -377,6 +378,67 @@ func TestFailedBuildAndLoadCloseDialedWorkers(t *testing.T) {
 	}
 	if dialed, closed := cd.dialed(), cd.closes.Load(); dialed != 3 || closed != 3 {
 		t.Fatalf("failed Load dialed %d workers and closed %d, want 3 and 3", dialed, closed)
+	}
+}
+
+// TestFailedStagingClosesStagedWorkers: FEXIPRO patches nothing in place,
+// so every dirty shard of a by-norm composite over it rebuilds. An AddItems
+// (copies of the largest- and smallest-norm items) and a RemoveItems (those
+// two ids) each dirty shards 0 and 3, and the dialer refuses shard 3's
+// rebuild. Each call fails, the composite answers == as before, and the
+// rebuild staged for shard 0 is closed: dials == closes + the 4 live workers.
+func TestFailedStagingClosesStagedWorkers(t *testing.T) {
+	m := model(t, "netflix-nomad-25", 0.04)
+	const k = 5
+	var refuse atomic.Bool
+	cd := newCountingDialer(transport.NewLoopback().Dialer())
+	cfg := bootConfig(func(si int, section []byte) (shard.Worker, error) {
+		if si == 3 && refuse.Load() {
+			return nil, fmt.Errorf("refusing shard %d", si)
+		}
+		return cd.dial(si, section)
+	})
+	cfg.Factory = func() mips.Solver { return fexipro.New(fexipro.Config{}) }
+	sh := shard.New(cfg)
+	if err := sh.Build(m.Users, m.Items); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sh.QueryAll(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norms := m.Items.RowNorms()
+	hi, lo := 0, 0
+	for i, n := range norms {
+		if n > norms[hi] {
+			hi = i
+		}
+		if n < norms[lo] {
+			lo = i
+		}
+	}
+	refuse.Store(true)
+	for _, mut := range []struct {
+		name string
+		run  func() error
+	}{
+		{"AddItems", func() error {
+			_, err := sh.AddItems(m.Items.SelectRows([]int{hi, lo}))
+			return err
+		}},
+		{"RemoveItems", func() error { return sh.RemoveItems([]int{hi, lo}) }},
+	} {
+		if err := mut.run(); err == nil || !strings.Contains(err.Error(), "refusing shard 3") {
+			t.Fatalf("%s with shard 3's rebuild refused: %v", mut.name, err)
+		}
+		if dialed, closed := cd.dialed(), cd.closes.Load(); dialed != closed+4 {
+			t.Fatalf("failed %s: dialed %d workers and closed %d, want 4 live", mut.name, dialed, closed)
+		}
+		got, err := sh.QueryAll(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, want, got)
 	}
 }
 
