@@ -105,7 +105,7 @@ func TestRunQueries(t *testing.T) {
 		if want := "coverage: " + full.String() + "\n"; out != want {
 			t.Fatalf("printed %q, want %q", out, want)
 		}
-		if err := mips.VerifyAll(users, items, got, k, 1e-9); err != nil {
+		if err := mips.VerifyAll(users, items, got, k); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -53,7 +53,7 @@ func ExampleNewServer() {
 		return
 	}
 	fmt.Println("entries for user 7:", len(entries))
-	fmt.Println("exact:", optimus.VerifyTopK(ds.Users.Row(7), ds.Items, entries, 3, 1e-9) == nil)
+	fmt.Println("exact:", optimus.VerifyTopK(ds.Users.Row(7), ds.Items, entries, 3) == nil)
 	// Output:
 	// entries for user 7: 3
 	// exact: true
@@ -83,7 +83,7 @@ func ExampleNewSharded() {
 		return
 	}
 	fmt.Println("shards:", len(sh.Plans()))
-	fmt.Println("exact:", optimus.VerifyAll(ds.Users, ds.Items, res, 3, 1e-9) == nil)
+	fmt.Println("exact:", optimus.VerifyAll(ds.Users, ds.Items, res, 3) == nil)
 	// Output:
 	// shards: 4
 	// exact: true
@@ -124,7 +124,7 @@ func ExampleVerifyAll() {
 		return
 	}
 	res, _ := lemp.QueryAll(5)
-	fmt.Println("exact:", optimus.VerifyAll(ds.Users, ds.Items, res, 5, 1e-9) == nil)
+	fmt.Println("exact:", optimus.VerifyAll(ds.Users, ds.Items, res, 5) == nil)
 	// Output:
 	// exact: true
 }

@@ -63,7 +63,7 @@ func main() {
 
 	// Exactness check against brute force for the first few queries.
 	for u := 0; u < 5; u++ {
-		if err := optimus.VerifyTopK(ds.Users.Row(u), ds.Items, res[u], k, 1e-9); err != nil {
+		if err := optimus.VerifyTopK(ds.Users.Row(u), ds.Items, res[u], k); err != nil {
 			log.Fatalf("query %d: %v", u, err)
 		}
 	}

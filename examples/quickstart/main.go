@@ -48,7 +48,7 @@ func main() {
 	}
 
 	// The results are exact: verify against a brute-force check.
-	if err := optimus.VerifyAll(ds.Users, ds.Items, results, k, 1e-9); err != nil {
+	if err := optimus.VerifyAll(ds.Users, ds.Items, results, k); err != nil {
 		log.Fatal("verification failed: ", err)
 	}
 	fmt.Println("\nverified: results are the exact top-k for every user")

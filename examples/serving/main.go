@@ -56,7 +56,7 @@ func main() {
 				if err != nil {
 					log.Fatalf("client %d: %v", c, err)
 				}
-				if err := optimus.VerifyTopK(ds.Users.Row(u), ds.Items, res, k, 1e-9); err != nil {
+				if err := optimus.VerifyTopK(ds.Users.Row(u), ds.Items, res, k); err != nil {
 					log.Fatalf("client %d user %d: %v", c, u, err)
 				}
 			}
@@ -85,7 +85,7 @@ func main() {
 	}
 	fmt.Printf("\nnew user %d served; top item %d (score %.4f)\n",
 		ids[0], res[0].Item, res[0].Score)
-	if err := optimus.VerifyTopK(newUser.Row(0), ds.Items, res, k, 1e-9); err != nil {
+	if err := optimus.VerifyTopK(newUser.Row(0), ds.Items, res, k); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("verified: the new user's ranking is exact")

@@ -80,7 +80,7 @@ func main() {
 	}
 
 	// Exactness survives sharding and mixed per-shard strategies.
-	if err := optimus.VerifyAll(users, items, results, k, 1e-9); err != nil {
+	if err := optimus.VerifyAll(users, items, results, k); err != nil {
 		log.Fatal("verification failed: ", err)
 	}
 	fmt.Println("\nverified: sharded results are the exact top-k for every user")

@@ -27,6 +27,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"optimus/internal/mips"
 	"optimus/internal/persist"
 	"optimus/internal/shard"
 )
@@ -118,8 +119,10 @@ func TestGoldenSnapshots(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameEntries(t, want, got)
-				if err := VerifyAll(users, items, got, k, 1e-8); err != nil {
+				if err := mips.SameRows(want, got); err != nil {
+					t.Fatal(err)
+				}
+				if err := VerifyAll(users, items, got, k); err != nil {
 					t.Fatal(err)
 				}
 				var resave bytes.Buffer
@@ -197,7 +200,9 @@ func TestGoldenLoadOnly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameEntries(t, want, got)
+				if err := mips.SameRows(want, got); err != nil {
+					t.Fatal(err)
+				}
 				var resave bytes.Buffer
 				if err := SaveSolver(&resave, loaded); err != nil {
 					t.Fatal(err)
@@ -302,7 +307,9 @@ func TestGoldenScheduleEvolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameEntries(t, want, got)
+	if err := mips.SameRows(want, got); err != nil {
+		t.Fatal(err)
+	}
 
 	// Snapshots older writers produced: the golden plus trailing sections
 	// naming the retired "cascade" schedule and carrying the retired "drift"
@@ -350,7 +357,9 @@ func TestGoldenScheduleEvolution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameEntries(t, want, got)
+			if err := mips.SameRows(want, got); err != nil {
+				t.Fatal(err)
+			}
 			var resaved bytes.Buffer
 			if err := SaveSolver(&resaved, sh3); err != nil {
 				t.Fatal(err)

@@ -6,7 +6,6 @@ package optimus
 
 import (
 	"context"
-	"math"
 	"sync"
 	"testing"
 )
@@ -50,8 +49,8 @@ func allSolvers() []Solver {
 }
 
 // TestAllSolversAgreeOnEveryRegime runs the full solver set over one model
-// per dataset family and checks that all of them return score-identical
-// exact rankings.
+// per dataset family and checks that each returns exactly Naive's answer
+// (VerifyAll), so all of them agree entry for entry.
 func TestAllSolversAgreeOnEveryRegime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration matrix is not short")
@@ -72,7 +71,6 @@ func TestAllSolversAgreeOnEveryRegime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var reference [][]Entry
 			for _, s := range allSolvers() {
 				if err := s.Build(ds.Users, ds.Items); err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
@@ -81,21 +79,8 @@ func TestAllSolversAgreeOnEveryRegime(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
 				}
-				if err := VerifyAll(ds.Users, ds.Items, res, k, 1e-8); err != nil {
+				if err := VerifyAll(ds.Users, ds.Items, res, k); err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
-				}
-				if reference == nil {
-					reference = res
-					continue
-				}
-				for u := range reference {
-					for r := range reference[u] {
-						a, b := reference[u][r].Score, res[u][r].Score
-						if math.Abs(a-b) > 1e-8*(1+math.Abs(a)) {
-							t.Fatalf("%s: user %d rank %d score %v, reference %v",
-								s.Name(), u, r, b, a)
-						}
-					}
 				}
 			}
 		})
@@ -137,7 +122,7 @@ func TestConcurrentQueriesOnSharedIndex(t *testing.T) {
 						return
 					}
 					for i, u := range ids {
-						if err := VerifyTopK(ds.Users.Row(u), ds.Items, res[i], k, 1e-8); err != nil {
+						if err := VerifyTopK(ds.Users.Row(u), ds.Items, res[i], k); err != nil {
 							errs <- err
 							return
 						}
@@ -182,7 +167,7 @@ func TestOptimusAgainstEveryIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := VerifyAll(ds.Users, ds.Items, res, 4, 1e-8); err != nil {
+			if err := VerifyAll(ds.Users, ds.Items, res, 4); err != nil {
 				t.Fatalf("winner %s: %v", dec.Winner, err)
 			}
 		})
@@ -237,7 +222,7 @@ func TestDatasetRegimesDriveOptimusDecisions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := VerifyAll(ds.Users, ds.Items, res, 1, 1e-9); err != nil {
+				if err := VerifyAll(ds.Users, ds.Items, res, 1); err != nil {
 					t.Fatal(err)
 				}
 				if dec.Winner == tc.expect {
@@ -289,7 +274,7 @@ func TestServerOverOptimusChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTopK(ds.Users.Row(0), ds.Items, res, 3, 1e-9); err != nil {
+	if err := VerifyTopK(ds.Users.Row(0), ds.Items, res, 3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -335,7 +320,7 @@ func TestServerOverShardedPlanner(t *testing.T) {
 				errs <- err
 				return
 			}
-			if err := VerifyTopK(ds.Users.Row(u), ds.Items, res, k, 1e-9); err != nil {
+			if err := VerifyTopK(ds.Users.Row(u), ds.Items, res, k); err != nil {
 				errs <- err
 			}
 		}(g)
@@ -405,7 +390,7 @@ func TestMutableLifecycleEndToEnd(t *testing.T) {
 	if g := sh.Generation(); g != 2 {
 		t.Fatalf("solver generation = %d, want 2", g)
 	}
-	if err := VerifyMutation(sh, NewNaive(), ds.Users, corpus, k, 1e-9); err != nil {
+	if err := VerifyMutation(sh, ds.Users, corpus, k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -423,10 +408,10 @@ func TestMutableLifecycleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTopK(users.Row(users.Rows()-1), corpus, res, k, 1e-9); err != nil {
+	if err := VerifyTopK(users.Row(users.Rows()-1), corpus, res, k); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyMutation(sh, NewNaive(), users, corpus, k, 1e-9); err != nil {
+	if err := VerifyMutation(sh, users, corpus, k); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -187,7 +187,7 @@ func (r *Runner) queryOnly(s mips.Solver, m *dataset.Model, k int) (time.Duratio
 	}
 	d := time.Since(t0)
 	if r.opt.Verify {
-		if err := mips.VerifyAll(m.Users, m.Items, res, k, 1e-8); err != nil {
+		if err := mips.VerifyAll(m.Users, m.Items, res, k); err != nil {
 			return 0, fmt.Errorf("%s verification: %w", s.Name(), err)
 		}
 	}

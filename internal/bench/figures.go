@@ -309,7 +309,7 @@ func (r *Runner) Fig8() error {
 					traverse = d
 				}
 				if r.opt.Verify && rep == 0 {
-					if err := mips.VerifyAll(m.Users, m.Items, res, 1, 1e-8); err != nil {
+					if err := mips.VerifyAll(m.Users, m.Items, res, 1); err != nil {
 						return err
 					}
 				}

@@ -20,7 +20,9 @@
 //
 // When the cosine is non-negative the right side is maximized at maxNorm;
 // when it is negative (the whole cone points away from u) it is maximized at
-// minNorm. Both cases are property-tested as true upper bounds.
+// minNorm. Both cases are property-tested as true upper bounds. Leaf items
+// are scored with blas.DotFrom, in mips.Naive's summation order, so every
+// answer is bit-identical to Naive's.
 package conetree
 
 import (
@@ -341,7 +343,7 @@ func (x *Index) search(ctx context.Context, n *node, u []float64, unorm float64,
 	if n.left == nil {
 		*scanned += int64(n.hi - n.lo)
 		for s := n.lo; s < n.hi; s++ {
-			h.Push(x.ids[s], blas.Dot(u, x.reordered.Row(s)))
+			h.Push(x.ids[s], blas.DotFrom(0, u, x.reordered.Row(s)))
 		}
 		return
 	}
@@ -358,16 +360,12 @@ func (x *Index) search(ctx context.Context, n *node, u []float64, unorm float64,
 		first, second = n.right, n.left
 		bFirst, bSecond = br, bl
 	}
-	if thr, ok := h.Threshold(); !ok || bFirst >= thr-slack(thr) {
+	if thr, ok := h.Threshold(); !ok || bFirst >= thr-topk.Slack(thr) {
 		x.search(ctx, first, u, unorm, h, scanned)
 	}
-	if thr, ok := h.Threshold(); !ok || bSecond >= thr-slack(thr) {
+	if thr, ok := h.Threshold(); !ok || bSecond >= thr-topk.Slack(thr) {
 		x.search(ctx, second, u, unorm, h, scanned)
 	}
-}
-
-func slack(thr float64) float64 {
-	return 1e-9 * (1 + math.Abs(thr))
 }
 
 // NodeBoundForTest exposes the bound of the node containing sorted position

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,7 +86,7 @@ func TestBMMExactness(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return mips.VerifyAll(users, items, got, k, 1e-9) == nil
+		return mips.VerifyAll(users, items, got, k) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -121,7 +122,7 @@ func TestBMMMatchesNaiveTiesExactly(t *testing.T) {
 			return false
 		}
 		for u := range want {
-			if !topk.Equal(got[u], want[u], 0) {
+			if !slices.Equal(got[u], want[u]) {
 				return false
 			}
 		}
@@ -176,12 +177,16 @@ func TestBMMChunksBitIdenticalToNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameRows(t, label, want, got)
+			if err := mips.SameRows(want, got); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
 			got, err = b.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameRows(t, label+" floors", wantFloored, got)
+			if err := mips.SameRows(wantFloored, got); err != nil {
+				t.Fatalf("%s floors: %v", label, err)
+			}
 		}
 	}
 }
@@ -226,7 +231,7 @@ func TestBMMConcurrentCallsShareBuffers(t *testing.T) {
 					return
 				}
 				for u := range want {
-					if !topk.Equal(got[u], want[u], 0) {
+					if !slices.Equal(got[u], want[u]) {
 						errs[g] = fmt.Errorf("goroutine %d: user %d is %+v, want %+v", g, u, got[u], want[u])
 						return
 					}
@@ -340,12 +345,16 @@ func TestBMMColumnBlocksBitIdenticalToNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameRows(t, label, want, got)
+			if err := mips.SameRows(want, got); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
 			got, err = b.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameRows(t, label+" floors", wantFloored, got)
+			if err := mips.SameRows(wantFloored, got); err != nil {
+				t.Fatalf("%s floors: %v", label, err)
+			}
 		}
 	}
 }
@@ -367,7 +376,7 @@ func TestBMMQuerySubsetOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, u := range ids {
-		if !topk.Equal(got[i], all[u], 0) {
+		if !slices.Equal(got[i], all[u]) {
 			t.Fatalf("position %d (user %d): subset result differs", i, u)
 		}
 	}
@@ -393,7 +402,7 @@ func TestBMMParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := range a {
-		if !topk.Equal(a[u], b[u], 0) {
+		if !slices.Equal(a[u], b[u]) {
 			t.Fatalf("user %d: thread count changed the answer", u)
 		}
 	}

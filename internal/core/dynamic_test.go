@@ -7,6 +7,7 @@ import (
 
 	"optimus/internal/mat"
 	"optimus/internal/mips"
+	"optimus/internal/topk"
 )
 
 func TestAddUsersValidation(t *testing.T) {
@@ -88,7 +89,7 @@ func TestAddUsersExactness(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return mips.VerifyAll(all, items, res, k, 1e-9) == nil
+		return mips.VerifyAll(all, items, res, k) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -137,7 +138,7 @@ func TestAddUsersThetaBCoversArrivals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mips.VerifyTopK(m.users.Row(id), items, res, 3, 1e-9); err != nil {
+		if err := mips.VerifyAll(m.users.RowSlice(id, id+1), items, [][]topk.Entry{res}, 3); err != nil {
 			t.Fatal(err)
 		}
 	}

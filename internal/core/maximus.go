@@ -481,7 +481,7 @@ type walker struct {
 // user's norm, proves that no entry from there on can enter w's heap.
 func (w *walker) cut(bound float64) bool {
 	thr, ok := w.h.Threshold()
-	return ok && bound*w.unorm < thr-slack(thr)
+	return ok && bound*w.unorm < thr-topk.Slack(thr)
 }
 
 // walkChunk answers one chunk: at most walkChunkUsers queried users of one
@@ -569,7 +569,7 @@ func (w *walker) harvest(scores []float64, ids []int32, bounds []float64) bool {
 		}
 	}
 	for p < len(scores) {
-		cut := thr - slack(thr)
+		cut := thr - topk.Slack(thr)
 		stop := p + sort.Search(len(scores)-p, func(i int) bool { return bounds[p+i]*w.unorm < cut })
 		for {
 			if p += blas.Scan(scores[p:stop], thr, blas.SkipBelow); p == stop {

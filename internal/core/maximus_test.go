@@ -167,7 +167,7 @@ func TestMaximusExactness(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				return mips.VerifyAll(users, items, got, k, 1e-9) == nil
+				return mips.VerifyAll(users, items, got, k) == nil
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 				t.Fatal(err)
@@ -196,29 +196,11 @@ func TestItemBlockingLesionSameAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive := mips.NewNaive()
-	if err := naive.Build(users, items); err != nil {
-		t.Fatal(err)
+	if err := mips.VerifyAll(users, items, a, 5); err != nil {
+		t.Fatalf("blocked: %v", err)
 	}
-	want, err := naive.QueryAll(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRows(t, "blocked", want, a)
-	requireSameRows(t, "lesion", want, b)
-}
-
-// requireSameRows fails unless got equals want entry for entry: the same
-// items in the same order, with scores equal to the bit.
-func requireSameRows(t *testing.T, label string, want, got [][]topk.Entry) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if !topk.Equal(got[i], want[i], 0) {
-			t.Fatalf("%s: row %d is %+v, want %+v", label, i, got[i], want[i])
-		}
+	if err := mips.VerifyAll(users, items, b, 5); err != nil {
+		t.Fatalf("lesion: %v", err)
 	}
 }
 
@@ -286,7 +268,9 @@ func testMaximusBitIdenticalToNaive(t *testing.T, nItems int) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameRows(t, label+" full", want, got)
+				if err := mips.SameRows(want, got); err != nil {
+					t.Fatalf("%s full: %v", label, err)
+				}
 				for si, ids := range cases {
 					wantRows := make([][]topk.Entry, len(ids))
 					floors := make([]float64, len(ids))
@@ -316,12 +300,16 @@ func testMaximusBitIdenticalToNaive(t *testing.T, nItems int) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireSameRows(t, sub, wantRows, got)
+					if err := mips.SameRows(wantRows, got); err != nil {
+						t.Fatalf("%s: %v", sub, err)
+					}
 					got, err = m.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireSameRows(t, sub+" floors", floored, got)
+					if err := mips.SameRows(floored, got); err != nil {
+						t.Fatalf("%s floors: %v", sub, err)
+					}
 				}
 			}
 		}
@@ -357,7 +345,7 @@ func TestMaximusConcurrentCallsShareNothing(t *testing.T) {
 					return
 				}
 				for u := range want {
-					if !topk.Equal(got[u], want[u], 0) {
+					if !slices.Equal(got[u], want[u]) {
 						errs <- fmt.Errorf("user %d: %+v, want %+v", u, got[u], want[u])
 						return
 					}
@@ -449,7 +437,7 @@ func TestMaximusPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mips.VerifyAll(users, items, got, 1, 1e-9); err != nil {
+	if err := mips.VerifyAll(users, items, got, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -487,7 +475,7 @@ func TestMaximusQuerySubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, u := range ids {
-		if !topk.Equal(got[i], all[u], 0) {
+		if !slices.Equal(got[i], all[u]) {
 			t.Fatalf("subset position %d (user %d) differs", i, u)
 		}
 	}
@@ -513,7 +501,7 @@ func TestMaximusParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := range a {
-		if !topk.Equal(a[u], b[u], 0) {
+		if !slices.Equal(a[u], b[u]) {
 			t.Fatalf("user %d: thread count changed the answer", u)
 		}
 	}

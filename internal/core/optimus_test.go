@@ -110,7 +110,7 @@ func TestOptimusResultsAlwaysExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := mips.VerifyAll(users, items, res, 5, 1e-9); err != nil {
+			if err := mips.VerifyAll(users, items, res, 5); err != nil {
 				t.Fatalf("winner %s produced wrong results: %v", dec.Winner, err)
 			}
 			if dec.SampleSize <= 0 || len(dec.Estimates) != 3 {
@@ -223,7 +223,7 @@ func TestOptimusReusesSampleResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mips.VerifyAll(users, items, res, 3, 1e-8); err != nil {
+	if err := mips.VerifyAll(users, items, res, 3); err != nil {
 		t.Fatalf("winner %s: %v", dec.Winner, err)
 	}
 }
@@ -239,7 +239,7 @@ func TestOptimusNoIndexesDegeneratesToBMM(t *testing.T) {
 	if dec.Winner != "BMM" {
 		t.Fatalf("winner = %s with no indexes", dec.Winner)
 	}
-	if err := mips.VerifyAll(users, items, res, 2, 1e-9); err != nil {
+	if err := mips.VerifyAll(users, items, res, 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -261,7 +261,7 @@ func TestOptimusThreeWay(t *testing.T) {
 	if len(dec.Estimates) != 3 {
 		t.Fatalf("expected 3 estimates, got %d", len(dec.Estimates))
 	}
-	if err := mips.VerifyAll(users, items, res, 5, 1e-9); err != nil {
+	if err := mips.VerifyAll(users, items, res, 5); err != nil {
 		t.Fatal(err)
 	}
 	if dec.Overhead <= 0 {
@@ -343,7 +343,7 @@ func TestMeasureSharedReusesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mips.VerifyAll(users, itemsB, res, 3, 1e-8); err != nil {
+	if err := mips.VerifyAll(users, itemsB, res, 3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -427,7 +427,7 @@ func TestOptimusRaceCutsLosingBMM(t *testing.T) {
 	if dec.Winner != "STUB" {
 		t.Fatalf("winner %s, want STUB", dec.Winner)
 	}
-	if err := mips.VerifyAll(users, items, res, 5, 1e-9); err != nil {
+	if err := mips.VerifyAll(users, items, res, 5); err != nil {
 		t.Fatal(err)
 	}
 	if dec.Overhead < bmm.SampleTime {
@@ -452,7 +452,7 @@ func TestOptimusRaceSlowRivalLetsBMMWin(t *testing.T) {
 	if dec.Winner != "BMM" {
 		t.Fatalf("winner %s, want BMM", dec.Winner)
 	}
-	if err := mips.VerifyAll(users, items, res, 5, 1e-9); err != nil {
+	if err := mips.VerifyAll(users, items, res, 5); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,18 +1,6 @@
 package core
 
-import (
-	"math"
-)
-
 // queryGrain is the chunk size solver hot paths hand to the parallel worker
 // pool for per-user and per-row loops: small enough to load-balance skewed
 // walk lengths, large enough to amortize dispatch.
 const queryGrain = 16
-
-// slack is the floating-point guard band for pruning decisions: a candidate
-// whose upper bound is within this distance of the threshold is verified
-// exactly rather than pruned, so bound-computation rounding can never drop a
-// true top-K member (the same guard LEMP and FEXIPRO use).
-func slack(thr float64) float64 {
-	return 1e-9 * (1 + math.Abs(thr))
-}

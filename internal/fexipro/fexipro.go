@@ -18,10 +18,12 @@
 //     (max positive user coordinate) × (item tail sum) — a monotonicity
 //     bound that is sometimes tighter than Cauchy–Schwarz.
 //
-// Candidates surviving all bounds get an exact score by completing the
-// partial dot in the rotated space (the rotation is orthogonal, so rotated
-// dots equal original dots). The two configurations benchmarked in the paper
-// are FEXIPRO-SI (bounds 1–3) and FEXIPRO-SIR (bounds 1–4).
+// Candidates surviving all bounds are scored on the original vectors with
+// blas.DotFrom, in mips.Naive's summation order, so every answer is
+// bit-identical to Naive's. The rotated dots feed the bounds only: the
+// rotation is orthogonal, so they equal the original dots up to rounding,
+// which the pruning slack covers. The two configurations benchmarked in the
+// paper are FEXIPRO-SI (bounds 1–3) and FEXIPRO-SIR (bounds 1–4).
 //
 // FEXIPRO is a baseline-tier solver (see internal/mips): it implements
 // mips.Solver, and mips.Persister so its eigendecomposition survives a
@@ -416,7 +418,7 @@ func (x *Index) queryOne(ctx context.Context, u, k int, floor float64) []topk.En
 			poll--
 		}
 		thr, full := h.Threshold()
-		sl := slack(thr)
+		sl := topk.Slack(thr)
 		if full && unorm*x.norms[s] < thr-sl {
 			break // norm-sorted: every remaining item is bounded lower
 		}
@@ -442,7 +444,7 @@ func (x *Index) queryOne(ctx context.Context, u, k int, floor float64) []topk.En
 				continue
 			}
 		}
-		h.Push(x.ids[s], p+blas.Dot(tuTail, row[x.h:]))
+		h.Push(x.ids[s], blas.DotFrom(0, x.users.Row(u), x.items.Row(x.ids[s])))
 	}
 	return h.Sorted()
 }
@@ -484,10 +486,6 @@ func (x *Index) svdBound(u, s int) (bound, truth float64) {
 	}
 	truth = blas.Dot(tu, row)
 	return bound, truth
-}
-
-func slack(thr float64) float64 {
-	return 1e-9 * (1 + math.Abs(thr))
 }
 
 // queryGrain is the per-user chunk size handed to the shared parallel

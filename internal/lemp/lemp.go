@@ -446,7 +446,7 @@ func (x *Index) answerChunk(c *call, lo, hi int, scr *scratch) error {
 		if c.floors != nil {
 			w.floor = c.floors[qi]
 		}
-		if w.unorm*edge >= w.floor-slack(w.floor) {
+		if w.unorm*edge >= w.floor-topk.Slack(w.floor) {
 			w.headRow = m
 			m++
 		} else {
@@ -622,7 +622,7 @@ func (x *Index) walk(user []float64, unorm float64, h *topk.Heap, from int, scr 
 		// in floating point (‖u‖·‖i‖ underestimates u·i when the vectors are
 		// parallel: Cauchy–Schwarz equality meets sqrt rounding). So prune
 		// only when the bound trails the threshold by more than fp slack.
-		if thr, full := h.Threshold(); full && unorm*bk.maxNorm < thr-slack(thr) {
+		if thr, full := h.Threshold(); full && unorm*bk.maxNorm < thr-topk.Slack(thr) {
 			break
 		}
 		entered++
@@ -644,7 +644,7 @@ func (x *Index) scanIncr(user []float64, unorm float64, bk bucket, h *topk.Heap,
 	u2 := user[x.cp2:]
 	for s := bk.lo; s < bk.hi; s++ {
 		thr, full := h.Threshold()
-		sl := slack(thr)
+		sl := topk.Slack(thr)
 		if full && unorm*x.norms[s] < thr-sl {
 			return // items are norm-sorted; the rest of the bucket is worse
 		}
@@ -660,14 +660,6 @@ func (x *Index) scanIncr(user []float64, unorm float64, bk bucket, h *topk.Heap,
 		}
 		h.Push(x.ids[s], blas.DotFrom(p2, u2, row[x.cp2:]))
 	}
-}
-
-// slack returns the floating-point guard band for pruning against threshold
-// thr: bounds within this distance of thr are verified exactly instead of
-// pruned, so rounding in the bound computation can never discard a true
-// top-K member (see the parallel-vectors hazard in walk).
-func slack(thr float64) float64 {
-	return 1e-12 * (1 + math.Abs(thr))
 }
 
 // queryGrain is the per-user chunk size handed to the shared parallel worker

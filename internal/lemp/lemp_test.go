@@ -2,9 +2,9 @@ package lemp
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -105,7 +105,7 @@ func TestExactness(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			return mips.VerifyAll(users, items, got, k, 1e-9) == nil
+			return mips.VerifyAll(users, items, got, k) == nil
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 			t.Fatal(err)
@@ -145,7 +145,7 @@ func TestMatchesNaiveSolverIncludingTies(t *testing.T) {
 			return false
 		}
 		for u := range want {
-			if !topk.Equal(got[u], want[u], 0) {
+			if !slices.Equal(got[u], want[u]) {
 				return false
 			}
 		}
@@ -231,7 +231,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := range a {
-		if !topk.Equal(a[u], b[u], 0) {
+		if !slices.Equal(a[u], b[u]) {
 			t.Fatalf("user %d: parallel result differs", u)
 		}
 	}
@@ -258,7 +258,7 @@ func TestRebuildReindexes(t *testing.T) {
 	if len(got) != 8 {
 		t.Fatalf("rebuild: %d results, want 8", len(got))
 	}
-	if err := mips.VerifyAll(users2, items2, got, 3, 1e-9); err != nil {
+	if err := mips.VerifyAll(users2, items2, got, 3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -277,7 +277,7 @@ func TestZeroNormUser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mips.VerifyTopK(users.Row(1), items, got[0], 4, 1e-9); err != nil {
+	if err := mips.VerifyAll(users.RowSlice(1, 2), items, got, 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -359,7 +359,7 @@ func TestFloorsContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := range want {
-		if !topk.Equal(want[u], unseeded[u], 0) {
+		if !slices.Equal(want[u], unseeded[u]) {
 			t.Fatalf("user %d: -Inf floors diverge from Query", u)
 		}
 	}
@@ -458,25 +458,6 @@ func TestFloorsProperty(t *testing.T) {
 	}
 }
 
-// sameBits reports the first difference between two answer sets, comparing
-// scores with == (no tolerance).
-func sameBits(got, want [][]topk.Entry) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d answers, want %d", len(got), len(want))
-	}
-	for u := range want {
-		if len(got[u]) != len(want[u]) {
-			return fmt.Errorf("user %d: %d entries, want %d", u, len(got[u]), len(want[u]))
-		}
-		for r, e := range want[u] {
-			if got[u][r] != e {
-				return fmt.Errorf("user %d rank %d: %+v, want %+v", u, r, got[u][r], e)
-			}
-		}
-	}
-	return nil
-}
-
 // TestRoutinesAgreeToTheBit pins LEMP's one summation order: the walk, with
 // the head multiply and without it, returns the same entries with == scores,
 // each equal to the multiply's element (blas.DotFrom). So neither a batch's
@@ -508,7 +489,7 @@ func TestRoutinesAgreeToTheBit(t *testing.T) {
 		x.walk(user, mat.Norm(user), h, 0, scr)
 		walked[u] = h.Sorted()
 	}
-	if err := sameBits(withHead, walked); err != nil {
+	if err := mips.SameRows(walked, withHead); err != nil {
 		t.Fatalf("head vs walk: %v", err)
 	}
 	for u, row := range walked {
@@ -584,7 +565,7 @@ func TestMutationRepacksHeadInPlace(t *testing.T) {
 		if x.tunings[k] != tn || !tn.headStale || tn.headBuckets != min(depth, buckets) {
 			t.Fatalf("%s: tuning replaced, head not marked stale, or depth %d re-measured or unclamped (%d)", step, depth, tn.headBuckets)
 		}
-		if err := mips.VerifyMutation(x, New(cfg), users, corpus, k, 0); err != nil {
+		if err := mips.VerifyMutation(x, users, corpus, k); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
 		if tn.head != head || tn.headStale {
@@ -658,7 +639,7 @@ func TestSnapshotLeavesHeadOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameBits(got, want); err != nil {
+	if err := mips.SameRows(want, got); err != nil {
 		t.Fatal(err)
 	}
 	if y.tunings[k].headBuckets != x.tunings[k].headBuckets {
@@ -703,7 +684,7 @@ func TestConcurrentCallsShareOneHead(t *testing.T) {
 			lo := g * 8
 			got, err := x.Query(ids[lo:lo+8], k)
 			if err == nil {
-				err = sameBits(got, want[lo:lo+8])
+				err = mips.SameRows(want[lo:lo+8], got)
 			}
 			errs[g] = err
 		}(g)

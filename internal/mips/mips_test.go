@@ -3,6 +3,7 @@ package mips
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -87,13 +88,17 @@ func TestNaiveLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAll(users, items, res, 2, 1e-12); err != nil {
-		t.Fatal(err)
+	for u := range res {
+		if err := VerifyTopK(users.Row(u), items, res[u], 2, 0); err != nil {
+			t.Fatalf("user %d: %v", u, err)
+		}
 	}
 }
 
 func TestNaiveSelfConsistent(t *testing.T) {
-	// The oracle must satisfy its own verifier.
+	// The oracle must pass the independent verifier: rank order, tie
+	// direction and no missed item, each score recomputed with mat.Dot (the
+	// oracle sums in the same order, so tolerance 0 holds).
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		users, items := randModel(rng, 2+rng.Intn(8), 2+rng.Intn(20), 1+rng.Intn(6))
@@ -106,7 +111,12 @@ func TestNaiveSelfConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return VerifyAll(users, items, res, k, 1e-12) == nil
+		for u := range res {
+			if VerifyTopK(users.Row(u), items, res[u], k, 0) != nil {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -173,8 +183,45 @@ func TestVerifyTopKCatchesViolations(t *testing.T) {
 
 func TestVerifyAllLengthMismatch(t *testing.T) {
 	users, items := randModel(rand.New(rand.NewSource(4)), 3, 4, 2)
-	if err := VerifyAll(users, items, make([][]topk.Entry, 2), 1, 1e-9); err == nil {
+	if err := VerifyAll(users, items, make([][]topk.Entry, 2), 1); err == nil {
 		t.Fatal("result-count mismatch accepted")
+	}
+}
+
+func TestExactChecksRejectNearMisses(t *testing.T) {
+	// Items 1 and 2 tie for every user; item 3 scores highest.
+	users, _ := mat.FromRows([][]float64{{1, 2}, {3, 1}})
+	items, _ := mat.FromRows([][]float64{{0.5, 0.1}, {1, 1}, {1, 1}, {4, 4}})
+	const k = 3
+	var n Naive
+	if err := n.Build(users, items); err != nil {
+		t.Fatal(err)
+	}
+	good, _ := n.QueryAll(k)
+	if err := VerifyAll(users, items, good, k); err != nil {
+		t.Fatal("Naive's own answer rejected:", err)
+	}
+	bad := [][]topk.Entry{slices.Clone(good[0]), slices.Clone(good[1])}
+	bad[0][1], bad[0][2] = bad[0][2], bad[0][1] // a tie in the wrong order
+	bad[1][0].Score = math.Nextafter(bad[1][0].Score, math.Inf(1))
+	for row := range bad {
+		probe := [][]topk.Entry{good[0], good[1]}
+		probe[row] = bad[row]
+		if SameRows(good, probe) == nil || VerifyAll(users, items, probe, k) == nil {
+			t.Errorf("row %d: %+v accepted for %+v", row, bad[row], good[row])
+		}
+	}
+	// With item 3 excluded, a row naming it fails; the covered answer
+	// (items 1, 2, 0) passes.
+	excluded := map[int]bool{3: true}
+	if VerifyCovered(users, items, good, k, excluded) == nil {
+		t.Error("VerifyCovered accepted an item from the excluded set")
+	}
+	for u := range good {
+		good[u] = append(good[u][1:], topk.Entry{Item: 0, Score: mat.Dot(users.Row(u), items.Row(0))})
+	}
+	if err := VerifyCovered(users, items, good, k, excluded); err != nil {
+		t.Fatal("exact covered answer rejected:", err)
 	}
 }
 

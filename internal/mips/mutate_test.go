@@ -3,7 +3,7 @@ package mips_test
 // Cross-solver mutable-corpus conformance: every ItemMutator in the
 // repository is driven through interleaved AddItems/RemoveItems and checked
 // against the VerifyMutation oracle — results must be entry-for-entry
-// identical to a fresh Build over the mutated corpus, after every step.
+// identical to Naive over the mutated corpus, after every step.
 // (The package is mips_test so the contract tests can exercise the concrete
 // solvers without an import cycle.)
 
@@ -57,7 +57,6 @@ func TestItemMutatorsMatchFreshBuild(t *testing.T) {
 	m := conformanceModel(t, 0)
 	pool := conformanceModel(t, 977).Items // arrival stream, same f
 	const k = 7
-	const tol = 1e-9
 	for name, factory := range mutatorFactories() {
 		t.Run(name, func(t *testing.T) {
 			s := factory()
@@ -85,7 +84,7 @@ func TestItemMutatorsMatchFreshBuild(t *testing.T) {
 				if g := mut.Generation(); g != wantGen {
 					t.Fatalf("%s: generation = %d, want %d", op, g, wantGen)
 				}
-				if err := mips.VerifyMutation(s, factory(), m.Users, corpus, k, tol); err != nil {
+				if err := mips.VerifyMutation(s, m.Users, corpus, k); err != nil {
 					t.Fatalf("%s: %v", op, err)
 				}
 			}
@@ -156,7 +155,7 @@ func TestItemMutatorErrorAtomicity(t *testing.T) {
 			if g := mut.Generation(); g != 0 {
 				t.Fatalf("generation advanced to %d on failed mutations", g)
 			}
-			if err := mips.VerifyMutation(s, factory(), m.Users, m.Items, k, 1e-9); err != nil {
+			if err := mips.VerifyMutation(s, m.Users, m.Items, k); err != nil {
 				t.Fatalf("solver state disturbed by rejected mutations: %v", err)
 			}
 		})
@@ -164,8 +163,8 @@ func TestItemMutatorErrorAtomicity(t *testing.T) {
 }
 
 // TestAddUsersMatchesFreshBuild: every solver accepts dynamic user arrival,
-// and post-arrival results are entry-for-entry what a fresh build over the
-// grown user matrix returns.
+// and post-arrival results are entry-for-entry what Naive returns over the
+// grown user matrix.
 func TestAddUsersMatchesFreshBuild(t *testing.T) {
 	m := conformanceModel(t, 0)
 	arrivals := conformanceModel(t, 431).Users.RowSlice(0, 9)
@@ -191,7 +190,7 @@ func TestAddUsersMatchesFreshBuild(t *testing.T) {
 				}
 			}
 			grown := mat.AppendRows(m.Users, arrivals)
-			if err := mips.VerifyMutation(s, factory(), grown, m.Items, k, 1e-9); err != nil {
+			if err := mips.VerifyMutation(s, grown, m.Items, k); err != nil {
 				t.Fatal(err)
 			}
 			// Items can churn after users arrive, and vice versa.
@@ -205,7 +204,7 @@ func TestAddUsersMatchesFreshBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			corpus = mat.RemoveRows(corpus, []int{0, corpus.Rows() - 2})
-			if err := mips.VerifyMutation(s, factory(), grown, corpus, k, 1e-9); err != nil {
+			if err := mips.VerifyMutation(s, grown, corpus, k); err != nil {
 				t.Fatal(err)
 			}
 		})

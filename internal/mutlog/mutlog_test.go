@@ -469,7 +469,6 @@ func TestFlushEquivalenceProperty(t *testing.T) {
 	pool := model(t, "netflix-nomad-25", 0.04).Items
 	const k = 7
 	const events = 40
-	const tol = 1e-9
 	factories := map[string]mips.Factory{
 		"BMM":     func() mips.Solver { return core.NewBMM(core.BMMConfig{}) },
 		"LEMP":    func() mips.Solver { return lemp.New(lemp.Config{Seed: 3}) },
@@ -565,7 +564,7 @@ func TestFlushEquivalenceProperty(t *testing.T) {
 
 				// Oracle 1: the flushed composite vs a fresh build over the
 				// reference corpus (and the independent exactness check).
-				if err := mips.VerifyMutation(logged, shard.New(cfg), m.Users, corpus, k, tol); err != nil {
+				if err := mips.VerifyMutation(logged, m.Users, corpus, k); err != nil {
 					t.Fatalf("flushed vs fresh: %v", err)
 				}
 				// Oracle 2: entry-for-entry against one-at-a-time

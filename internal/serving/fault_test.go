@@ -212,7 +212,7 @@ func TestPanicDuringPipelinedServingWithLogMutations(t *testing.T) {
 	// Post-revival exactness: the mutated composite answers like a fresh
 	// solver over the tracked corpus.
 	corpus := mat.AppendRows(items, pool)
-	if err := mips.VerifyMutation(sh, core.NewBMM(core.BMMConfig{}), users, corpus, k, 1e-9); err != nil {
+	if err := mips.VerifyMutation(sh, users, corpus, k); err != nil {
 		t.Fatal(err)
 	}
 }

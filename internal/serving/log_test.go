@@ -13,6 +13,7 @@ import (
 	"optimus/internal/mat"
 	"optimus/internal/mips"
 	"optimus/internal/mutlog"
+	"optimus/internal/topk"
 )
 
 // manualLog disables both automatic flush triggers — explicit Flush only.
@@ -132,7 +133,7 @@ func TestServerLogCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mips.VerifyTopK(users.Row(7), corpus, res, 5, 1e-9); err != nil {
+	if err := mips.VerifyAll(users.RowSlice(7, 8), corpus, [][]topk.Entry{res}, 5); err != nil {
 		t.Fatal(err)
 	}
 	for i, h := range handles[:2] {
@@ -256,7 +257,7 @@ func TestLogFlushUnderLoad(t *testing.T) {
 						return
 					}
 					truth := mat.Dot(users.Row(u), full.Row(e.Item))
-					if d := truth - e.Score; d > 1e-9 || d < -1e-9 {
+					if truth != e.Score {
 						errs <- fmt.Errorf("user %d item %d score %v, truth %v", u, e.Item, e.Score, truth)
 						return
 					}

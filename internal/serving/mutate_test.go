@@ -95,7 +95,7 @@ func TestMutateSwapsGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mips.VerifyTopK(users.Row(11), corpus, res, 5, 1e-9); err != nil {
+	if err := mips.VerifyAll(users.RowSlice(11, 12), corpus, [][]topk.Entry{res}, 5); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,7 +158,7 @@ func TestMutateUnderLoad(t *testing.T) {
 						return
 					}
 					truth := mat.Dot(users.Row(u), snapshot.Row(e.Item))
-					if d := truth - e.Score; d > 1e-9 || d < -1e-9 {
+					if truth != e.Score {
 						errs <- fmt.Errorf("user %d item %d score %v, truth %v", u, e.Item, e.Score, truth)
 						return
 					}

@@ -47,7 +47,7 @@ func TestSingleQueryExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mips.VerifyTopK(users.Row(7), items, res, 5, 1e-9); err != nil {
+	if err := mips.VerifyAll(users.RowSlice(7, 8), items, [][]topk.Entry{res}, 5); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,7 +77,7 @@ func TestConcurrentQueriesAllExact(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := mips.VerifyTopK(users.Row(u), items, res, k, 1e-9); err != nil {
+				if err := mips.VerifyAll(users.RowSlice(u, u+1), items, [][]topk.Entry{res}, k); err != nil {
 					errs <- err
 					return
 				}
@@ -116,7 +116,7 @@ func TestMixedKRequests(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := mips.VerifyTopK(users.Row(i), items, res, k, 1e-9); err != nil {
+			if err := mips.VerifyAll(users.RowSlice(i, i+1), items, [][]topk.Entry{res}, k); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -141,7 +141,7 @@ func TestBadRequestDoesNotPoisonBatch(t *testing.T) {
 			defer wg.Done()
 			res, err := srv.Query(context.Background(), u, 3)
 			if err == nil {
-				err = mips.VerifyTopK(users.Row(u), items, res, 3, 1e-9)
+				err = mips.VerifyAll(users.RowSlice(u, u+1), items, [][]topk.Entry{res}, 3)
 			}
 			results[i] = err
 		}(i, u)
@@ -251,7 +251,7 @@ func TestPoisonedBatchCostsO1ExtraCalls(t *testing.T) {
 		if resp.err != nil {
 			t.Fatalf("healthy request %d failed: %v", i, resp.err)
 		}
-		if err := mips.VerifyTopK(users.Row(ids[i]), items, resp.entries, 3, 1e-9); err != nil {
+		if err := mips.VerifyAll(users.RowSlice(ids[i], ids[i]+1), items, [][]topk.Entry{resp.entries}, 3); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestPoisonedBatchSerialFallback(t *testing.T) {
 			t.Fatalf("healthy request %d failed: %v", i, out[i].err)
 		}
 	}
-	if err := mips.VerifyTopK(users.Row(2), items, out[0].entries, 3, 1e-9); err != nil {
+	if err := mips.VerifyAll(users.RowSlice(2, 3), items, [][]topk.Entry{out[0].entries}, 3); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -16,7 +15,6 @@ import (
 	"optimus/internal/mat"
 	"optimus/internal/mips"
 	"optimus/internal/persist"
-	"optimus/internal/topk"
 )
 
 // faultTarget is the shard the fault tests inject into: a tail shard, so
@@ -70,50 +68,6 @@ func shardGlobalIDs(sh *Sharded, si int) map[int]bool {
 		out[id] = true
 	}
 	return out
-}
-
-// verifyCoveredTopK checks that got is an exact top-k answer over the
-// non-excluded item subset — the partial-mode exactness contract: degraded
-// answers shrink the corpus, they never approximate. Same tolerance style
-// as mips.VerifyTopK.
-func verifyCoveredTopK(user []float64, items *mat.Matrix, got []topk.Entry, k int, excluded map[int]bool, tol float64) error {
-	want := k
-	if covered := items.Rows() - len(excluded); covered < want {
-		want = covered
-	}
-	if len(got) != want {
-		return fmt.Errorf("got %d entries, want %d", len(got), want)
-	}
-	seen := make(map[int]bool, len(got))
-	for rank, e := range got {
-		if excluded[e.Item] {
-			return fmt.Errorf("rank %d: item %d belongs to a skipped shard", rank, e.Item)
-		}
-		if seen[e.Item] {
-			return fmt.Errorf("duplicate item %d", e.Item)
-		}
-		seen[e.Item] = true
-		truth := mat.Dot(user, items.Row(e.Item))
-		if d := math.Abs(truth - e.Score); d > tol*(1+math.Abs(truth)) {
-			return fmt.Errorf("rank %d item %d score %v, true %v", rank, e.Item, e.Score, truth)
-		}
-		if rank > 0 && e.Score > got[rank-1].Score+tol {
-			return fmt.Errorf("ranks %d,%d out of order (%v > %v)", rank-1, rank, e.Score, got[rank-1].Score)
-		}
-	}
-	if len(got) == 0 {
-		return nil
-	}
-	kth := got[len(got)-1].Score
-	for j := 0; j < items.Rows(); j++ {
-		if seen[j] || excluded[j] {
-			continue
-		}
-		if score := mat.Dot(user, items.Row(j)); score > kth+tol*(1+math.Abs(score)) {
-			return fmt.Errorf("missed covered item %d with score %v > kth %v", j, score, kth)
-		}
-	}
-	return nil
 }
 
 func assertAllHealthy(t *testing.T, sh *Sharded) {
@@ -200,10 +154,8 @@ func TestFaultMatrix(t *testing.T) {
 						if !skippedTarget {
 							t.Fatalf("coverage %v does not skip the hung shard %d", cov, faultTarget)
 						}
-						for qi, u := range ids {
-							if err := verifyCoveredTopK(m.Users.Row(u), m.Items, got[qi], k, ex, 1e-9); err != nil {
-								t.Fatalf("user %d: %v", u, err)
-							}
+						if err := mips.VerifyCovered(m.Users, m.Items, got, k, ex); err != nil {
+							t.Fatal(err)
 						}
 						assertAllHealthy(t, sh)
 
@@ -235,8 +187,8 @@ func TestFaultMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatalf("post-revival query: %v", err)
 						}
-						for u := range want {
-							assertSameEntries(t, u, want[u], got[u])
+						if err := mips.SameRows(want, got); err != nil {
+							t.Fatal(err)
 						}
 
 					default: // error/panic, partial
@@ -250,10 +202,8 @@ func TestFaultMatrix(t *testing.T) {
 						if wantCov := m.Items.Rows() - targetItems; cov.ItemsCovered != wantCov {
 							t.Fatalf("ItemsCovered = %d, want %d", cov.ItemsCovered, wantCov)
 						}
-						for qi, u := range ids {
-							if err := verifyCoveredTopK(m.Users.Row(u), m.Items, got[qi], k, excluded[faultTarget], 1e-9); err != nil {
-								t.Fatalf("user %d: %v", u, err)
-							}
+						if err := mips.VerifyCovered(m.Users, m.Items, got, k, excluded[faultTarget]); err != nil {
+							t.Fatal(err)
 						}
 						if err := sh.AwaitHealthy(5 * time.Second); err != nil {
 							t.Fatalf("revival: %v", err)
@@ -265,8 +215,8 @@ func TestFaultMatrix(t *testing.T) {
 						if !cov2.Complete() {
 							t.Fatalf("post-revival coverage %v not complete", cov2)
 						}
-						for u := range want {
-							assertSameEntries(t, u, want[u], got2[u])
+						if err := mips.SameRows(want, got2); err != nil {
+							t.Fatal(err)
 						}
 					}
 				})
@@ -351,8 +301,8 @@ func TestRevivalFromSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for u := range want {
-				assertSameEntries(t, u, want[u], got[u])
+			if err := mips.SameRows(want, got); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -419,8 +369,8 @@ func TestDialedRevivalChecksItemCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := range want {
-		assertSameEntries(t, u, want[u], got[u])
+	if err := mips.SameRows(want, got); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -577,7 +527,7 @@ func TestCondemnedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mips.VerifyAll(m.Users, m.Items, got, k, 1e-9); err != nil {
+	if err := mips.VerifyAll(m.Users, m.Items, got, k); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -618,7 +568,7 @@ func TestTornMutationRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mips.VerifyAll(m.Users, corpus, got, k, 1e-9); err != nil {
+	if err := mips.VerifyAll(m.Users, corpus, got, k); err != nil {
 		t.Fatal(err)
 	}
 }

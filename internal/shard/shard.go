@@ -20,13 +20,10 @@
 // results are identical — same items, same order — to the unsharded
 // solver's, at every shard count. The per-shard id mappings are kept
 // ascending in global id precisely so shard-local tie-breaking agrees with
-// global tie-breaking. BMM, LEMP and MAXIMUS score every candidate in
-// blas.DotFrom's order — the order the GEMM sums each element in, wherever
-// the item sits in the multiply — so Sharded over them matches the
-// unsharded solver to the bit. Only the cone tree (blas.Dot's four chains)
-// and FEXIPRO (scores in its rotated basis, which each shard derives from
-// its own items) sum differently; their scores can differ from Naive's,
-// and FEXIPRO's from its unsharded self, in the last ulp.
+// global tie-breaking. Every solver scores each candidate in blas.DotFrom's
+// order — the order the GEMM sums each element in, wherever the item sits
+// in the multiply — so Sharded matches the unsharded solver, and Naive, to
+// the bit.
 //
 // # Cross-shard threshold propagation (the two-wave query)
 //
@@ -351,10 +348,22 @@ func (s *Sharded) Items() *mat.Matrix {
 
 // SetThreads implements mips.ThreadSetter, forwarding to every sub-solver
 // that supports it so OPTIMUS-style measurement aligns the whole composite.
+// A shard that RemoveItems emptied has no worker and is skipped. The
+// workers are forwarded to after stateMu is released: a remote worker's
+// SetThreads is a round trip, and a hung shard must not stall every query
+// queued behind the lock.
 func (s *Sharded) SetThreads(n int) {
+	s.stateMu.Lock()
 	s.cfg.Threads = parallel.Resolve(n)
+	workers := make([]Worker, 0, len(s.shards))
 	for i := range s.shards {
-		s.shards[i].w.SetThreads(n)
+		if w := s.shards[i].w; w != nil {
+			workers = append(workers, w)
+		}
+	}
+	s.stateMu.Unlock()
+	for _, w := range workers {
+		w.SetThreads(n)
 	}
 }
 

@@ -78,7 +78,7 @@ func TestScheduleResolution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := mips.VerifyAll(m.Users, m.Items, res, 3, 1e-9); err != nil {
+			if err := mips.VerifyAll(m.Users, m.Items, res, 3); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -161,11 +161,8 @@ func TestSchedulesMatchSingleWave(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := mips.VerifyAll(m.Users, m.Items, got, k, 1e-9); err != nil {
+					if err := mips.VerifyAll(m.Users, m.Items, got, k); err != nil {
 						t.Fatal(err)
-					}
-					for u := range want {
-						assertSameEntries(t, u, want[u], got[u])
 					}
 					floored, err := sh.QueryCtx(nil, ids, k, mips.QueryOptions{Floors: floors})
 					if err != nil {
@@ -354,8 +351,8 @@ func TestScheduleRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for u := range want {
-				assertSameEntries(t, u, want[u], got[u])
+			if err := mips.SameRows(want, got); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

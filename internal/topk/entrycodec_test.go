@@ -3,6 +3,7 @@ package topk
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -31,7 +32,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		if !Equal(got[i], rows[i], 0) {
+		if !slices.Equal(got[i], rows[i]) {
 			t.Fatalf("row %d: got %v, want %v", i, got[i], rows[i])
 		}
 	}

@@ -3,6 +3,7 @@ package topk
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -36,7 +37,7 @@ func TestSeededBasics(t *testing.T) {
 	}
 	got := h.Sorted()
 	want := []Entry{{3, 7}, {4, 6}, {2, 5}}
-	if !Equal(got, want, 0) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Sorted = %+v, want %+v", got, want)
 	}
 }
@@ -101,7 +102,7 @@ func seededPrefix(t *testing.T, scores []float64, k int, floor float64) {
 		cut++
 	}
 	got := seeded.Sorted()
-	if !Equal(got, want[:cut], 0) {
+	if !slices.Equal(got, want[:cut]) {
 		t.Fatalf("floor %v: seeded %+v, want prefix %+v of %+v", floor, got, want[:cut], want)
 	}
 }
@@ -172,7 +173,7 @@ func TestSelectRowIntoMatchesSelectRow(t *testing.T) {
 		}
 		want := SelectRow(scores, 7, 5)
 		got := SelectRowInto(h, scores, 7)
-		if !Equal(got, want, 0) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: got %+v, want %+v", trial, got, want)
 		}
 		if h.Len() != 0 {
@@ -190,7 +191,7 @@ func TestSelectRowIntoFloorAware(t *testing.T) {
 	h.SetFloor(2)
 	got := SelectRowInto(h, []float64{1, 2, 3}, 0)
 	want := []Entry{{2, 3}, {1, 2}}
-	if !Equal(got, want, 0) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
 }
@@ -289,7 +290,7 @@ func TestSelectRowIntoFlooredMatchesSortReference(t *testing.T) {
 			}
 		}
 		got := SelectRowInto(NewSeeded(k, floor), scores, base)
-		if !Equal(got, want, 0) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: k=%d floor=%v scores=%v\nSelectRowInto  %+v\nSortReference %+v", trial, k, floor, scores, got, want)
 		}
 		h := NewSeeded(k, floor)
@@ -298,7 +299,7 @@ func TestSelectRowIntoFlooredMatchesSortReference(t *testing.T) {
 			h.PushRow(scores[j0:j1], base+j0)
 			j0 = j1
 		}
-		if blocked := h.Drain(); !Equal(blocked, want, 0) {
+		if blocked := h.Drain(); !slices.Equal(blocked, want) {
 			t.Fatalf("trial %d: k=%d floor=%v: PushRow by blocks %+v, want %+v", trial, k, floor, blocked, want)
 		}
 	}

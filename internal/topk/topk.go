@@ -121,6 +121,14 @@ func (h *Heap) Threshold() (score float64, ok bool) {
 	return 0, false
 }
 
+// Slack is the floating-point guard band every solver prunes with: a
+// candidate whose upper bound lies within Slack(thr) of the threshold thr is
+// scored rather than pruned, so rounding in a bound's computation can never
+// drop a true top-K member.
+func Slack(thr float64) float64 {
+	return 1e-9 * (1 + math.Abs(thr))
+}
+
 // Push offers a candidate. It returns true if the candidate was retained.
 // Candidates strictly below the floor are rejected regardless of occupancy;
 // candidates tying the floor compete normally (ties at the floor must
@@ -284,22 +292,4 @@ func SortReference(scores []float64, itemBase, k int) []Entry {
 		k = len(all)
 	}
 	return all[:k]
-}
-
-// Equal reports whether two rankings are identical (same items, same order)
-// with scores compared to within tol.
-func Equal(a, b []Entry, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Item != b[i].Item {
-			return false
-		}
-		d := a[i].Score - b[i].Score
-		if d < -tol || d > tol {
-			return false
-		}
-	}
-	return true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -46,7 +47,7 @@ func TestHeapBasics(t *testing.T) {
 	}
 	got := h.Sorted()
 	want := []Entry{{5, 10}, {2, 7}, {1, 5}}
-	if !Equal(got, want, 0) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Sorted = %+v, want %+v", got, want)
 	}
 }
@@ -68,7 +69,7 @@ func TestTieBreaking(t *testing.T) {
 	h.Push(7, 1.0) // should evict item 9 (highest id among equals)
 	got := h.Sorted()
 	want := []Entry{{4, 1.0}, {7, 1.0}}
-	if !Equal(got, want, 0) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("tie handling: got %+v, want %+v", got, want)
 	}
 }
@@ -114,7 +115,7 @@ func TestHeapMatchesSortReference(t *testing.T) {
 		}
 		got := SelectRow(scores, 100, k)
 		want := SortReference(scores, 100, k)
-		return Equal(got, want, 0)
+		return slices.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -155,7 +156,7 @@ func TestSortedMatchesSortSliceOracle(t *testing.T) {
 func TestSelectRowShorterThanK(t *testing.T) {
 	got := SelectRow([]float64{3, 1}, 0, 5)
 	want := []Entry{{0, 3}, {1, 1}}
-	if !Equal(got, want, 0) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -166,7 +167,7 @@ func TestMergeInto(t *testing.T) {
 	MergeInto(h, []Entry{{3, 7}, {4, 1}})
 	got := h.Sorted()
 	want := []Entry{{2, 9}, {3, 7}}
-	if !Equal(got, want, 0) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
 }
@@ -186,23 +187,10 @@ func TestMergeSlabsEqualsSingleScan(t *testing.T) {
 		h := New(k)
 		MergeInto(h, SelectRow(scores[:cut], 0, k))
 		MergeInto(h, SelectRow(scores[cut:], cut, k))
-		return Equal(h.Sorted(), SortReference(scores, 0, k), 0)
+		return slices.Equal(h.Sorted(), SortReference(scores, 0, k))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a := []Entry{{1, 1.0}}
-	if Equal(a, []Entry{{1, 1.0}, {2, 2.0}}, 0) {
-		t.Fatal("length mismatch must not be equal")
-	}
-	if Equal(a, []Entry{{2, 1.0}}, 1) {
-		t.Fatal("item mismatch must not be equal")
-	}
-	if !Equal(a, []Entry{{1, 1.0 + 1e-12}}, 1e-9) {
-		t.Fatal("within tolerance must be equal")
 	}
 }
 

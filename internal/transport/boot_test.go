@@ -16,7 +16,6 @@ import (
 	"optimus/internal/mips"
 	"optimus/internal/persist"
 	"optimus/internal/shard"
-	"optimus/internal/topk"
 	"optimus/internal/transport"
 )
 
@@ -187,23 +186,6 @@ func saveBytes(t *testing.T, s *shard.Sharded) []byte {
 	return buf.Bytes()
 }
 
-func assertIdentical(t *testing.T, want, got [][]topk.Entry) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%d rows, want %d", len(got), len(want))
-	}
-	for u := range want {
-		if len(want[u]) != len(got[u]) {
-			t.Fatalf("user %d: %d entries, want %d", u, len(got[u]), len(want[u]))
-		}
-		for r := range want[u] {
-			if want[u][r] != got[u][r] {
-				t.Fatalf("user %d rank %d: %v, want %v", u, r, got[u][r], want[u][r])
-			}
-		}
-	}
-}
-
 // TestLoadRejectsBadShardSections: a shard section whose solver holds a
 // different item count than the manifest, whose kind is not a solver, or
 // whose nested CRC is corrupt fails Load in process and through a loopback
@@ -292,7 +274,9 @@ func TestLoadRejectsBadShardSections(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertIdentical(t, want, got)
+				if err := mips.SameRows(want, got); err != nil {
+					t.Fatal(err)
+				}
 			})
 		}
 	}
@@ -343,7 +327,9 @@ func TestLoadBootsEachSectionOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIdentical(t, want, got)
+		if err := mips.SameRows(want, got); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -438,7 +424,9 @@ func TestFailedStagingClosesStagedWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIdentical(t, want, got)
+		if err := mips.SameRows(want, got); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -475,7 +463,9 @@ func TestRestoreAcrossThreadCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertIdentical(t, want, got)
+			if err := mips.SameRows(want, got); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,26 +45,6 @@ func factories() map[string]mips.Factory {
 	}
 }
 
-// scoreTol matches the sharded identity tests: sub-matrix placement can move
-// the last ulp of a score without affecting membership or order.
-const scoreTol = 1e-10
-
-func assertSameEntries(t *testing.T, u int, want, got []topk.Entry) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("user %d: %d entries, want %d", u, len(got), len(want))
-	}
-	for r := range want {
-		if want[r].Item != got[r].Item {
-			t.Fatalf("user %d rank %d: item %d, want %d (loopback %v, direct %v)",
-				u, r, got[r].Item, want[r].Item, got, want)
-		}
-	}
-	if !topk.Equal(want, got, scoreTol) {
-		t.Fatalf("user %d: scores diverge beyond %v: loopback %v, direct %v", u, scoreTol, got, want)
-	}
-}
-
 // statsSince is the traffic metered between two loopback readings.
 func statsSince(before, after transport.Stats) transport.Stats {
 	return transport.Stats{
@@ -77,8 +58,8 @@ func statsSince(before, after transport.Stats) transport.Stats {
 // TestLoopbackEquivalenceMatrix is the acceptance gate for the wire path:
 // for every floor-capable sub-solver, wave schedule, and shard count, a
 // Sharded whose workers live behind the loopback transport answers
-// entry-for-entry identically to a direct in-process Sharded — including the
-// composite floor contract (VerifyFloorPrefix) and post-mutation answers
+// entry-for-entry like Naive, and so like a direct in-process Sharded —
+// including the composite floor contract (VerifyFloorPrefix) and post-mutation answers
 // (VerifyMutation) — with the wire demonstrably in the path.
 func TestLoopbackEquivalenceMatrix(t *testing.T) {
 	m := model(t, "netflix-nomad-25", 0.04)
@@ -96,10 +77,6 @@ func TestLoopbackEquivalenceMatrix(t *testing.T) {
 						Schedule:    schedule,
 						Factory:     factory,
 					}
-					direct := shard.New(cfg)
-					if err := direct.Build(m.Users, m.Items); err != nil {
-						t.Fatal(err)
-					}
 					lb := transport.NewLoopback()
 					cfg.WorkerDialer = lb.Dialer()
 					wired := shard.New(cfg)
@@ -113,10 +90,6 @@ func TestLoopbackEquivalenceMatrix(t *testing.T) {
 						t.Fatalf("loopback dials = %d, want %d", st.Dials, shards)
 					}
 
-					want, err := direct.QueryAll(k)
-					if err != nil {
-						t.Fatal(err)
-					}
 					before := lb.Stats()
 					got, err := wired.QueryAll(k)
 					if err != nil {
@@ -135,11 +108,8 @@ func TestLoopbackEquivalenceMatrix(t *testing.T) {
 					if again := statsSince(before, lb.Stats()); again != pass {
 						t.Fatalf("a repeated pass metered %+v, the first %+v", again, pass)
 					}
-					if err := mips.VerifyAll(m.Users, m.Items, got, k, 1e-9); err != nil {
+					if err := mips.VerifyAll(m.Users, m.Items, got, k); err != nil {
 						t.Fatal(err)
-					}
-					for u := range want {
-						assertSameEntries(t, u, want[u], got[u])
 					}
 
 					// Composite floor contract over the wire: seeded results
@@ -163,50 +133,22 @@ func TestLoopbackEquivalenceMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					// Post-mutation equivalence: the same add+remove through
-					// both paths, checked against the oracle and each other.
+					// Post-mutation exactness: an add+remove through the
+					// wire, with positional ids, checked against the oracle.
 					add := m.Items.RowSlice(0, 3)
-					wantIDs, err := direct.AddItems(add)
-					if err != nil {
-						t.Fatal(err)
-					}
 					gotIDs, err := wired.AddItems(add)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(wantIDs) != len(gotIDs) {
-						t.Fatalf("assigned ids %v, want %v", gotIDs, wantIDs)
-					}
-					for i := range wantIDs {
-						if wantIDs[i] != gotIDs[i] {
-							t.Fatalf("assigned ids %v, want %v", gotIDs, wantIDs)
-						}
-					}
-					if err := direct.RemoveItems([]int{0, 1}); err != nil {
-						t.Fatal(err)
+					if !slices.Equal(gotIDs, mips.IDRange(m.Items.Rows(), 3)) {
+						t.Fatalf("assigned ids %v, want %v", gotIDs, mips.IDRange(m.Items.Rows(), 3))
 					}
 					if err := wired.RemoveItems([]int{0, 1}); err != nil {
 						t.Fatal(err)
 					}
-					corpus := mat.AppendRows(m.Items, add)
-					keep := make([]int, 0, corpus.Rows()-2)
-					for i := 2; i < corpus.Rows(); i++ {
-						keep = append(keep, i)
-					}
-					corpus = corpus.SelectRows(keep)
-					if err := mips.VerifyMutation(wired, factory(), m.Users, corpus, k, 1e-9); err != nil {
+					corpus := mat.RemoveRows(mat.AppendRows(m.Items, add), []int{0, 1})
+					if err := mips.VerifyMutation(wired, m.Users, corpus, k); err != nil {
 						t.Fatal(err)
-					}
-					mw, err := direct.QueryAll(k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mg, err := wired.QueryAll(k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for u := range mw {
-						assertSameEntries(t, u, mw[u], mg[u])
 					}
 				})
 			}
@@ -276,48 +218,6 @@ func TestLoopbackScanStatParity(t *testing.T) {
 // so head-first schedules exercise fan-out containment, matching the
 // in-process fault matrix.
 const faultTarget = 1
-
-// verifyCoveredTopK mirrors the in-process fault matrix's partial-mode
-// oracle: got must be an exact top-k over the non-excluded item subset.
-func verifyCoveredTopK(user []float64, items *mat.Matrix, got []topk.Entry, k int, excluded map[int]bool, tol float64) error {
-	want := k
-	if covered := items.Rows() - len(excluded); covered < want {
-		want = covered
-	}
-	if len(got) != want {
-		return fmt.Errorf("got %d entries, want %d", len(got), want)
-	}
-	seen := make(map[int]bool, len(got))
-	for rank, e := range got {
-		if excluded[e.Item] {
-			return fmt.Errorf("rank %d: item %d belongs to a skipped shard", rank, e.Item)
-		}
-		if seen[e.Item] {
-			return fmt.Errorf("duplicate item %d", e.Item)
-		}
-		seen[e.Item] = true
-		truth := mat.Dot(user, items.Row(e.Item))
-		if d := math.Abs(truth - e.Score); d > tol*(1+math.Abs(truth)) {
-			return fmt.Errorf("rank %d item %d score %v, true %v", rank, e.Item, e.Score, truth)
-		}
-		if rank > 0 && e.Score > got[rank-1].Score+tol {
-			return fmt.Errorf("ranks %d,%d out of order", rank-1, rank)
-		}
-	}
-	if len(got) == 0 {
-		return nil
-	}
-	kth := got[len(got)-1].Score
-	for j := 0; j < items.Rows(); j++ {
-		if seen[j] || excluded[j] {
-			continue
-		}
-		if score := mat.Dot(user, items.Row(j)); score > kth+tol*(1+math.Abs(score)) {
-			return fmt.Errorf("missed covered item %d with score %v > kth %v", j, score, kth)
-		}
-	}
-	return nil
-}
 
 func assertAllHealthy(t *testing.T, sh *shard.Sharded) {
 	t.Helper()
@@ -421,10 +321,8 @@ func TestTransportFaultMatrix(t *testing.T) {
 					if !skippedTarget {
 						t.Fatalf("coverage %v does not skip the delayed shard %d", cov, faultTarget)
 					}
-					for qi, u := range ids {
-						if err := verifyCoveredTopK(m.Users.Row(u), m.Items, got[qi], k, ex, 1e-9); err != nil {
-							t.Fatalf("user %d: %v", u, err)
-						}
+					if err := mips.VerifyCovered(m.Users, m.Items, got, k, ex); err != nil {
+						t.Fatal(err)
 					}
 					assertAllHealthy(t, sh)
 
@@ -445,8 +343,8 @@ func TestTransportFaultMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("duplicate reply failed the query: %v", err)
 					}
-					for u := range want {
-						assertSameEntries(t, u, want[u], got[u])
+					if err := mips.SameRows(want, got); err != nil {
+						t.Fatal(err)
 					}
 					assertAllHealthy(t, sh)
 
@@ -472,8 +370,8 @@ func TestTransportFaultMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("post-revival query: %v", err)
 					}
-					for u := range want {
-						assertSameEntries(t, u, want[u], got[u])
+					if err := mips.SameRows(want, got); err != nil {
+						t.Fatal(err)
 					}
 
 				default: // drop / corrupt, partial
@@ -487,10 +385,8 @@ func TestTransportFaultMatrix(t *testing.T) {
 					if wantCov := m.Items.Rows() - len(parts[faultTarget]); cov.ItemsCovered != wantCov {
 						t.Fatalf("ItemsCovered = %d, want %d", cov.ItemsCovered, wantCov)
 					}
-					for qi, u := range ids {
-						if err := verifyCoveredTopK(m.Users.Row(u), m.Items, got[qi], k, excluded, 1e-9); err != nil {
-							t.Fatalf("user %d: %v", u, err)
-						}
+					if err := mips.VerifyCovered(m.Users, m.Items, got, k, excluded); err != nil {
+						t.Fatal(err)
 					}
 					if err := sh.AwaitHealthy(5 * time.Second); err != nil {
 						t.Fatalf("revival: %v", err)
@@ -502,8 +398,8 @@ func TestTransportFaultMatrix(t *testing.T) {
 					if !cov2.Complete() {
 						t.Fatalf("post-revival coverage %v not complete", cov2)
 					}
-					for u := range want {
-						assertSameEntries(t, u, want[u], got2[u])
+					if err := mips.SameRows(want, got2); err != nil {
+						t.Fatal(err)
 					}
 				}
 
@@ -556,8 +452,8 @@ func TestLoopbackPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := range want {
-		assertSameEntries(t, u, want[u], got[u])
+	if err := mips.SameRows(want, got); err != nil {
+		t.Fatal(err)
 	}
 
 	// Round-trip back: the loopback composite's Save pulls each shard's
@@ -574,7 +470,72 @@ func TestLoopbackPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := range want {
-		assertSameEntries(t, u, want[u], got2[u])
+	if err := mips.SameRows(want, got2); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// stallConn holds every SetThreads exchange until release is closed, the
+// way a hung remote shard holds a round trip with no deadline.
+type stallConn struct {
+	transport.Conn
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (c *stallConn) Call(ctx context.Context, op transport.Op, req []byte) ([]byte, error) {
+	if op == transport.OpSetThreads {
+		c.entered <- struct{}{}
+		<-c.release
+	}
+	return c.Conn.Call(ctx, op, req)
+}
+
+// TestSetThreadsStallDoesNotBlockQueries: a shard whose SetThreads round
+// trip hangs stalls only the SetThreads caller; queries keep answering
+// exactly while it waits.
+func TestSetThreadsStallDoesNotBlockQueries(t *testing.T) {
+	m := model(t, "netflix-nomad-25", 0.02)
+	const k = 5
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	lb := transport.NewLoopback()
+	lb.Wrap = func(si int, c transport.Conn) transport.Conn {
+		if si == 1 {
+			return &stallConn{Conn: c, entered: entered, release: release}
+		}
+		return c
+	}
+	sh := shard.New(shard.Config{
+		Shards: 4, Partitioner: shard.ByNorm(), WorkerDialer: lb.Dialer(),
+		Factory: func() mips.Solver { return core.NewBMM(core.BMMConfig{}) },
+	})
+	if err := sh.Build(m.Users, m.Items); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		sh.SetThreads(2)
+		close(done)
+	}()
+	<-entered
+
+	answered := make(chan error, 1)
+	go func() {
+		got, err := sh.QueryAll(k)
+		if err == nil {
+			err = mips.VerifyAll(m.Users, m.Items, got, k)
+		}
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Error("query blocked behind a stalled SetThreads")
+	}
+	close(release)
+	<-done
 }

@@ -115,12 +115,12 @@ type ItemMutator = mips.ItemMutator
 type UserAdder = mips.UserAdder
 
 // VerifyMutation is the mutable-corpus oracle: it checks that the mutated
-// solver answers entry-for-entry like `fresh` (an unbuilt solver of
-// comparable configuration) built from scratch over the mutated corpus, and
-// that the results pass the independent exactness check. items must be the
-// corpus after the same mutations (see AppendMatrixRows/RemoveMatrixRows).
-func VerifyMutation(mutated, fresh Solver, users, items *Matrix, k int, tol float64) error {
-	return mips.VerifyMutation(mutated, fresh, users, items, k, tol)
+// solver's answers are exactly the Naive reference's over the mutated
+// corpus (VerifyAll), which every fresh build also answers. Scores are
+// compared with ==. items must be the corpus after the same mutations (see
+// AppendMatrixRows/RemoveMatrixRows).
+func VerifyMutation(mutated Solver, users, items *Matrix, k int) error {
+	return mips.VerifyMutation(mutated, users, items, k)
 }
 
 // AppendMatrixRows returns a new matrix holding a's rows followed by b's —
@@ -495,13 +495,20 @@ func RestoreServer(r io.Reader, solver Solver, cfg ServerConfig) (*Server, error
 // snapshot, and whether the journal ended in a torn tail.
 type MutationReplayStats = mutlog.ReplayStats
 
-// VerifyTopK checks that a result is an exact top-k answer for the given
-// user vector against the items, within relative score tolerance tol.
-func VerifyTopK(user []float64, items *Matrix, got []Entry, k int, tol float64) error {
-	return mips.VerifyTopK(user, items, got, k, tol)
+// VerifyTopK checks that got is exactly the top-k answer for the given user
+// vector against the items: the Naive reference's entries, in its order,
+// with == scores. Every solver sums each score in Naive's order, so no
+// tolerance is needed.
+func VerifyTopK(user []float64, items *Matrix, got []Entry, k int) error {
+	u, err := mat.FromSlice(1, len(user), user)
+	if err != nil {
+		return err
+	}
+	return mips.VerifyAll(u, items, [][]Entry{got}, k)
 }
 
-// VerifyAll runs VerifyTopK for every user.
-func VerifyAll(users, items *Matrix, results [][]Entry, k int, tol float64) error {
-	return mips.VerifyAll(users, items, results, k, tol)
+// VerifyAll checks that results, one row per user, are exactly the Naive
+// reference's top-k: the same entries in the same order, with == scores.
+func VerifyAll(users, items *Matrix, results [][]Entry, k int) error {
+	return mips.VerifyAll(users, items, results, k)
 }

@@ -34,7 +34,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		if err := VerifyAll(ds.Users, ds.Items, res, k, 1e-8); err != nil {
+		if err := VerifyAll(ds.Users, ds.Items, res, k); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestPublicOptimusRun(t *testing.T) {
 	if dec.Winner == "" || len(dec.Estimates) != 2 {
 		t.Fatalf("malformed decision %+v", dec)
 	}
-	if err := VerifyAll(ds.Users, ds.Items, res, 3, 1e-9); err != nil {
+	if err := VerifyAll(ds.Users, ds.Items, res, 3); err != nil {
 		t.Fatal(err)
 	}
 }
